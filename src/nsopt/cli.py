@@ -140,8 +140,10 @@ def cmd_qp_bench(args) -> int:
             for case in dcases:
                 for seed in seeds:
                     qp = generate_qp(n, m, case, seed)
-                    data = qp.subproblem()
                     for solver in solvers:
+                        # a fresh subproblem each, so that the lazily cached
+                        # W G and G'WG are charged to every solver alike
+                        data = qp.subproblem()
                         start = time.process_time()
                         if solver == "das":
                             sol = solve_das(data, tol=1e-8)

@@ -58,21 +58,3 @@ def check_termination(state: RadiiState, inf_norms, stall: StallCounter,
     if state.eps <= eps_min * (1.0 + 1e-9):
         return Decision.TERMINATE
     return Decision.REDUCE
-
-
-def min_norm_hull_gradient(point_set) -> float:
-    """2-norm of the minimum-norm element of the convex hull of bundle gradients.
-
-    Optional, more expensive stationarity measure; solves the simplex QP with
-    an identity metric and an inactive trust region.
-    """
-    from .direction import SubproblemData, compute_kkt_residual  # noqa: F401
-    from .qp_das import solve_das
-    from .quasi_newton import QuasiNewtonState
-
-    G = np.column_stack([e.g for e in point_set.elements])
-    n = G.shape[0]
-    qn = QuasiNewtonState(n, storage="limited")  # empty history: identity metric
-    data = SubproblemData(G=G, b=np.zeros(G.shape[1]), delta=1e20, qn=qn)
-    sol = solve_das(data, tol=1e-8)
-    return float(np.linalg.norm(G @ sol.omega))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .subproblem import SubproblemData, compute_kkt_residual, dual_objective
+from .subproblem import SubproblemData, compute_kkt_residual
 
 
 class DasError(RuntimeError):
@@ -253,7 +253,3 @@ def dual_objective_from_state(st: DasState) -> float:
     r = st.G @ st.omega + st.gamma
     return float(-0.5 * r @ r_w + st.b @ st.omega
                  - st.delta * np.sum(np.abs(st.gamma)))
-
-
-def solution_objective(data: SubproblemData, sol: DasSolution) -> float:
-    return dual_objective(data, sol.omega, sol.gamma)

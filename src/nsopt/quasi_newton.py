@@ -1,6 +1,10 @@
-"""Damped BFGS/DFP maintenance of the metric H and its inverse W.
+"""Damped BFGS/DFP maintenance of the metric W = H^{-1}.
 
-Full storage keeps dense symmetric positive definite H and W = H^{-1}.
+Full storage keeps only W: the upper triangle of one Fortran-ordered n x n
+array, updated in place by the BLAS rank-1 and rank-2 kernels ``dsyr`` and
+``dsyr2`` and applied by ``dsymv``/``dsymm``.  A dense mirrored copy of W is
+made only when asked for and kept until the next update; H is formed from W
+on request.
 Limited storage keeps a FIFO window of damped pairs (s, v) and applies
 H and W through the compact representation I + Psi M Psi' with an identity
 base matrix (Byrd, Nocedal & Schnabel 1994).
@@ -11,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+from scipy.linalg.blas import dsymm, dsymv, dsyr, dsyr2
 
 from .keyed_products import KeyedProducts
 
@@ -167,12 +172,11 @@ class QuasiNewtonState:
         self.storage = storage
         self.history_limit = history_limit
         if storage == "full":
-            self.H = np.eye(n)
-            self.W = np.eye(n)
+            # upper triangle of W; the strict lower part is never read
+            self._w = np.eye(n, order="F")
+            self._dense: np.ndarray | None = None  # mirrored W, until the next update
             self.pairs = None
         else:
-            self.H = None
-            self.W = None
             self.pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=history_limit)
         self.updates = 0  # serial number of the next pair
         self._key = object()  # tells this state's basis keys from others'
@@ -197,24 +201,18 @@ class QuasiNewtonState:
             self._forms = {}
             self._basis = None
             return
+        W = self._w
+        w = dsymv(1.0, W, v)
+        vwv = float(v @ w)
         if self.mode == "BFGS":
-            h = self.H @ s
-            shs = float(s @ h)
-            self.H = self.H - np.outer(h, h) / shs + np.outer(v, v) / rho
-            w = self.W @ v
-            vwv = float(v @ w)
-            self.W = (self.W - (np.outer(s, w) + np.outer(w, s)) / rho
-                      + (vwv / rho**2 + 1.0 / rho) * np.outer(s, s))
-        else:  # DFP: dual formulas, roles of the two update structures swapped
-            h = self.H @ s
-            shs = float(s @ h)
-            self.H = (self.H - (np.outer(v, h) + np.outer(h, v)) / rho
-                      + (shs / rho**2 + 1.0 / rho) * np.outer(v, v))
-            w = self.W @ v
-            vwv = float(v @ w)
-            self.W = self.W - np.outer(w, w) / vwv + np.outer(s, s) / rho
-        self.H = 0.5 * (self.H + self.H.T)
-        self.W = 0.5 * (self.W + self.W.T)
+            # W - (s w' + w s')/rho + (v'w/rho^2 + 1/rho) s s'
+            W = dsyr2(-1.0 / rho, s, w, a=W, overwrite_a=1)
+            W = dsyr(vwv / rho**2 + 1.0 / rho, s, a=W, overwrite_a=1)
+        else:  # DFP: W - w w'/v'w + s s'/rho
+            W = dsyr(-1.0 / vwv, w, a=W, overwrite_a=1)
+            W = dsyr(1.0 / rho, s, a=W, overwrite_a=1)
+        self._w = W
+        self._dense = None
 
     # -- limited storage: compact representation ---------------------------
 
@@ -242,7 +240,7 @@ class QuasiNewtonState:
     def apply_H(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self.storage == "full":
-            return self.H @ r
+            return self.H @ r  # H is formed on request, so this costs O(n^3)
         form = self._form("H")
         return r.copy() if form is None else form.apply(r)
 
@@ -250,15 +248,42 @@ class QuasiNewtonState:
         """W applied to A (a vector, or each column of a matrix)."""
         A = np.asarray(A, dtype=float)
         if self.storage == "full":
-            return self.W @ A
+            if A.ndim == 1:
+                return dsymv(1.0, self._w, A)
+            return dsymm(1.0, self._w, A)
         form = self._form("W")
         return A.copy() if form is None else form.apply(A)
 
     def dense_W(self) -> np.ndarray:
+        """W as an exactly symmetric dense array.  Full storage mirrors its
+        triangle into a copy that is kept until the next update, so callers
+        must not write to it."""
         if self.storage == "full":
-            return self.W
+            if self._dense is None:
+                D = np.triu(self._w)
+                D += np.triu(D, 1).T
+                self._dense = D
+            return self._dense
         D = self.apply_W_matrix(np.eye(self.n))
         return 0.5 * (D + D.T)  # exactly symmetric, like full storage
+
+    @property
+    def W(self) -> np.ndarray:
+        """``dense_W()``.  Assigning a symmetric matrix sets the full-storage
+        metric (only its upper triangle is read)."""
+        return self.dense_W()
+
+    @W.setter
+    def W(self, value: np.ndarray) -> None:
+        if self.storage != "full":
+            raise ValueError("only full storage holds W")
+        self._w = np.array(value, dtype=float, order="F")
+        self._dense = None
+
+    @property
+    def H(self) -> np.ndarray:
+        """H = W^{-1} as a dense array, formed on request."""
+        return np.linalg.inv(self.dense_W())
 
     def compact_basis(self) -> tuple[list, np.ndarray] | None:
         """Keys and columns of Psi = [A B] in the compact forms of W and H.
@@ -287,7 +312,7 @@ class QuasiNewtonState:
         caller already has them."""
         A = np.asarray(A, dtype=float)
         if self.storage == "full":
-            return A.T @ (self.W @ A)
+            return A.T @ self.apply_W_matrix(A)
         if ata is None:
             ata = A.T @ A
         form = self._form("W")

@@ -1,10 +1,12 @@
 import csv
 import io
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nsopt import cli
 from nsopt.cli import main
 from nsopt.denoise import synthetic_image
 from nsopt.pgm import read_pgm, write_pgm
@@ -104,6 +106,26 @@ def test_qp_bench_out_file(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(path.open()))
     assert len(rows) == 2
+
+
+def test_qp_bench_gives_each_solver_its_own_subproblem(monkeypatch, capsys):
+    # W G and G'WG are cached on the subproblem on first use, so a shared
+    # one would charge their cost to whichever solver runs first.
+    seen = []
+
+    def fake_solver(data, tol):
+        seen.append(data)
+        return SimpleNamespace(omega=np.full(data.m, 1.0 / data.m),
+                               gamma=np.zeros(data.n), kkt_residual=0.0,
+                               omega_only=False)
+
+    monkeypatch.setattr(cli, "solve_das", fake_solver)
+    monkeypatch.setattr(cli, "solve_ipm", fake_solver)
+    code, _ = _run(["qp-bench", "--n", "6", "--m-factors", "n+1",
+                    "--dcases", "zero", "--seeds", "0"], capsys)
+    assert code == 0
+    assert len(seen) == 2
+    assert seen[0] is not seen[1]
 
 
 def test_qp_bench_rejects_bad_solver(capsys):

@@ -82,7 +82,6 @@ def test_finalize_metric_application():
     # d = -W(G omega + gamma) through a non-identity metric
     qn = QuasiNewtonState(2)
     qn.W = np.array([[2.0, -1.0], [-1.0, 1.0]])
-    qn.H = np.linalg.inv(qn.W)
     ps = _bundle([([0.0, 0.0], 0.5, [1.0, 0.0])])
     opts = SolverOptions(strategy="gradient", try_gradient_step=False)
     res = compute_direction(ps, qn, 1e6, opts)

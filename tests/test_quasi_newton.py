@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,3 +195,73 @@ def test_full_storage_positive_definite_after_damped_updates():
         np.linalg.cholesky(qn.H)  # raises if not positive definite
         np.linalg.cholesky(qn.W)
         assert np.max(np.abs(qn.H @ qn.W - np.eye(7))) <= 1e-6
+
+
+def _reference_update(H, W, s, v, mode):
+    """The dense H and W recursions, each formed with np.outer and
+    symmetrized: the full-storage update before W alone was kept."""
+    rho = float(s @ v)
+    h = H @ s
+    shs = float(s @ h)
+    w = W @ v
+    vwv = float(v @ w)
+    if mode == "BFGS":
+        H = H - np.outer(h, h) / shs + np.outer(v, v) / rho
+        W = (W - (np.outer(s, w) + np.outer(w, s)) / rho
+             + (vwv / rho**2 + 1.0 / rho) * np.outer(s, s))
+    else:
+        H = (H - (np.outer(v, h) + np.outer(h, v)) / rho
+             + (shs / rho**2 + 1.0 / rho) * np.outer(v, v))
+        W = W - np.outer(w, w) / vwv + np.outer(s, s) / rho
+    return 0.5 * (H + H.T), 0.5 * (W + W.T)
+
+
+@pytest.mark.parametrize("mode", ["BFGS", "DFP"])
+def test_full_update_matches_dense_reference(mode):
+    rng = np.random.default_rng(17)
+    n = 40
+    qn = QuasiNewtonState(n, mode=mode)
+    H_ref, W_ref = np.eye(n), np.eye(n)
+    A = rng.standard_normal((n, 6))
+    for _ in range(30):
+        s = rng.standard_normal(n)
+        _, v = damp(s, rng.standard_normal(n), ETA_TIGHT, PSI_TIGHT)
+        qn.update(s, v)
+        H_ref, W_ref = _reference_update(H_ref, W_ref, s, v, mode)
+        scale = np.max(np.abs(W_ref))
+        assert np.max(np.abs(qn.W - W_ref)) <= 1e-12 * scale
+        # every view of W agrees after each update; the dense copy was read
+        # before this update, so a stale cached copy would show here
+        D = qn.dense_W()
+        assert np.array_equal(D, D.T)
+        assert np.max(np.abs(D - W_ref)) <= 1e-12 * scale
+        r = A[:, 0]
+        assert np.allclose(qn.apply_W(r), D @ r, rtol=1e-12, atol=1e-12 * scale)
+        WA = qn.apply_W_matrix(A)
+        assert np.allclose(WA, D @ A, rtol=1e-12, atol=1e-12 * scale)
+        assert np.allclose(qn.gram_W(A), A.T @ D @ A, rtol=1e-12,
+                           atol=1e-11 * scale)
+        assert np.max(np.abs(qn.H @ qn.W - np.eye(n))) <= 1e-9
+    assert np.max(np.abs(qn.H - H_ref)) <= 1e-9 * np.max(np.abs(H_ref))
+
+
+@pytest.mark.parametrize("mode", ["BFGS", "DFP"])
+def test_full_update_allocates_no_dense_matrix(mode):
+    # One update may allocate vectors, but no n x n temporary and no copy
+    # of W: peak traced allocation stays below a quarter of W's size.
+    rng = np.random.default_rng(4)
+    n = 400
+    qn = QuasiNewtonState(n, mode=mode)
+    pairs = []
+    for _ in range(2):
+        s = rng.standard_normal(n)
+        pairs.append((s, damp(s, rng.standard_normal(n), ETA_TIGHT, PSI_TIGHT)[1]))
+    qn.update(*pairs[0])
+    qn.dense_W()  # a cached dense copy is dropped, not rebuilt, by an update
+    tracemalloc.start()
+    try:
+        qn.update(*pairs[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
