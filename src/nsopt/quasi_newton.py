@@ -2,9 +2,8 @@
 
 Full storage keeps only W: the upper triangle of one Fortran-ordered n x n
 array, updated in place by the BLAS rank-1 and rank-2 kernels ``dsyr`` and
-``dsyr2`` and applied by ``dsymv``/``dsymm``.  A dense mirrored copy of W is
-made only when asked for and kept until the next update; H is formed from W
-on request.
+``dsyr2`` and applied by ``dsymv``/``dsymm``.  A dense mirrored copy of W and
+H are formed from that triangle on request.
 Limited storage keeps a FIFO window of damped pairs (s, v) and applies
 H and W through the compact representation I + Psi M Psi' with an identity
 base matrix (Byrd, Nocedal & Schnabel 1994).
@@ -174,7 +173,6 @@ class QuasiNewtonState:
         if storage == "full":
             # upper triangle of W; the strict lower part is never read
             self._w = np.eye(n, order="F")
-            self._dense: np.ndarray | None = None  # mirrored W, until the next update
             self.pairs = None
         else:
             self.pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=history_limit)
@@ -212,7 +210,6 @@ class QuasiNewtonState:
             W = dsyr(-1.0 / vwv, w, a=W, overwrite_a=1)
             W = dsyr(1.0 / rho, s, a=W, overwrite_a=1)
         self._w = W
-        self._dense = None
 
     # -- limited storage: compact representation ---------------------------
 
@@ -255,15 +252,12 @@ class QuasiNewtonState:
         return A.copy() if form is None else form.apply(A)
 
     def dense_W(self) -> np.ndarray:
-        """W as an exactly symmetric dense array.  Full storage mirrors its
-        triangle into a copy that is kept until the next update, so callers
-        must not write to it."""
+        """W as a new, exactly symmetric dense array.  Full storage mirrors
+        its upper triangle."""
         if self.storage == "full":
-            if self._dense is None:
-                D = np.triu(self._w)
-                D += np.triu(D, 1).T
-                self._dense = D
-            return self._dense
+            D = np.triu(self._w)
+            D += np.triu(D, 1).T
+            return D
         D = self.apply_W_matrix(np.eye(self.n))
         return 0.5 * (D + D.T)  # exactly symmetric, like full storage
 
@@ -278,7 +272,6 @@ class QuasiNewtonState:
         if self.storage != "full":
             raise ValueError("only full storage holds W")
         self._w = np.array(value, dtype=float, order="F")
-        self._dense = None
 
     @property
     def H(self) -> np.ndarray:

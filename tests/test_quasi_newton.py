@@ -230,8 +230,8 @@ def test_full_update_matches_dense_reference(mode):
         H_ref, W_ref = _reference_update(H_ref, W_ref, s, v, mode)
         scale = np.max(np.abs(W_ref))
         assert np.max(np.abs(qn.W - W_ref)) <= 1e-12 * scale
-        # every view of W agrees after each update; the dense copy was read
-        # before this update, so a stale cached copy would show here
+        # every view of W agrees after each update; dense_W() was also read
+        # before this update, so a copy kept across updates would show here
         D = qn.dense_W()
         assert np.array_equal(D, D.T)
         assert np.max(np.abs(D - W_ref)) <= 1e-12 * scale
@@ -257,7 +257,7 @@ def test_full_update_allocates_no_dense_matrix(mode):
         s = rng.standard_normal(n)
         pairs.append((s, damp(s, rng.standard_normal(n), ETA_TIGHT, PSI_TIGHT)[1]))
     qn.update(*pairs[0])
-    qn.dense_W()  # a cached dense copy is dropped, not rebuilt, by an update
+    qn.dense_W()  # reading a dense copy must not make the update mirror W
     tracemalloc.start()
     try:
         qn.update(*pairs[1])
