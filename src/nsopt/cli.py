@@ -106,7 +106,7 @@ def cmd_solve(args) -> int:
                                        report.gradient_evaluations)
                 cpu = report.cpu_seconds
             except Exception as exc:  # recorded in-row, harness keeps going
-                final_f = f"error:{type(exc).__name__}"
+                final_f = f"error:{type(exc).__name__}: {exc}"
                 iters = funcs = grads = 0
                 cpu = 0.0
             rows.append({"name": name, "dir": token, "iters": iters,

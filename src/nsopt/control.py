@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class Decision(enum.Enum):
-    CONTINUE = "continue"
-    REDUCE = "reduce"
-    TERMINATE = "terminate"
 
 
 @dataclass
@@ -22,7 +15,6 @@ class RadiiState:
 
 @dataclass
 class StallCounter:
-    threshold: int
     tolerance: float
     count: int = 0
 
@@ -44,17 +36,12 @@ def reduction_condition(inf_norms: tuple[float, float, float], eps: float) -> bo
     return max(inf_norms) <= eps
 
 
-def update_radii(state: RadiiState, inf_norms, stall_triggered: bool) -> RadiiState:
-    if stall_triggered or reduction_condition(inf_norms, state.eps):
-        return RadiiState(eps=1e-1 * state.eps, delta=1e-1 * state.delta)
-    return state
-
-
-def check_termination(state: RadiiState, inf_norms, stall: StallCounter,
-                      eps_min: float) -> Decision:
-    reduce_now = stall.count >= stall.threshold or reduction_condition(inf_norms, state.eps)
-    if not reduce_now:
-        return Decision.CONTINUE
-    if state.eps <= eps_min * (1.0 + 1e-9):
-        return Decision.TERMINATE
-    return Decision.REDUCE
+def update_radii(state: RadiiState, inf_norms, stall_triggered: bool,
+                 eps_min: float) -> tuple[RadiiState, bool]:
+    """Shrink both radii tenfold when a stall or the reduction condition
+    triggers.  Also returns whether the run is stationary: a reduction
+    triggered while eps is already at eps_min."""
+    if not (stall_triggered or reduction_condition(inf_norms, state.eps)):
+        return state, False
+    shrunk = RadiiState(eps=1e-1 * state.eps, delta=1e-1 * state.delta)
+    return shrunk, state.eps <= eps_min * (1.0 + 1e-9)

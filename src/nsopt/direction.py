@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .point_set import PointSet
-from .qp_das import DasState, solve_das
+from .qp_das import solve_das
 from .qp_ipm import solve_ipm
 from .quasi_newton import QuasiNewtonState
 from .subproblem import SubproblemData, compute_kkt_residual, dual_objective
@@ -37,7 +37,6 @@ class DirectionResult:
     solver: str  # "gradient", "das", or "ipm"
     model_norm_sq: float  # d'Hd = (G w + gamma)' W (G w + gamma)
     inf_norms: tuple[float, float, float]  # ||d||, ||Gw||, ||Gw + gamma||
-    das_state: DasState | None = None
 
 
 def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
@@ -64,8 +63,8 @@ def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
     return SubproblemData(G=G, b=b, delta=delta, qn=qn, gtg=gtg, psi_g=psi_g)
 
 
-def _finalize(data: SubproblemData, omega, gamma, u, res, solver,
-              das_state=None) -> DirectionResult:
+def _finalize(data: SubproblemData, omega, gamma, u, res,
+              solver) -> DirectionResult:
     g_omega = data.G @ omega
     model = g_omega + gamma
     d = -data.qn.apply_W(model)
@@ -74,11 +73,11 @@ def _finalize(data: SubproblemData, omega, gamma, u, res, solver,
                  float(np.max(np.abs(g_omega), initial=0.0)),
                  float(np.max(np.abs(model), initial=0.0)))
     return DirectionResult(d, np.asarray(omega, dtype=float), gamma, u, res,
-                           solver, model_norm_sq, inf_norms, das_state)
+                           solver, model_norm_sq, inf_norms)
 
 
 def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
-                      options, warm: DasState | None = None) -> DirectionResult:
+                      options) -> DirectionResult:
     strategy = options.strategy
     n = qn.n
 
@@ -94,8 +93,8 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
 
     data = build_subproblem(point_set, qn, delta, strategy)
     if data.m <= options.qp_size_threshold:
-        sol = solve_das(data, tol=options.qp_tolerance, warm=warm)
+        sol = solve_das(data, tol=options.qp_tolerance)
         return _finalize(data, sol.omega, sol.gamma, sol.u, sol.kkt_residual,
-                         "das", das_state=sol.state)
+                         "das")
     sol = solve_ipm(data, tol=options.qp_tolerance)
     return _finalize(data, sol.omega, sol.gamma, sol.u, sol.kkt_residual, "ipm")

@@ -1,6 +1,6 @@
 """Step-size selection enforcing the sufficient decrease condition
 
-    f(x + alpha d) - f(x) <= -1/2 * c * alpha * ||d||_H^2,
+    f(x + alpha d) - f(x) <= -1/2 * ls_decrease * alpha * ||d||_H^2,
 
 optionally combined with a weak Wolfe curvature condition on the new gradient.
 """
@@ -24,24 +24,19 @@ class LineSearchResult:
     x_next: np.ndarray
     f_next: float
     g_next: np.ndarray
-    evaluations: tuple[int, int]
 
 
 def backtracking_armijo(ev, x, f, d, model_norm_sq, opts) -> LineSearchResult:
     """Halve alpha from opts.ls_initial until sufficient decrease holds."""
     if model_norm_sq <= 0:
         raise ValueError("descent model norm must be positive")
-    f_before = ev.function_evaluations
-    g_before = ev.gradient_evaluations
     alpha = opts.ls_initial
     for _ in range(_MAX_UPDATES + 1):
         x_t = x + alpha * d
         f_t = ev.f(x_t)
         if np.isfinite(f_t) and f_t - f <= -0.5 * opts.ls_decrease * alpha * model_norm_sq:
             g_t = ev.g(x_t)
-            return LineSearchResult(alpha, x_t, f_t, g_t,
-                                    (ev.function_evaluations - f_before,
-                                     ev.gradient_evaluations - g_before))
+            return LineSearchResult(alpha, x_t, f_t, g_t)
         alpha *= 0.5
     raise LineSearchError("backtracking exhausted without sufficient decrease")
 
@@ -55,8 +50,6 @@ def weak_wolfe(ev, x, f, d, model_norm_sq, opts) -> LineSearchResult:
     """
     if model_norm_sq <= 0:
         raise ValueError("descent model norm must be positive")
-    f_before = ev.function_evaluations
-    g_before = ev.gradient_evaluations
     lo, hi = 0.0, np.inf
     alpha = opts.ls_initial
     best = None  # (alpha, x_t, f_t, g_t or None), Armijo-satisfying
@@ -72,14 +65,10 @@ def weak_wolfe(ev, x, f, d, model_norm_sq, opts) -> LineSearchResult:
         if best is None or f_t < best[2]:
             best = (alpha, x_t, f_t, g_t)
         if float(g_t @ d) >= -opts.ls_curvature * model_norm_sq:
-            return LineSearchResult(alpha, x_t, f_t, g_t,
-                                    (ev.function_evaluations - f_before,
-                                     ev.gradient_evaluations - g_before))
+            return LineSearchResult(alpha, x_t, f_t, g_t)
         lo = alpha
         alpha = 2.0 * alpha if np.isinf(hi) else 0.5 * (lo + hi)
     if best is None:
         raise LineSearchError("weak Wolfe search found no sufficient-decrease step")
     alpha, x_t, f_t, g_t = best
-    return LineSearchResult(alpha, x_t, f_t, g_t,
-                            (ev.function_evaluations - f_before,
-                             ev.gradient_evaluations - g_before))
+    return LineSearchResult(alpha, x_t, f_t, g_t)

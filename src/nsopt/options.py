@@ -11,7 +11,6 @@ STRATEGIES = ("gradient", "gradient_combination", "cutting_plane")
 
 @dataclass
 class SolverOptions:
-    c: float = 1e-10
     eta: float = 1e-8
     psi: float = 1e8
     p: int | None = None  # samples per iteration; None resolves per strategy
@@ -30,14 +29,13 @@ class SolverOptions:
     qp_size_threshold: int = 25
     eps_min: float = 1e-5
     iteration_limit: int = 100_000
-    fd_increment: float = 1e-8
     try_gradient_step: bool = True
     qp_tolerance: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
-            raise ValueError("c must lie in (0, 1)")
+        if not 0.0 < self.ls_decrease < self.ls_curvature < 1.0:
+            raise ValueError("need 0 < ls_decrease < ls_curvature < 1")
         if self.eta <= 0 or self.psi < self.eta:
             raise ValueError("need 0 < eta <= psi")
         if self.envelope_factor <= 0 or self.size_factor <= 0:
@@ -70,7 +68,6 @@ _OPTION_KEYS = {
     "BFGS_correction_threshold_2": ("psi", float),
     "DFP_correction_threshold_1": ("eta", float),
     "DFP_correction_threshold_2": ("psi", float),
-    "DEFD_increment": ("fd_increment", float),
     "DCCP_try_gradient_step": ("try_gradient_step", bool),
     "DCGC_try_gradient_step": ("try_gradient_step", bool),
     "LSWW_stepsize_initial": ("ls_initial", float),

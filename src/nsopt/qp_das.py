@@ -8,7 +8,8 @@ The working set is the support S of omega plus a sign state in {-1, 0, +1}
 per gamma coordinate.  Each pivot solves the bordered equality-constrained
 KKT system on the working set, takes a blocking-limited segment toward the
 target, and either drops the blocking index or checks optimality and adds
-the single most violated index.
+the single most violated index.  Every solve starts cold from the column
+with the smallest diagonal of G'WG; no state carries over between solves.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ class DasError(RuntimeError):
 
 @dataclass
 class DasState:
-    """Warm-startable working-set state; arrays are owned by the state."""
+    """Working set and iterate of one solve.  G, WG, K and b are borrowed
+    from the subproblem and never written."""
     G: np.ndarray
     WG: np.ndarray
     K: np.ndarray  # G'WG
@@ -63,7 +65,6 @@ class DasSolution:
     kkt_residual: float
     iterations: int
     objective_history: list[float]
-    state: DasState
 
 
 def _init_state(data: SubproblemData) -> DasState:
@@ -71,28 +72,10 @@ def _init_state(data: SubproblemData) -> DasState:
     j0 = int(np.argmin(np.diag(K)))
     omega = np.zeros(data.m)
     omega[j0] = 1.0
-    return DasState(G=data.G.copy(), WG=data.wg.copy(), K=K.copy(),
-                    b=data.b.copy(), delta=data.delta, qn=data.qn,
+    return DasState(G=data.G, WG=data.wg, K=K, b=data.b,
+                    delta=data.delta, qn=data.qn,
                     S=[j0], gamma_sign=np.zeros(data.n, dtype=int),
                     omega=omega, gamma=np.zeros(data.n))
-
-
-def warm_start_augment(state: DasState, new_columns: np.ndarray,
-                       new_b: np.ndarray) -> DasState:
-    """Extend a previous state with extra bundle columns at zero weight."""
-    new_columns = np.atleast_2d(np.asarray(new_columns, dtype=float))
-    new_b = np.atleast_1d(np.asarray(new_b, dtype=float))
-    if new_columns.shape[0] != state.n or new_columns.shape[1] != new_b.size:
-        raise ValueError("new columns must be n-vectors aligned with new_b")
-    w_new = state.qn.apply_W_matrix(new_columns)
-    cross = state.G.T @ w_new
-    corner = new_columns.T @ w_new
-    state.K = np.block([[state.K, cross], [cross.T, corner]])
-    state.G = np.hstack([state.G, new_columns])
-    state.WG = np.hstack([state.WG, w_new])
-    state.b = np.concatenate([state.b, new_b])
-    state.omega = np.concatenate([state.omega, np.zeros(new_b.size)])
-    return state
 
 
 def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, regularize: bool = True):
@@ -144,14 +127,8 @@ def _w_times_model(st: DasState) -> np.ndarray:
 
 
 def solve_das(data: SubproblemData, tol: float = 1e-8,
-              warm: DasState | None = None,
               max_iterations: int | None = None) -> DasSolution:
-    if warm is not None:
-        if warm.m != data.m or warm.n != data.n:
-            raise ValueError("warm-start state does not match problem dimensions")
-        st = warm
-    else:
-        st = _init_state(data)
+    st = _init_state(data)
     m, n = st.m, st.n
     cap = max_iterations if max_iterations is not None else 100 * (m + 2 * n)
     history: list[float] = []
@@ -236,7 +213,7 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
             rho = np.maximum(-st.gamma, 0.0)
             res = compute_kkt_residual(data, st.omega, sigma, rho, u)
             return DasSolution(st.omega.copy(), st.gamma.copy(), sigma, rho, u,
-                               res, iterations, history, st)
+                               res, iterations, history)
         if worst_omega <= worst_gamma:
             j_new = int(np.argmin(v_omega_masked))
             st.S = S + [j_new]

@@ -12,10 +12,12 @@ matrix K = [-(Q + D), A; A', 0], D = diag(v / theta), per iteration.  Q is
 positive semidefinite and D positive, so Q + D is factored by Cholesky and the
 simplex row is solved through the 1x1 Schur complement A'(Q + D)^-1 A, as in
 structure-exploiting interior-point codes (Gertz & Wright 2003).  When
-rounding leaves Q + D numerically indefinite the step falls back to an LDL'
-factorization of K.  Step sizes follow a two-segment merit-function search
-bounded by the fraction-to-the-boundary rule: a common primal/dual step is
-optimized first, then the remaining slack in whichever bound is looser.
+rounding leaves Q + D numerically indefinite, the factorization is retried
+once with the diagonal shifted by 1e-12 max(1, max diag Q); if that fails
+too, ``IpmError`` is raised.  Step sizes follow a two-segment merit-function
+search bounded by the fraction-to-the-boundary rule: a common primal/dual
+step is optimized first, then the remaining slack in whichever bound is
+looser.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dtrsv as _trsv
 from scipy.linalg.lapack import dpotrf as _potrf
 
@@ -35,7 +36,8 @@ _ZETA_MU_FLOOR = 1e-12
 
 
 class IpmError(RuntimeError):
-    """Iteration cap hit before the residual tolerance was met."""
+    """Iteration cap hit before the residual tolerance was met, or the
+    reduced KKT system could not be factored even after the diagonal shift."""
 
 
 @dataclass
@@ -126,50 +128,6 @@ class CholeskySchurFactor:
         out[:-1] = self.A * sol[-1] - self.Q @ x - self.d * x
         out[-1] = self.A @ x
         return out
-
-
-class LdlFactor:
-    """LDL' factorization of a symmetric indefinite matrix with a reusable
-    solve supporting the 1x1 and 2x2 pivot blocks."""
-
-    def __init__(self, K: np.ndarray):
-        lu, d, perm = scipy.linalg.ldl(K, lower=True)
-        self.K = K
-        self.L = lu[perm]  # unit lower triangular
-        self.d = d
-        self.perm = perm
-
-    def solve_refined(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve with one step of iterative refinement (same factorization)."""
-        x = self.solve(rhs)
-        return x + self.solve(rhs - self.K @ x)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = scipy.linalg.solve_triangular(self.L, rhs[self.perm],
-                                          lower=True, unit_diagonal=True)
-        w = self._block_diagonal_solve(y)
-        t = scipy.linalg.solve_triangular(self.L.T, w,
-                                          lower=False, unit_diagonal=True)
-        out = np.empty_like(t)
-        out[self.perm] = t
-        return out
-
-    def _block_diagonal_solve(self, y: np.ndarray) -> np.ndarray:
-        d = self.d
-        n = y.size
-        w = np.empty_like(y)
-        i = 0
-        while i < n:
-            if i + 1 < n and d[i, i + 1] != 0.0:
-                blk = d[i:i + 2, i:i + 2]
-                det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-                w[i] = (blk[1, 1] * y[i] - blk[0, 1] * y[i + 1]) / det
-                w[i + 1] = (-blk[1, 0] * y[i] + blk[0, 0] * y[i + 1]) / det
-                i += 2
-            else:
-                w[i] = y[i] / d[i, i]
-                i += 1
-        return w
 
 
 def merit(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray) -> float:
@@ -278,33 +236,22 @@ def step_sizes(qp: QpData, theta, u, v, r_p, r_d, dtheta, du, dv,
 
 
 def _factorize(qp: QpData, theta: np.ndarray, v: np.ndarray,
-               diagnostics: IpmDiagnostics) -> CholeskySchurFactor | LdlFactor:
-    ell = theta.size
+               diagnostics: IpmDiagnostics) -> CholeskySchurFactor:
     d = v / theta
     diagnostics.factorizations += 1
     try:
         return CholeskySchurFactor(qp.Q, d, qp.A)
     except np.linalg.LinAlgError:
         pass
-    K = np.zeros((ell + 1, ell + 1))
-    K[:ell, :ell] = -(qp.Q + np.diag(d))
-    K[:ell, ell] = qp.A
-    K[ell, :ell] = qp.A
-    factor = LdlFactor(K)
-    probe = factor.solve(np.ones(ell + 1))
-    if np.all(np.isfinite(probe)):
-        return factor
-    # one-shot quasi-definite regularization, then give up
-    K[:ell, :ell] -= 1e-12 * np.eye(ell)
-    K[ell, ell] += 1e-12
-    factor = LdlFactor(K)
-    probe = factor.solve(np.ones(ell + 1))
-    if not np.all(np.isfinite(probe)):
-        raise IpmError("singular reduced KKT system")
-    return factor
+    # one-shot diagonal shift; refinement then works against the shifted matrix
+    tau = 1e-12 * max(1.0, float(np.diag(qp.Q).max()))
+    try:
+        return CholeskySchurFactor(qp.Q, d + tau, qp.A)
+    except np.linalg.LinAlgError as exc:
+        raise IpmError(f"reduced KKT system not factorizable: {exc}") from None
 
 
-def _newton_step(factor: CholeskySchurFactor | LdlFactor, theta, v, r_d, r_p, r_c,
+def _newton_step(factor: CholeskySchurFactor, theta, v, r_d, r_p, r_c,
                  diagnostics: IpmDiagnostics):
     rhs = np.concatenate([r_d - r_c / theta, [r_p]])
     sol = factor.solve_refined(rhs)

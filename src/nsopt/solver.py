@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import Decision, StallCounter, check_termination, init_radii, update_radii
+from .control import StallCounter, init_radii, update_radii
 from .direction import compute_direction
 from .line_search import LineSearchError, backtracking_armijo, weak_wolfe
 from .oracle import CountingOracle, ObjectiveOracle, scale_objective
@@ -70,7 +70,7 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
     qn = QuasiNewtonState(n, mode=opts.qn_mode, storage=opts.qn_storage,
                           history_limit=opts.history_limit)
     radii = init_radii(g)
-    stall = StallCounter(threshold=opts.n_f, tolerance=opts.delta_f)
+    stall = StallCounter(tolerance=opts.delta_f)
     current = BundleElement(x=x, f=f, g=g, birth=0)
     bundle = PointSet(current)
     f_history = [f / scale]
@@ -94,11 +94,12 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
 
         if result.model_norm_sq <= _DEGENERATE_MODEL:
             # stationary for the current model: no usable step, shrink radii
-            decision = check_termination(radii, (0.0, 0.0, 0.0), stall, opts.eps_min)
-            if decision is Decision.TERMINATE or radii.eps <= opts.eps_min * (1 + 1e-9):
+            new_radii, stationary = update_radii(radii, (0.0, 0.0, 0.0), True,
+                                                 opts.eps_min)
+            if stationary:
                 termination = "stationary"
                 break
-            radii = update_radii(radii, (0.0, 0.0, 0.0), stall_triggered=True)
+            radii = new_radii
             stall.count = 0
             prune_by_distance(bundle, current.x, radii.eps, opts.envelope_factor)
             continue
@@ -134,9 +135,8 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
         null_steps = 0
 
         stall.observe(current.f, ls.f_next)
-        decision = check_termination(radii, result.inf_norms, stall, opts.eps_min)
-        new_radii = update_radii(radii, result.inf_norms,
-                                 stall_triggered=stall.count >= opts.n_f)
+        new_radii, stationary = update_radii(radii, result.inf_norms,
+                                             stall.count >= opts.n_f, opts.eps_min)
         if new_radii.eps < radii.eps:
             stall.count = 0
         radii = new_radii
@@ -157,7 +157,7 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
         if current.f <= _UNBOUNDED_BELOW:
             termination = "objective_unbounded"
             break
-        if decision is Decision.TERMINATE:
+        if stationary:
             termination = "stationary"
             break
 

@@ -10,6 +10,7 @@ from nsopt import cli
 from nsopt.cli import main
 from nsopt.denoise import synthetic_image
 from nsopt.pgm import read_pgm, write_pgm
+from nsopt.qp_ipm import IpmError
 
 
 def _run(argv, capsys):
@@ -63,6 +64,27 @@ def test_solve_csv_deterministic_modulo_cpu(capsys):
     for r1, r2 in zip(rows1, rows2):
         r1.pop("cpu"), r2.pop("cpu")
         assert r1 == r2
+
+
+def test_solve_error_row_carries_type_and_message(capsys, monkeypatch):
+    real_run_solver = cli.run_solver
+    calls = []
+
+    def failing_once(oracle, x0, opts):
+        calls.append(opts.strategy)
+        if len(calls) == 1:
+            raise IpmError("no convergence in 200 iterations")
+        return real_run_solver(oracle, x0, opts)
+
+    monkeypatch.setattr(cli, "run_solver", failing_once)
+    code, out = _run(["solve", "--names", "MaxQ", "--n", "20",
+                      "--strategy", "CP,G"], capsys)
+    assert code == 0
+    rows = _rows(out)
+    assert rows[0]["f"] == "error:IpmError: no convergence in 200 iterations"
+    assert rows[0]["iters"] == "0"
+    assert rows[1]["dir"] == "G" and float(rows[1]["f"]) <= 5e-2
+    assert calls == ["cutting_plane", "gradient"]
 
 
 def test_solve_options_file_and_env(capsys, tmp_path, monkeypatch):

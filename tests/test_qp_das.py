@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsopt.qp_das import solve_das, warm_start_augment
+from nsopt.qp_das import solve_das
 from nsopt.qp_generator import generate_qp
 from nsopt.quasi_newton import QuasiNewtonState
 from nsopt.subproblem import SubproblemData, dual_objective
@@ -52,51 +52,6 @@ def test_objective_history_monotone_nonincreasing():
         sol = solve_das(qp.subproblem())
         hist = np.array(sol.objective_history)
         assert np.all(np.diff(hist) <= 1e-9 * np.maximum(1.0, np.abs(hist[:-1])))
-
-
-def test_warm_start_equals_cold_solve():
-    rng = np.random.default_rng(4)
-    qp = generate_qp(6, 8, "half", 1)
-    data = _data(qp.G[:, :6], qp.b[:6], delta=qp.delta)
-    warm_sol = solve_das(data)
-    state = warm_start_augment(warm_sol.state, qp.G[:, 6:], qp.b[6:])
-    full = _data(qp.G, qp.b, delta=qp.delta)
-    sol_warm = solve_das(full, warm=state)
-    sol_cold = solve_das(full)
-    d_warm = -(qp.G @ sol_warm.omega + sol_warm.gamma)
-    d_cold = -(qp.G @ sol_cold.omega + sol_cold.gamma)
-    assert np.max(np.abs(d_warm - d_cold)) <= 1e-6
-    assert sol_warm.kkt_residual <= 1e-8
-
-
-def test_warm_start_duplicate_column_keeps_direction():
-    qp = generate_qp(5, 6, "zero", 2)
-    data = qp.subproblem()
-    sol = solve_das(data)
-    d_before = -(qp.G @ sol.omega + sol.gamma)
-    j = sol.state.S[0]  # duplicate an active column
-    state = warm_start_augment(sol.state, qp.G[:, [j]], qp.b[[j]])
-    G2 = np.column_stack([qp.G, qp.G[:, j]])
-    data2 = _data(G2, np.append(qp.b, qp.b[j]), delta=qp.delta)
-    sol2 = solve_das(data2, warm=state)
-    d_after = -(G2 @ sol2.omega + sol2.gamma)
-    assert np.max(np.abs(d_after - d_before)) <= 1e-8
-
-
-def test_warm_start_empty_augmentation_noop():
-    qp = generate_qp(4, 5, "zero", 3)
-    sol = solve_das(qp.subproblem())
-    m_before = sol.state.m
-    state = warm_start_augment(sol.state, np.empty((4, 0)), np.empty(0))
-    assert state.m == m_before
-
-
-def test_warm_start_dimension_mismatch_rejected():
-    qp = generate_qp(4, 5, "zero", 3)
-    sol = solve_das(qp.subproblem())
-    other = generate_qp(4, 7, "zero", 3).subproblem()
-    with pytest.raises(ValueError):
-        solve_das(other, warm=sol.state)
 
 
 def test_solution_matches_dual_objective():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from nsopt.qp_generator import generate_qp
-from nsopt.qp_ipm import (LdlFactor, QpData, _box_free_qp, _factorize,
+from nsopt.qp_ipm import (CholeskySchurFactor, IpmDiagnostics, IpmError,
+                          QpData, _box_free_qp, _factorize,
                           _fraction_to_boundary, _initial_sigma_rho,
                           _newton_step, _plugback_residual, merit,
-                          residuals, solve_ipm, solve_ipm_core, step_sizes,
-                          IpmDiagnostics)
+                          residuals, solve_ipm, solve_ipm_core, step_sizes)
 from nsopt.quasi_newton import QuasiNewtonState
 from nsopt.subproblem import SubproblemData
 
@@ -71,28 +71,6 @@ def test_merit_zero_exactly_at_kkt():
 # -- linear algebra -------------------------------------------------------
 
 
-def test_ldl_factor_solves_indefinite_system():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        n = 6
-        K = rng.standard_normal((n, n))
-        K = 0.5 * (K + K.T)  # symmetric indefinite
-        rhs = rng.standard_normal(n)
-        x = LdlFactor(K).solve(rhs)
-        assert np.max(np.abs(K @ x - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
-
-
-def test_ldl_solve_refined_tightens_residual():
-    rng = np.random.default_rng(2)
-    n = 8
-    K = rng.standard_normal((n, n))
-    K = 0.5 * (K + K.T)
-    rhs = rng.standard_normal(n)
-    factor = LdlFactor(K)
-    x = factor.solve_refined(rhs)
-    assert np.max(np.abs(K @ x - rhs)) <= 1e-11
-
-
 def test_newton_step_zero_at_kkt_point():
     qp = _toy()
     theta, v = np.ones(1), np.full(1, 1e-8)
@@ -106,8 +84,8 @@ def test_newton_step_zero_at_kkt_point():
 
 def test_newton_step_plugback_random_instances():
     # In the last 20 instances Q has curvature -30 along a unit vector e,
-    # and v/theta <= 20 leaves e'(Q + V/Theta)e <= -10, so the Cholesky
-    # factor fails and the LDL' fallback has to produce the step.
+    # and v/theta <= 20 leaves e'(Q + V/Theta)e <= -10: neither the Cholesky
+    # factor nor its shifted retry exists, so the factorization raises.
     rng = np.random.default_rng(3)
     for indefinite in [False] * 20 + [True] * 20:
         ell = 5
@@ -122,11 +100,33 @@ def test_newton_step_plugback_random_instances():
         v = rng.uniform(0.1, 2.0, ell)
         r_d, r_p, r_c = residuals(qp, theta, 0.3, v)
         diag = IpmDiagnostics()
+        if indefinite:
+            with pytest.raises(IpmError):
+                _factorize(qp, theta, v, diag)
+            assert diag.factorizations == 1
+            continue
         factor = _factorize(qp, theta, v, diag)
-        assert isinstance(factor, LdlFactor) == indefinite
         assert diag.factorizations == 1
         step = _newton_step(factor, theta, v, r_d, r_p, r_c, diag)
         assert _plugback_residual(qp, theta, v, *step, r_d, r_p, r_c) <= 1e-10
+
+
+def test_factorize_shifted_retry_on_singular_block():
+    # The (sigma, rho) block of the full path is [[W, -W], [-W, W]], singular
+    # by construction; with v/theta = 1e-17 the diagonal of Q + D rounds to
+    # 1, so Cholesky fails and the retry with d + 1e-12 has to give the step.
+    Q = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    qp = QpData(Q=Q, c=np.array([0.5, -0.5]), A=np.ones(2))
+    theta, v = np.ones(2), np.full(2, 1e-17)
+    assert np.all(np.diag(Q) + v / theta == 1.0)
+    r_d, r_p, r_c = residuals(qp, theta, 0.0, v)
+    diag = IpmDiagnostics()
+    factor = _factorize(qp, theta, v, diag)
+    assert isinstance(factor, CholeskySchurFactor)
+    assert np.allclose(factor.d, 1e-17 + 1e-12, rtol=1e-12, atol=0.0)
+    assert diag.factorizations == 1
+    step = _newton_step(factor, theta, v, r_d, r_p, r_c, diag)
+    assert all(np.all(np.isfinite(part)) for part in step)
 
 
 def test_newton_step_toy_hand_case():

@@ -1,7 +1,12 @@
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nsopt.options import SolverOptions, load_options_file
+import nsopt
+from nsopt.options import STRATEGIES, SolverOptions, load_options_file
 from nsopt.oracle import ObjectiveOracle
 from nsopt.problems import make_problem
 from nsopt.solver import run_solver
@@ -109,14 +114,23 @@ def test_options_file_roundtrip(tmp_path):
 
 def test_options_file_unknown_key_rejected(tmp_path):
     path = tmp_path / "opts.txt"
-    path.write_text("no_such_option = 1\n")
-    with pytest.raises(ValueError):
+    for key in ("no_such_option", "DEFD_increment"):
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(ValueError, match="unknown option"):
+            load_options_file(str(path))
+
+
+def test_options_validation(tmp_path):
+    # weak Wolfe ordering: 0 < ls_decrease < ls_curvature < 1
+    for bad in ({"ls_decrease": 1.5}, {"ls_decrease": 0.0},
+                {"ls_decrease": 0.95}, {"ls_curvature": 1.0},
+                {"ls_decrease": 0.5, "ls_curvature": 0.5}):
+        with pytest.raises(ValueError, match="ls_decrease < ls_curvature"):
+            SolverOptions(**bad)
+    path = tmp_path / "opts.txt"
+    path.write_text("LSWW_stepsize_sufficient_decrease_threshold = 1.5\n")
+    with pytest.raises(ValueError, match="ls_decrease < ls_curvature"):
         load_options_file(str(path))
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(c=1.5)
     with pytest.raises(ValueError):
         SolverOptions(strategy="newton")
     with pytest.raises(ValueError):
@@ -127,3 +141,43 @@ def test_samples_per_iteration_defaults():
     assert SolverOptions(strategy="cutting_plane").samples_per_iteration(100) == 0
     assert SolverOptions(strategy="gradient_combination").samples_per_iteration(100) == 10
     assert SolverOptions(strategy="gradient_combination").samples_per_iteration(95) == 10
+
+
+def test_every_option_has_a_reader():
+    """Each SolverOptions field is read as ``opts.<field>`` or
+    ``options.<field>`` outside options.py, directly or through a
+    SolverOptions method that is called there."""
+    src = Path(nsopt.__file__).parent
+    read = set()
+    for path in src.glob("*.py"):
+        if path.name != "options.py":
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in ("opts", "options")}
+    tree = ast.parse((src / "options.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "SolverOptions")
+    for method in cls.body:
+        if isinstance(method, ast.FunctionDef) and method.name in read:
+            read |= {node.attr for node in ast.walk(method)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id == "self"}
+    fields = [f.name for f in dataclasses.fields(SolverOptions)]
+    assert [name for name in fields if name not in read] == []
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_zero_gradient_start_shrinks_radii_then_stops(strategy):
+    # f = x'x at x = 0: every model is degenerate, so each iteration shrinks
+    # eps and delta tenfold (1e-2, 1e-1 at the start) until eps reaches
+    # eps_min, and the run stops there without a further shrink
+    oracle = ObjectiveOracle(dimension=3, evaluate_f=lambda x: float(x @ x),
+                             evaluate_g=lambda x: 2.0 * x)
+    report = run_solver(oracle, np.zeros(3), SolverOptions(strategy=strategy))
+    assert report.termination_reason == "stationary"
+    assert report.iterations == 4
+    assert report.eps_final == pytest.approx(1e-5)
+    assert report.delta_final == pytest.approx(1e-4)
+    assert report.final_f_unscaled == 0.0
