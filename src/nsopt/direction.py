@@ -19,10 +19,10 @@ from .point_set import PointSet
 from .qp_das import solve_das
 from .qp_ipm import solve_ipm
 from .quasi_newton import QuasiNewtonState
-from .subproblem import SubproblemData, compute_kkt_residual, dual_objective
+from .subproblem import SubproblemData
 
 __all__ = ["SubproblemData", "DirectionResult", "build_subproblem",
-           "compute_direction", "compute_kkt_residual", "dual_objective"]
+           "compute_direction"]
 
 _DOWNSHIFT = 1e-8
 
@@ -63,11 +63,11 @@ def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
     return SubproblemData(G=G, b=b, delta=delta, qn=qn, gtg=gtg, psi_g=psi_g)
 
 
-def _finalize(data: SubproblemData, omega, gamma, u, res,
+def _finalize(data: SubproblemData, omega, gamma, u, d, res,
               solver) -> DirectionResult:
+    """``d`` is -W (G omega + gamma), already formed by the caller."""
     g_omega = data.G @ omega
     model = g_omega + gamma
-    d = -data.qn.apply_W(model)
     model_norm_sq = float(-(d @ model))
     inf_norms = (float(np.max(np.abs(d), initial=0.0)),
                  float(np.max(np.abs(g_omega), initial=0.0)),
@@ -89,12 +89,13 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
             data = SubproblemData(G=g.reshape(-1, 1), b=np.array([f]),
                                   delta=delta, qn=qn)
             u = float(g @ wg) - f  # makes the single-point KKT system exact
-            return _finalize(data, np.ones(1), np.zeros(n), u, 0.0, "gradient")
+            return _finalize(data, np.ones(1), np.zeros(n), u, -wg, 0.0,
+                             "gradient")
 
     data = build_subproblem(point_set, qn, delta, strategy)
     if data.m <= options.qp_size_threshold:
-        sol = solve_das(data, tol=options.qp_tolerance)
-        return _finalize(data, sol.omega, sol.gamma, sol.u, sol.kkt_residual,
-                         "das")
-    sol = solve_ipm(data, tol=options.qp_tolerance)
-    return _finalize(data, sol.omega, sol.gamma, sol.u, sol.kkt_residual, "ipm")
+        sol, solver = solve_das(data, tol=options.qp_tolerance), "das"
+    else:
+        sol, solver = solve_ipm(data, tol=options.qp_tolerance), "ipm"
+    return _finalize(data, sol.omega, sol.gamma, sol.u, sol.d,
+                     sol.kkt_residual, solver)

@@ -62,6 +62,7 @@ class DasSolution:
     sigma: np.ndarray
     rho: np.ndarray
     u: float
+    d: np.ndarray  # -W (G omega + gamma)
     kkt_residual: float
     iterations: int
     objective_history: list[float]
@@ -78,7 +79,7 @@ def _init_state(data: SubproblemData) -> DasState:
                     omega=omega, gamma=np.zeros(data.n))
 
 
-def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, regularize: bool = True):
+def _solve_eqp(st: DasState, S: list[int], F: np.ndarray):
     """Bordered KKT solve on the working set: unknowns (omega_S, gamma_F, mult)."""
     s, f = len(S), F.size
     dim = s + f + 1
@@ -100,12 +101,9 @@ def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, regularize: bool = Tru
     # just-freed variable's target on its feasible side (anti-cycling);
     # iterative refinement against the unregularized system then removes
     # the proximal bias from the returned solution.
-    if regularize:
-        reg = 1e-11 * max(1.0, float(np.trace(M[:s + f, :s + f])) / max(1, s + f))
-        M_reg = M.copy()
-        M_reg[np.arange(s + f), np.arange(s + f)] += reg
-    else:
-        M_reg = M
+    reg = 1e-11 * max(1.0, float(np.trace(M[:s + f, :s + f])) / max(1, s + f))
+    M_reg = M.copy()
+    M_reg[np.arange(s + f), np.arange(s + f)] += reg
     try:
         sol = np.linalg.solve(M_reg, rhs)
         if not np.all(np.isfinite(sol)):
@@ -173,7 +171,7 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
                 st.gamma[idx] = 0.0
             if alpha <= 1e-12:
                 banned.add(block)
-            q = -dual_objective_from_state(st)
+            q = -dual_objective_from_state(st, _w_times_model(st))
             if q < q_ref - 1e-13 * max(1.0, abs(q_ref)):
                 banned.clear()
                 q_ref = q
@@ -183,14 +181,14 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
         st.omega[S] = t_omega
         if F.size:
             st.gamma[F] = t_gamma
-        q = -dual_objective_from_state(st)
+        wm = _w_times_model(st)
+        q = -dual_objective_from_state(st, wm)
         if q < q_ref - 1e-13 * max(1.0, abs(q_ref)):
             banned.clear()
             q_ref = q
         history.append(q)
 
         # optimality check at the working-set solution
-        wm = _w_times_model(st)
         grad = st.G.T @ wm - st.b
         u = -u_eqp
         v_omega = grad - u
@@ -211,9 +209,10 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
         if worst >= -0.5 * tol:
             sigma = np.maximum(st.gamma, 0.0)
             rho = np.maximum(-st.gamma, 0.0)
-            res = compute_kkt_residual(data, st.omega, sigma, rho, u)
+            d = -st.qn.apply_W(st.G @ st.omega + st.gamma)
+            res = compute_kkt_residual(data, st.omega, sigma, rho, u, d)
             return DasSolution(st.omega.copy(), st.gamma.copy(), sigma, rho, u,
-                               res, iterations, history)
+                               d, res, iterations, history)
         if worst_omega <= worst_gamma:
             j_new = int(np.argmin(v_omega_masked))
             st.S = S + [j_new]
@@ -224,9 +223,9 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
     raise DasError(f"active-set pivot cap {cap} exceeded")
 
 
-def dual_objective_from_state(st: DasState) -> float:
-    """Dual objective at the state's working point (uses cached products)."""
-    r_w = _w_times_model(st)
+def dual_objective_from_state(st: DasState, r_w: np.ndarray) -> float:
+    """Dual objective at the state's working point, given
+    r_w = ``_w_times_model(st)``."""
     r = st.G @ st.omega + st.gamma
     return float(-0.5 * r @ r_w + st.b @ st.omega
                  - st.delta * np.sum(np.abs(st.gamma)))

@@ -18,11 +18,17 @@ too, ``IpmError`` is raised.  Step sizes follow a two-segment merit-function
 search bounded by the fraction-to-the-boundary rule: a common primal/dual
 step is optimized first, then the remaining slack in whichever bound is
 looser.
+
+The solve records no per-iteration history: its solution carries the
+iterate, the step d = -W (G omega + gamma) of the subproblem and a count of
+factorizations.  ``merit`` and ``_plugback_residual`` evaluate the merit
+function at an iterate and the residual of a Newton step, for checks made
+from outside the iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsv as _trsv
@@ -54,11 +60,7 @@ class QpData:
 
 @dataclass
 class IpmDiagnostics:
-    merit_history: list[float] = field(default_factory=list)
-    plugback_history: list[float] = field(default_factory=list)
-    min_interiority: float = np.inf
     factorizations: int = 0
-    factor_solves: int = 0
 
 
 @dataclass
@@ -78,6 +80,7 @@ class IpmSolution:
     sigma: np.ndarray
     rho: np.ndarray
     u: float
+    d: np.ndarray  # -W (G omega + gamma)
     kkt_residual: float
     iterations: int
     omega_only: bool
@@ -181,14 +184,9 @@ def _box_free_qp(P: np.ndarray, q: np.ndarray, lo: float, hi: float):
     return best[1], best[2]
 
 
-def step_sizes(qp: QpData, theta, u, v, r_p, r_d, dtheta, du, dv,
-               q_dtheta=None):
-    """Two-segment merit search bounded by fraction-to-the-boundary.
-
-    ``q_dtheta`` is Q dtheta when the caller already has it.
-    """
-    if q_dtheta is None:
-        q_dtheta = qp.Q @ dtheta
+def step_sizes(qp: QpData, theta, u, v, r_p, r_d, dtheta, du, dv):
+    """Two-segment merit search bounded by fraction-to-the-boundary."""
+    q_dtheta = qp.Q @ dtheta
     a_theta = _fraction_to_boundary(theta, dtheta)
     a_v = _fraction_to_boundary(v, dv)
     a_bar = min(a_theta, a_v)
@@ -251,23 +249,18 @@ def _factorize(qp: QpData, theta: np.ndarray, v: np.ndarray,
         raise IpmError(f"reduced KKT system not factorizable: {exc}") from None
 
 
-def _newton_step(factor: CholeskySchurFactor, theta, v, r_d, r_p, r_c,
-                 diagnostics: IpmDiagnostics):
+def _newton_step(factor: CholeskySchurFactor, theta, v, r_d, r_p, r_c):
     rhs = np.concatenate([r_d - r_c / theta, [r_p]])
     sol = factor.solve_refined(rhs)
-    diagnostics.factor_solves += 1
     dtheta = sol[:-1]
     du = float(sol[-1])
     dv = (r_c - v * dtheta) / theta
     return dtheta, du, dv
 
 
-def _plugback_residual(qp, theta, v, dtheta, du, dv, r_d, r_p, r_c,
-                       q_dtheta=None) -> float:
+def _plugback_residual(qp, theta, v, dtheta, du, dv, r_d, r_p, r_c) -> float:
     """Relative residual of the full unreduced Newton system."""
-    if q_dtheta is None:
-        q_dtheta = qp.Q @ dtheta
-    row1 = -q_dtheta + qp.A * du + dv - r_d
+    row1 = -(qp.Q @ dtheta) + qp.A * du + dv - r_d
     row2 = float(qp.A @ dtheta) - r_p
     row3 = v * dtheta + theta * dv - r_c
     num = max(np.abs(row1).max(initial=0.0), abs(row2),
@@ -291,9 +284,6 @@ def solve_ipm_core(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray,
     for it in range(max_iterations + 1):
         r_d, r_p, r_c = residuals(qp, theta, u, v)
         res = max(np.abs(r_d).max(), abs(r_p), np.abs(r_c).max())
-        diag.merit_history.append(_merit_of(theta, v, r_d, r_p))
-        diag.min_interiority = min(diag.min_interiority,
-                                   float(theta.min()), float(v.min()))
         if best is None or res < best[0]:
             best = (res, theta, u, v, it)  # iterates are never modified in place
         if res <= tol:
@@ -302,25 +292,16 @@ def solve_ipm_core(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray,
             break
 
         factor = _factorize(qp, theta, v, diag)
-        dtheta_p, du_p, dv_p = _newton_step(factor, theta, v, r_d, r_p, r_c, diag)
-        q_dtheta = qp.Q @ dtheta_p
-        diag.plugback_history.append(
-            _plugback_residual(qp, theta, v, dtheta_p, du_p, dv_p, r_d, r_p, r_c,
-                               q_dtheta))
+        dtheta_p, du_p, dv_p = _newton_step(factor, theta, v, r_d, r_p, r_c)
         at_p, _, av_p = step_sizes(qp, theta, u, v, r_p, r_d,
-                                   dtheta_p, du_p, dv_p, q_dtheta)
+                                   dtheta_p, du_p, dv_p)
         mu = float(theta @ v) / ell
         zeta = (float((theta + at_p * dtheta_p) @ (v + av_p * dv_p))
                 / (ell * mu)) ** 3
         zeta = max(zeta, _ZETA_MU_FLOOR / mu)
         r_c_corr = r_c + zeta * mu
-        dtheta, du, dv = _newton_step(factor, theta, v, r_d, r_p, r_c_corr, diag)
-        q_dtheta = qp.Q @ dtheta
-        diag.plugback_history.append(
-            _plugback_residual(qp, theta, v, dtheta, du, dv, r_d, r_p, r_c_corr,
-                               q_dtheta))
-        at, au, av = step_sizes(qp, theta, u, v, r_p, r_d, dtheta, du, dv,
-                                q_dtheta)
+        dtheta, du, dv = _newton_step(factor, theta, v, r_d, r_p, r_c_corr)
+        at, au, av = step_sizes(qp, theta, u, v, r_p, r_d, dtheta, du, dv)
         theta = theta + at * dtheta
         u = u + au * du
         v = v + av * dv
@@ -359,11 +340,14 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8,
     core = solve_ipm_core(qp_small, omega0, 0.0, v0, tol=core_tol,
                           max_iterations=max_iterations, soft_tol=tol)
     omega = core.theta
-    if np.max(np.abs(data.qn.apply_W(data.G @ omega))) <= data.delta:
+    wg_omega = data.qn.apply_W(data.G @ omega)
+    if np.max(np.abs(wg_omega)) <= data.delta:
         zeros = np.zeros(n)
-        res = compute_kkt_residual(data, omega, zeros, zeros, core.u)
+        d = -wg_omega
+        res = compute_kkt_residual(data, omega, zeros, zeros, core.u, d)
         return IpmSolution(omega, zeros.copy(), zeros.copy(), zeros.copy(),
-                           core.u, res, core.iterations, True, core.diagnostics)
+                           core.u, d, res, core.iterations, True,
+                           core.diagnostics)
 
     wg = data.wg
     wd = data.qn.dense_W()
@@ -384,6 +368,8 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8,
     omega = core.theta[:m]
     sigma = core.theta[m:m + n]
     rho = core.theta[m + n:]
-    res = compute_kkt_residual(data, omega, sigma, rho, core.u)
-    return IpmSolution(omega, sigma - rho, sigma, rho, core.u, res,
+    gamma = sigma - rho
+    d = -data.qn.apply_W(data.G @ omega + gamma)
+    res = compute_kkt_residual(data, omega, sigma, rho, core.u, d)
+    return IpmSolution(omega, gamma, sigma, rho, core.u, d, res,
                        core.iterations, False, core.diagnostics)

@@ -26,13 +26,6 @@ _DEGENERATE_MODEL = 1e-20
 
 
 @dataclass
-class Iterate:
-    x: np.ndarray
-    f: float  # scaled objective value
-    g: np.ndarray  # scaled generalized gradient
-
-
-@dataclass
 class SolverReport:
     x: np.ndarray
     final_f_unscaled: float

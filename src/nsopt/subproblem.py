@@ -5,7 +5,9 @@
         s.t. 1'w = 1, w >= 0,
 
 and the KKT residual of its nonnegative reformulation with theta = (w, sigma,
-rho), gamma = sigma - rho.
+rho), gamma = sigma - rho.  Both QP solvers return the step
+d = -W (G w + gamma) with their solution; the residual and the search
+direction read it instead of applying W again.
 """
 
 from __future__ import annotations
@@ -75,18 +77,21 @@ def dual_objective(data: SubproblemData, omega: np.ndarray, gamma: np.ndarray) -
 
 
 def compute_kkt_residual(data: SubproblemData, omega: np.ndarray, sigma: np.ndarray,
-                         rho: np.ndarray, u: float) -> float:
+                         rho: np.ndarray, u: float,
+                         d: np.ndarray | None = None) -> float:
     """Max-norm KKT violation of the nonnegative reformulation.
 
     The bound multiplier v is reconstructed from (theta, u) so the dual
     stationarity block is exact; what remains is primal feasibility, sign
-    feasibility, and complementarity.
+    feasibility, and complementarity.  ``d`` is -W (G omega + sigma - rho)
+    when the caller already has it.
     """
     omega = np.asarray(omega, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    gamma = sigma - rho
-    wm = data.qn.apply_W(data.G @ omega + gamma)
+    if d is None:
+        d = -data.qn.apply_W(data.G @ omega + (sigma - rho))
+    wm = -d
     v_omega = data.G.T @ wm - data.b - u
     v_sigma = wm + data.delta
     v_rho = -wm + data.delta

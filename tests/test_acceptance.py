@@ -155,17 +155,15 @@ def test_criterion_6_quasi_newton_properties():
     _report(6, "quasi-Newton property suite", ok)
 
 
-def test_criterion_7_ipm_internals():
-    ok = True
+def test_criterion_7_ipm_internals(ipm_probe):
+    # every core solve, the omega-only core of a full-path solve included,
+    # is watched from outside (tests/conftest.py)
+    probe = ipm_probe()
     for qp in _qp_grid():
-        sol = solve_ipm(qp.subproblem())
-        diag = sol.diagnostics
-        hist = diag.merit_history
-        monotone = all(b <= a * (1 + 1e-9) + 1e-12
-                       for a, b in zip(hist, hist[1:]))
-        plugback = max(diag.plugback_history, default=0.0)
-        ok = ok and monotone and diag.min_interiority > 0.0 and plugback <= 1e-10
-    _report(7, "IPM interiority, merit monotonicity, plug-back", ok)
+        solve_ipm(qp.subproblem())
+    problems = probe.problems()
+    _report(7, "IPM interiority, merit monotonicity, plug-back", not problems,
+            "; ".join(problems[:3]))
 
 
 def _kink_coordinates(oracle, x, increment):

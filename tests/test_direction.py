@@ -139,3 +139,51 @@ def test_subproblem_gtwg_matches_columnwise_metric_limited(mode):
             ref = G.T @ np.column_stack([qn.apply_W(G[:, j])
                                          for j in range(data.m)])
             assert np.max(np.abs(data.gtwg - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def _count_w_products(monkeypatch):
+    """Counts W applied to a vector: ``apply_W`` goes through
+    ``apply_W_matrix``, so wrapping the latter sees both."""
+    calls = []
+    apply = QuasiNewtonState.apply_W_matrix
+
+    def counted(self, A):
+        if np.ndim(A) == 1:
+            calls.append(1)
+        return apply(self, A)
+
+    monkeypatch.setattr(QuasiNewtonState, "apply_W_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("storage", ["full", "limited"])
+@pytest.mark.parametrize("case, m, delta, solver, products", [
+    ("gradient", 1, 1e6, "gradient", 1),
+    ("das", 10, 1e6, "das", 1),
+    ("das, trust region binding", 10, 0.05, "das", 1),
+    ("ipm omega-only", 30, 1e6, "ipm", 1),
+    ("ipm full", 30, 0.05, "ipm", 2),
+])
+def test_one_w_product_per_direction(monkeypatch, storage, case, m, delta,
+                                     solver, products):
+    # W (G omega + gamma) is formed once per QP solution (once more on the
+    # IPM full path, after its omega-only attempt) and then only read
+    rng = np.random.default_rng(7)
+    n = 6
+    qn = QuasiNewtonState(n, storage=storage, history_limit=4)
+    for _ in range(3):
+        s = rng.standard_normal(n)
+        _, v = damp(s, rng.standard_normal(n), 0.5, 2.0)
+        qn.update(s, v)
+    # gradients around a common one, so that the hull stays off zero
+    ps = _bundle([(rng.standard_normal(n), 1.0, 2.0 + rng.standard_normal(n))
+                  for _ in range(m)])
+    strategy = "gradient" if m == 1 else "cutting_plane"
+    opts = SolverOptions(strategy=strategy)
+    calls = _count_w_products(monkeypatch)
+    res = compute_direction(ps, qn, delta, opts)
+    assert res.solver == solver
+    assert np.any(res.gamma != 0.0) == (delta < 1.0)  # the trust region binds
+    assert len(calls) == products
+    model = ps.gradients() @ res.omega + res.gamma
+    assert np.allclose(res.d, -qn.apply_W(model), rtol=1e-12, atol=1e-14)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nsopt import qp_ipm
 from nsopt.qp_generator import generate_qp
 from nsopt.qp_ipm import (CholeskySchurFactor, IpmDiagnostics, IpmError,
                           QpData, _box_free_qp, _factorize,
@@ -77,7 +78,7 @@ def test_newton_step_zero_at_kkt_point():
     diag = IpmDiagnostics()
     factor = _factorize(qp, theta, v, diag)
     dtheta, du, dv = _newton_step(factor, theta, v,
-                                  np.zeros(1), 0.0, np.zeros(1), diag)
+                                  np.zeros(1), 0.0, np.zeros(1))
     assert abs(du) <= 1e-12 and np.max(np.abs(dtheta)) <= 1e-12
     assert np.max(np.abs(dv)) <= 1e-12
 
@@ -107,7 +108,7 @@ def test_newton_step_plugback_random_instances():
             continue
         factor = _factorize(qp, theta, v, diag)
         assert diag.factorizations == 1
-        step = _newton_step(factor, theta, v, r_d, r_p, r_c, diag)
+        step = _newton_step(factor, theta, v, r_d, r_p, r_c)
         assert _plugback_residual(qp, theta, v, *step, r_d, r_p, r_c) <= 1e-10
 
 
@@ -125,7 +126,7 @@ def test_factorize_shifted_retry_on_singular_block():
     assert isinstance(factor, CholeskySchurFactor)
     assert np.allclose(factor.d, 1e-17 + 1e-12, rtol=1e-12, atol=0.0)
     assert diag.factorizations == 1
-    step = _newton_step(factor, theta, v, r_d, r_p, r_c, diag)
+    step = _newton_step(factor, theta, v, r_d, r_p, r_c)
     assert all(np.all(np.isfinite(part)) for part in step)
 
 
@@ -135,7 +136,7 @@ def test_newton_step_toy_hand_case():
     r_d, r_p, r_c = residuals(qp, theta, 0.0, v)  # (-1, 0, -1)
     diag = IpmDiagnostics()
     factor = _factorize(qp, theta, v, diag)
-    dtheta, du, dv = _newton_step(factor, theta, v, r_d, r_p, r_c, diag)
+    dtheta, du, dv = _newton_step(factor, theta, v, r_d, r_p, r_c)
     assert np.all(np.isfinite([dtheta[0], du, dv[0]]))
     # reduced system: (-Q - V/Theta) dtheta + A du = r_d - r_c/theta = 0
     assert -dtheta[0] + du == pytest.approx(0.0, abs=1e-12)
@@ -190,7 +191,7 @@ def test_step_sizes_keep_interiority_and_merit():
         r_d, r_p, r_c = residuals(qp, theta, u, v)
         diag = IpmDiagnostics()
         factor = _factorize(qp, theta, v, diag)
-        dtheta, du, dv = _newton_step(factor, theta, v, r_d, r_p, r_c, diag)
+        dtheta, du, dv = _newton_step(factor, theta, v, r_d, r_p, r_c)
         at, au, av = step_sizes(qp, theta, u, v, r_p, r_d, dtheta, du, dv)
         assert np.all(theta + at * dtheta > 0)
         assert np.all(v + av * dv > 0)
@@ -250,10 +251,34 @@ def test_driver_zero_case_takes_shortcut():
     assert sol.omega_only
 
 
-def test_diagnostics_monotone_merit_and_interiority():
+def test_diagnostics_monotone_merit_and_interiority(ipm_probe):
     qp = generate_qp(10, 20, "half", 2)
-    sol = solve_ipm(qp.subproblem())
-    hist = sol.diagnostics.merit_history
-    assert all(b <= a * (1 + 1e-9) + 1e-12 for a, b in zip(hist, hist[1:]))
-    assert sol.diagnostics.min_interiority > 0.0
-    assert max(sol.diagnostics.plugback_history, default=0.0) <= 1e-10
+    probe = ipm_probe()
+    solve_ipm(qp.subproblem())
+    assert len(probe.cores) == 2  # omega-only core, then the full path
+    assert probe.problems() == []
+
+
+def test_probe_rejects_a_perturbed_newton_step(monkeypatch, ipm_probe):
+    newton = qp_ipm._newton_step
+
+    def perturbed(*args):
+        dtheta, du, dv = newton(*args)
+        return dtheta + 1e-6, du, dv
+
+    monkeypatch.setattr(qp_ipm, "_newton_step", perturbed)
+    probe = ipm_probe()
+    try:
+        solve_ipm(generate_qp(10, 20, "half", 2).subproblem())
+    except IpmError:
+        pass
+    assert probe.cores and any("plug-back" in p for p in probe.problems())
+
+
+def test_probe_rejects_having_nothing_to_check(ipm_probe):
+    probe = ipm_probe()
+    assert "no core solve recorded" in probe.problems()
+    # a start that already meets the tolerance takes no Newton step
+    core = qp_ipm.solve_ipm_core(_toy(), np.ones(1), 0.0, np.full(1, 1e-10))
+    assert core.iterations == 0 and len(probe.cores) == 1
+    assert probe.problems() == ["no Newton step recorded"]
