@@ -45,18 +45,15 @@ def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
     if strategy == "gradient":
         return SubproblemData(G=cur.g.reshape(-1, 1),
                               b=np.array([cur.f]), delta=delta, qn=qn)
-    elements = point_set.elements
-    if qn.storage == "limited":  # G'WG is then formed from G'G and Psi'G
-        G, gtg, psi_g = point_set.gradient_products(qn.compact_basis())
-    else:
-        G, gtg, psi_g = point_set.gradients(), None, None
+    G, gtg, psi_g = point_set.gradient_products(qn)
     if strategy == "gradient_combination":
-        b = np.full(len(elements), cur.f)
+        b = np.full(len(point_set), cur.f)
     elif strategy == "cutting_plane":
-        b = np.empty(len(elements))
-        for j, e in enumerate(elements):
-            dx = cur.x - e.x
-            raw = e.f + float(e.g @ dx)
+        X, f = point_set.X, point_set.f
+        b = np.empty(len(point_set))
+        for j in range(b.size):
+            dx = cur.x - X[:, j]
+            raw = f[j] + float(G[:, j] @ dx)
             b[j] = min(raw, cur.f - _DOWNSHIFT * float(dx @ dx))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

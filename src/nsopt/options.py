@@ -38,6 +38,8 @@ class SolverOptions:
             raise ValueError("need 0 < ls_decrease < ls_curvature < 1")
         if self.eta <= 0 or self.psi < self.eta:
             raise ValueError("need 0 < eta <= psi")
+        if self.history_limit < 1:
+            raise ValueError("history_limit must be at least 1")
         if self.envelope_factor <= 0 or self.size_factor <= 0:
             raise ValueError("envelope and size factors must be positive")
         if self.strategy not in STRATEGIES:

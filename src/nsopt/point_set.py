@@ -1,4 +1,10 @@
-"""Bundle maintenance: ball sampling, distance pruning, and age pruning."""
+"""Bundle maintenance: ball sampling, distance pruning, and age pruning.
+
+The bundle is columns 0..m-1 of Fortran-ordered point and gradient blocks,
+with value and birth vectors.  Columns are appended and pruning keeps their
+order, so G'G and Psi'G follow positions: new columns are a suffix, pruning
+slices the held products, and Psi'G's rows follow the metric's pair window.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .keyed_products import KeyedProducts
+from .quasi_newton import window_shift
 
 
 @dataclass(eq=False)
 class BundleElement:
+    """An (x, f, g) triple handed to ``PointSet.add``, which copies it."""
     x: np.ndarray
     f: float
     g: np.ndarray
@@ -20,46 +27,106 @@ class BundleElement:
 class PointSet:
     """Ordered bundle of (x, f, g) triples; the current iterate is never pruned.
 
-    Element gradients are treated as immutable, so products with them are
-    cached across calls of ``gradient_products`` (see ``KeyedProducts``).
+    ``X``, ``f``, ``birth`` and ``gradients()`` are read-only views of the
+    first m columns, valid until the next add or prune.
     """
 
+    _BLOCKS = ("_X", "_G", "_f", "_birth")
+
     def __init__(self, current: BundleElement):
-        self.elements: list[BundleElement] = [current]
-        self.current = current
-        self._gram = KeyedProducts()
-        self._basis_products = KeyedProducts()
+        n = np.size(current.x)
+        self._X, self._G = np.empty((n, 1), order="F"), np.empty((n, 1), order="F")
+        self._f, self._birth = np.empty(1), np.empty(1, dtype=int)
+        self._m = 0
+        # G'G and Psi'G over the leading columns, Psi'G for (state, window)
+        self._gtg = self._psi_g = np.zeros((0, 0))
+        self._psi_of = (None, None)
+        self.set_current(current)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._m
 
     def add(self, element: BundleElement) -> None:
-        self.elements.append(element)
+        """Append ``element`` as the last column; full blocks double."""
+        m = self._m
+        if m == self._f.size:
+            for name in self._BLOCKS:
+                block = getattr(self, name)
+                wider = np.empty(block.shape[:-1] + (2 * m,), block.dtype, order="F")
+                wider[..., :m] = block
+                setattr(self, name, wider)
+        self._X[:, m], self._G[:, m] = element.x, element.g
+        self._f[m], self._birth[m] = element.f, element.birth
+        self._m = m + 1
 
     def set_current(self, element: BundleElement) -> None:
-        if element not in self.elements:
-            self.elements.append(element)
-        self.current = element
+        """Append ``element`` and make it the current iterate."""
+        self.add(element)
+        self.current, self._cur = element, self._m - 1
+
+    def _view(self, name: str) -> np.ndarray:
+        view = getattr(self, name)[..., :self._m]
+        view.flags.writeable = False
+        return view
+
+    X = property(lambda self: self._view("_X"))
+    f = property(lambda self: self._view("_f"))
+    birth = property(lambda self: self._view("_birth"))
 
     def gradients(self) -> np.ndarray:
-        """G = [g_1 ... g_m] over the elements (column-major, so that each
-        gradient is copied as one contiguous block)."""
-        return np.array([e.g for e in self.elements], dtype=float).T
+        """G = [g_1 ... g_m], a Fortran-ordered view that is valid until the
+        next add or prune."""
+        return self._view("_G")
 
-    def gradient_products(self, basis: tuple[list, np.ndarray] | None = None):
-        """G, G'G and, for a keyed basis (keys, Psi), Psi'G (else None).
+    def gradient_products(self, qn):
+        """G and, under limited storage, where G'WG is formed from them, G'G
+        and Psi'G for ``qn``'s compact basis Psi (None without one).
 
-        Only products with columns that are new since the previous call are
-        computed, so an iteration that adds k gradients and r basis columns
-        costs O(n m (k + r)) instead of O(n m^2 + n m h).
+        Gradients never change once added, so only products with columns
+        added and pairs that entered the window since the previous call are
+        computed: O(n m (k + r)) for k new columns and r new pairs instead of
+        O(n m^2 + n m h).  Another state than last time gets all its rows.
         """
-        elements = self.elements
         G = self.gradients()
-        gram = self._gram(elements, G, elements, G)
+        if qn.storage != "limited":
+            return G, None, None
+        m, k = G.shape[1], len(self._gtg)
+        if k < m:
+            new = np.arange(k, m)
+            gtg = np.empty((m, m))
+            gtg[:k, :k] = self._gtg
+            gtg[new] = G[:, new].T @ G
+            gtg[:, new] = gtg[new].T
+            self._gtg = gtg
+        basis = qn.compact_basis()
         if basis is None:
-            return G, gram, None
-        keys, psi = basis
-        return G, gram, self._basis_products(keys, psi, elements, G)
+            return G, self._gtg, None
+        window, psi = basis
+        owner, was = self._psi_of
+        k = self._psi_g.shape[1]
+        if qn is not owner or window != was or k < m:
+            src, dst, fresh = window_shift(was if qn is owner else None, window)
+            P = np.empty((psi.shape[1], m))
+            P[dst, :k] = self._psi_g[src]
+            P[fresh] = psi[:, fresh].T @ G
+            new = np.arange(k, m)
+            P[:, new] = psi.T @ G[:, new]
+            self._psi_g, self._psi_of = P, (qn, window)
+        return G, self._gtg, self._psi_g
+
+    def _keep(self, keep: np.ndarray) -> None:
+        """Compact the bundle to the columns ``keep`` (increasing)."""
+        if keep.size == self._m:
+            return
+        for name in self._BLOCKS:
+            block = getattr(self, name)
+            block[..., :keep.size] = block[..., keep]
+        self._m, self._cur = keep.size, int(np.searchsorted(keep, self._cur))
+        if self._gtg.size:
+            held = keep[keep < len(self._gtg)]
+            self._gtg = self._gtg[np.ix_(held, held)]
+        if self._psi_g.size:
+            self._psi_g = self._psi_g[:, keep[keep < self._psi_g.shape[1]]]
 
 
 def sample_ball(x_k: np.ndarray, eps: float, p: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -88,9 +155,9 @@ def prune_by_distance(point_set: PointSet, x_next: np.ndarray, eps_next: float,
     if envelope_factor <= 0:
         raise ValueError("envelope_factor must be positive")
     limit = envelope_factor * eps_next
-    kept = [e for e in point_set.elements
-            if e is point_set.current or np.linalg.norm(e.x - x_next) <= limit]
-    point_set.elements = kept
+    X, cur = point_set.X, point_set._cur
+    point_set._keep(np.array([j for j in range(X.shape[1]) if j == cur
+                              or np.linalg.norm(X[:, j] - x_next) <= limit], dtype=int))
     return point_set
 
 
@@ -98,15 +165,11 @@ def prune_by_age(point_set: PointSet, limit: int) -> PointSet:
     """Keep at most ``limit`` elements, evicting the smallest birth indices first."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    if len(point_set.elements) <= limit:
+    excess = len(point_set) - limit
+    if excess <= 0:
         return point_set
-    order = sorted(point_set.elements, key=lambda e: e.birth)
-    excess = len(point_set.elements) - limit
-    evicted = []
-    for e in order:
-        if len(evicted) == excess:
-            break
-        if e is not point_set.current:
-            evicted.append(e)
-    point_set.elements = [e for e in point_set.elements if e not in evicted]
+    order = np.argsort(point_set.birth, kind="stable")
+    kept = np.ones(len(point_set), dtype=bool)
+    kept[order[order != point_set._cur][:excess]] = False
+    point_set._keep(np.flatnonzero(kept))
     return point_set

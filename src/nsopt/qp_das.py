@@ -65,7 +65,6 @@ class DasSolution:
     d: np.ndarray  # -W (G omega + gamma)
     kkt_residual: float
     iterations: int
-    objective_history: list[float]
 
 
 def _init_state(data: SubproblemData) -> DasState:
@@ -129,7 +128,6 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
     st = _init_state(data)
     m, n = st.m, st.n
     cap = max_iterations if max_iterations is not None else 100 * (m + 2 * n)
-    history: list[float] = []
     iterations = 0
     # Anti-cycling at numerical noise level: an index dropped by a
     # zero-length blocking step is barred from re-entry until the objective
@@ -175,7 +173,6 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
             if q < q_ref - 1e-13 * max(1.0, abs(q_ref)):
                 banned.clear()
                 q_ref = q
-            history.append(q)
             continue
 
         st.omega[S] = t_omega
@@ -186,7 +183,6 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
         if q < q_ref - 1e-13 * max(1.0, abs(q_ref)):
             banned.clear()
             q_ref = q
-        history.append(q)
 
         # optimality check at the working-set solution
         grad = st.G.T @ wm - st.b
@@ -212,7 +208,7 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
             d = -st.qn.apply_W(st.G @ st.omega + st.gamma)
             res = compute_kkt_residual(data, st.omega, sigma, rho, u, d)
             return DasSolution(st.omega.copy(), st.gamma.copy(), sigma, rho, u,
-                               d, res, iterations, history)
+                               d, res, iterations)
         if worst_omega <= worst_gamma:
             j_new = int(np.argmin(v_omega_masked))
             st.S = S + [j_new]

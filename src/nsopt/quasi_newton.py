@@ -6,7 +6,8 @@ array, updated in place by the BLAS rank-1 and rank-2 kernels ``dsyr`` and
 H are formed from that triangle on request.
 Limited storage keeps a FIFO window of damped pairs (s, v) and applies
 H and W through the compact representation I + Psi M Psi' with an identity
-base matrix (Byrd, Nocedal & Schnabel 1994).
+base matrix (Byrd, Nocedal & Schnabel 1994).  Psi'Psi here and Psi'G in the
+bundle follow the window by position (``window_shift``).
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from collections import deque
 
 import numpy as np
 from scipy.linalg.blas import dsymm, dsymv, dsyr, dsyr2
-
-from .keyed_products import KeyedProducts
 
 
 class DegenerateStepError(ValueError):
@@ -75,6 +74,26 @@ def damp(s: np.ndarray, y: np.ndarray, eta: float, psi: float) -> tuple[float, n
             if _ok(cand):
                 return cand, cand * s + (1.0 - cand) * y
     return 1.0, s.copy()
+
+
+def window_shift(old: tuple[int, int] | None, new: tuple[int, int]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How the rows of Psi'Y move when the pair window moves from ``old``
+    to ``new``.
+
+    A window is (serial of its oldest pair, number of pairs), and Psi'Y has
+    the rows of A and then those of B in serial order.  Returns the
+    positions in ``old`` and in ``new`` of the rows whose pairs are in both
+    windows, and the positions in ``new`` of the rows of entering pairs.
+    ``old`` None keeps no row.
+    """
+    first, h = new
+    first_old, h_old = old or (first, 0)
+    both = np.arange(max(first, first_old), min(first_old + h_old, first + h))
+    fresh = np.arange(both.size, h)
+    return (np.concatenate([both - first_old, both - first_old + h_old]),
+            np.concatenate([both - first, both - first + h]),
+            np.concatenate([fresh, fresh + h]))
 
 
 def _solve_upper(U: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -166,6 +185,8 @@ class QuasiNewtonState:
             raise ValueError(f"unknown mode {mode!r}")
         if storage not in ("full", "limited"):
             raise ValueError(f"unknown storage {storage!r}")
+        if history_limit < 1:
+            raise ValueError("history_limit must be at least 1")
         self.n = n
         self.mode = mode
         self.storage = storage
@@ -177,11 +198,10 @@ class QuasiNewtonState:
         else:
             self.pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=history_limit)
         self.updates = 0  # serial number of the next pair
-        self._key = object()  # tells this state's basis keys from others'
         # compact W/H and their basis, rebuilt after each update
         self._forms: dict[str, _CompactForm] = {}
-        self._basis: tuple[list, np.ndarray] | None = None
-        self._basis_gram = KeyedProducts()
+        self._basis: tuple[tuple[int, int], np.ndarray] | None = None
+        self._gram, self._gram_window = np.zeros((0, 0)), None  # Psi'Psi
 
     # -- updates ----------------------------------------------------------
 
@@ -223,10 +243,16 @@ class QuasiNewtonState:
         if basis is None:
             return None
         if which not in self._forms:
-            keys, psi = basis
-            gram = self._basis_gram(keys, psi, keys, psi)
+            window, psi = basis
+            if window != self._gram_window:
+                src, dst, fresh = window_shift(self._gram_window, window)
+                gram = np.empty((psi.shape[1], psi.shape[1]))
+                gram[np.ix_(dst, dst)] = self._gram[np.ix_(src, src)]
+                gram[fresh] = psi[:, fresh].T @ psi
+                gram[:, fresh] = gram[fresh].T
+                self._gram, self._gram_window = gram, window
             inverse = (which == "W") == (self.mode == "BFGS")
-            self._forms[which] = _CompactForm(psi, gram, inverse)
+            self._forms[which] = _CompactForm(psi, self._gram, inverse)
         return self._forms[which]
 
     # -- applications -----------------------------------------------------
@@ -278,24 +304,21 @@ class QuasiNewtonState:
         """H = W^{-1} as a dense array, formed on request."""
         return np.linalg.inv(self.dense_W())
 
-    def compact_basis(self) -> tuple[list, np.ndarray] | None:
-        """Keys and columns of Psi = [A B] in the compact forms of W and H.
+    def compact_basis(self) -> tuple[tuple[int, int], np.ndarray] | None:
+        """The pair window (see ``window_shift``) and the columns of
+        Psi = [A B] in the compact forms of W and H.
 
-        A = S, B = V for BFGS and A = V, B = S for DFP.  A key names one
-        stored vector as (state, pair serial number, 0 for s or 1 for v),
-        so it stays valid while the pair is in the history.  None for full
+        A = S, B = V for BFGS and A = V, B = S for DFP.  None for full
         storage or an empty history.
         """
         if self.storage != "limited" or not self.pairs:
             return None
         if self._basis is None:
             lead, trail = (0, 1) if self.mode == "BFGS" else (1, 0)
-            serials = range(self.updates - len(self.pairs), self.updates)
-            keys = ([(self._key, k, lead) for k in serials]
-                    + [(self._key, k, trail) for k in serials])
+            window = (self.updates - len(self.pairs), len(self.pairs))
             psi = np.array([p[lead] for p in self.pairs]
                            + [p[trail] for p in self.pairs]).T
-            self._basis = (keys, psi)
+            self._basis = (window, psi)
         return self._basis
 
     def gram_W(self, A: np.ndarray, ata: np.ndarray | None = None,

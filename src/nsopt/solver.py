@@ -135,7 +135,6 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
         radii = new_radii
 
         nxt = BundleElement(x=ls.x_next, f=ls.f_next, g=ls.g_next, birth=k)
-        bundle.add(nxt)
         bundle.set_current(nxt)
         prune_by_distance(bundle, ls.x_next, radii.eps, opts.envelope_factor)
         prune_by_age(bundle, bundle_cap)

@@ -7,7 +7,9 @@
 and the KKT residual of its nonnegative reformulation with theta = (w, sigma,
 rho), gamma = sigma - rho.  Both QP solvers return the step
 d = -W (G w + gamma) with their solution; the residual and the search
-direction read it instead of applying W again.
+direction read it instead of applying W again.  Under limited storage G'WG
+is formed from G'G and Psi'G, which the bundle keeps by column position and
+by the metric's pair window.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class SubproblemData:
     delta: float
     qn: QuasiNewtonState
     # G'G and Psi'G (Psi of the compact metric) when the caller has them;
-    # Psi'G must match the metric state at construction
+    # Psi'G must match the metric's pair window at construction
     gtg: np.ndarray | None = field(default=None, repr=False)
     psi_g: np.ndarray | None = field(default=None, repr=False)
     _wg: np.ndarray | None = field(default=None, repr=False)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ def _bundle(entries):
     ps = PointSet(elems[0])
     for e in elems[1:]:
         ps.add(e)
-    ps.set_current(elems[0])
     return ps
 
 
@@ -60,7 +61,6 @@ def test_direction_two_opposed_gradients_cancel():
     # G = [1, -1], b = 0: symmetric optimum omega = (1/2, 1/2), d = 0
     ps = _bundle([([0.0], 0.0, [1.0]), ([0.0], 0.0, [-1.0])])
     opts = SolverOptions(strategy="gradient_combination", p=0)
-    ps.elements[0].f = 0.0
     res = compute_direction(ps, QuasiNewtonState(1), 1.0, opts)
     assert np.allclose(res.omega, [0.5, 0.5], atol=1e-8)
     assert np.max(np.abs(res.d)) <= 1e-8
@@ -95,7 +95,7 @@ def test_direction_inf_norms_consistent():
     ps = _bundle(entries)
     opts = SolverOptions(strategy="cutting_plane")
     res = compute_direction(ps, QuasiNewtonState(3), 1e6, opts)
-    g_omega = np.column_stack([e.g for e in ps.elements]) @ res.omega
+    g_omega = ps.gradients() @ res.omega
     assert res.inf_norms[0] == pytest.approx(np.max(np.abs(res.d)))
     assert res.inf_norms[1] == pytest.approx(np.max(np.abs(g_omega)))
     assert res.inf_norms[2] == pytest.approx(np.max(np.abs(g_omega + res.gamma)))
@@ -139,6 +139,36 @@ def test_subproblem_gtwg_matches_columnwise_metric_limited(mode):
             ref = G.T @ np.column_stack([qn.apply_W(G[:, j])
                                          for j in range(data.m)])
             assert np.max(np.abs(data.gtwg - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_limited_build_subproblem_copies_no_gradient_block():
+    # One iteration's subproblem under limited storage: a column and a pair
+    # are new since the previous build.  The bundle's gradient block is read
+    # in place, so the peak stays below half of one n x m copy.
+    rng = np.random.default_rng(8)
+    n, m = 4096, 50
+    qn = QuasiNewtonState(n, storage="limited", history_limit=4)
+
+    def update():
+        s = rng.standard_normal(n)
+        qn.update(s, damp(s, rng.standard_normal(n), 0.5, 2.0)[1])
+
+    for _ in range(4):
+        update()
+    ps = _bundle([(rng.standard_normal(n), 1.0, rng.standard_normal(n))
+                  for _ in range(m - 1)])
+    build_subproblem(ps, qn, 1.0, "cutting_plane")
+    ps.add(BundleElement(x=rng.standard_normal(n), f=1.0,
+                         g=rng.standard_normal(n), birth=m))
+    update()
+    tracemalloc.start()
+    try:
+        data = build_subproblem(ps, qn, 1.0, "cutting_plane")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.m == m
+    assert peak < n * m * 8 / 2
 
 
 def _count_w_products(monkeypatch):

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from nsopt.options import SolverOptions
 from nsopt.point_set import (BundleElement, PointSet, prune_by_age,
                              prune_by_distance, sample_ball)
+from nsopt.quasi_newton import QuasiNewtonState, damp
 
 
 def _elem(x, birth=0):
@@ -46,16 +48,18 @@ def test_prune_by_distance_removes_far_points():
     ps.add(far)
     ps.add(near)
     prune_by_distance(ps, cur.x, eps_next=0.01, envelope_factor=100.0)
-    assert far not in ps.elements
-    assert near in ps.elements
-    assert cur in ps.elements
+    assert list(ps.birth) == [0, 2]  # far (birth 1) is gone
+    assert np.array_equal(ps.X, np.column_stack([cur.x, near.x]))
+    assert ps.current is cur
 
 
 def test_prune_by_distance_keeps_lone_current():
     cur = _elem([5.0])
     ps = PointSet(cur)
     prune_by_distance(ps, cur.x, eps_next=1e-6, envelope_factor=1.0)
-    assert ps.elements == [cur]
+    assert len(ps) == 1
+    assert np.array_equal(ps.X[:, 0], cur.x)
+    assert ps.current is cur
 
 
 def test_prune_by_age_fifo():
@@ -64,7 +68,7 @@ def test_prune_by_age_fifo():
     ps.add(_elem([1.0], birth=1))
     ps.add(_elem([2.0], birth=2))
     prune_by_age(ps, 2)
-    births = sorted(e.birth for e in ps.elements)
+    births = sorted(ps.birth)
     assert births == [2, 3]
 
 
@@ -82,7 +86,9 @@ def test_prune_by_age_never_evicts_current():
     for k in range(1, 6):
         ps.add(_elem([float(k)], birth=k))
     prune_by_age(ps, 2)
-    assert cur in ps.elements
+    assert list(ps.birth) == [0, 5]
+    assert np.array_equal(ps.X, [[0.0, 5.0]])
+    assert ps.current is cur
 
 
 def test_bundle_limit_formula():
@@ -90,28 +96,93 @@ def test_bundle_limit_formula():
     assert SolverOptions().bundle_limit(10) == 10  # floor of 10
 
 
-def test_gradient_products_track_added_and_pruned_columns():
+def test_gradients_is_a_read_only_view():
+    ps = PointSet(_elem([1.0, 2.0]))
+    ps.add(_elem([3.0, 4.0], birth=1))
+    G = ps.gradients()
+    assert np.shares_memory(G, ps.gradients())
+    assert G.flags.f_contiguous
+    with pytest.raises(ValueError):
+        G[0, 0] = 1.0
+
+
+def _reference_basis(qn):
+    """Psi = [A B] formed from the stored pairs, with A = S for BFGS and
+    A = V for DFP."""
+    S = np.column_stack([s for s, _ in qn.pairs])
+    V = np.column_stack([v for _, v in qn.pairs])
+    return np.hstack([S, V] if qn.mode == "BFGS" else [V, S])
+
+
+@pytest.mark.parametrize("mode", ["BFGS", "DFP"])
+def test_products_follow_columns_and_pair_window(mode):
+    # A seeded random sequence of bundle and metric changes.  After each
+    # step the columns must match a list-based model of the bundle, and
+    # G'G, Psi'G and the metric's Psi'Psi products formed from scratch.
     rng = np.random.default_rng(4)
-    basis = {}  # key -> column, rotated like a limited-memory history
+    n = 6
+    states = [QuasiNewtonState(n, mode=mode, storage="limited",
+                               history_limit=h) for h in (1, 4)]
 
     def elem(birth):
-        return BundleElement(x=rng.standard_normal(6), f=0.0,
-                             g=rng.standard_normal(6), birth=birth)
+        return BundleElement(x=rng.standard_normal(n),
+                             f=float(rng.standard_normal()),
+                             g=rng.standard_normal(n), birth=birth)
 
-    ps = PointSet(elem(0))
-    for k in range(1, 12):
-        for _ in range(k % 3 + 1):
-            ps.add(elem(k))
-        nxt = elem(k)
-        ps.add(nxt)
-        ps.set_current(nxt)
-        prune_by_age(ps, 7)
-        basis[k] = rng.standard_normal(6)
-        basis.pop(k - 4, None)
-        keys = list(basis)
-        psi = np.column_stack([basis[key] for key in keys])
-        G, gram, psi_g = ps.gradient_products((keys, psi))
-        ref = np.column_stack([e.g for e in ps.elements])
+    cur = elem(0)
+    ps = PointSet(cur)
+    model = [cur]
+    qn = states[0]
+    for k in range(1, 200):
+        step = rng.choice(["add", "current", "distance", "age", "update",
+                           "switch"])
+        if step == "add":
+            for _ in range(rng.integers(1, 4)):
+                model.append(elem(k))
+                ps.add(model[-1])
+        elif step == "current":
+            cur = elem(k)
+            model.append(cur)
+            ps.set_current(cur)
+        elif step == "distance":
+            dist = [np.linalg.norm(e.x - cur.x) for e in model]
+            limit = float(np.quantile(dist, 0.7))
+            prune_by_distance(ps, cur.x, limit, 1.0)
+            model = [e for e in model
+                     if e is cur or np.linalg.norm(e.x - cur.x) <= limit]
+        elif step == "age":
+            limit = int(rng.integers(1, len(model) + 1))
+            evicted = [e for e in sorted(model, key=lambda e: e.birth)
+                       if e is not cur][:len(model) - limit]
+            prune_by_age(ps, limit)
+            model = [e for e in model if all(e is not x for x in evicted)]
+        elif step == "update":
+            for state in (states if rng.integers(2) else [qn]):
+                s = rng.standard_normal(n)
+                state.update(s, damp(s, rng.standard_normal(n), 0.5, 2.0)[1])
+        else:  # the other metric state on the same bundle
+            qn = states[1] if qn is states[0] else states[0]
+
+        assert list(ps.birth) == [e.birth for e in model]
+        assert np.array_equal(ps.X, np.column_stack([e.x for e in model]))
+        assert np.array_equal(ps.f, [e.f for e in model])
+        assert ps.current is cur
+        ref = np.column_stack([e.g for e in model])
+        G, gram, psi_g = ps.gradient_products(qn)
         assert np.array_equal(G, ref)
         assert np.allclose(gram, ref.T @ ref, rtol=1e-13, atol=1e-13)
+        if not qn.pairs:
+            assert psi_g is None
+            continue
+        psi = _reference_basis(qn)
+        assert np.array_equal(qn.compact_basis()[1], psi)
         assert np.allclose(psi_g, psi.T @ ref, rtol=1e-13, atol=1e-13)
+        # Psi'Psi: the state's G'WG against a state that forms it afresh
+        fresh = QuasiNewtonState(n, mode=mode, storage="limited",
+                                 history_limit=qn.history_limit)
+        for s, v in qn.pairs:
+            fresh.update(s, v)
+        want = fresh.gram_W(ref)
+        assert np.allclose(qn.gram_W(G, gram, psi_g), want,
+                           rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
+    assert all(state.updates > 3 * state.history_limit for state in states)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nsopt import qp_das
 from nsopt.qp_das import solve_das
 from nsopt.qp_generator import generate_qp
 from nsopt.quasi_newton import QuasiNewtonState
@@ -46,17 +47,36 @@ def test_generated_qp_zero_case():
     assert sol.kkt_residual <= 1e-8
 
 
-def test_objective_history_monotone_nonincreasing():
+def _watch_objective(monkeypatch) -> list[float]:
+    """The primal objective -dual after each pivot of ``solve_das``, in
+    order, recorded where it evaluates the dual objective."""
+    values = []
+    dual = qp_das.dual_objective_from_state
+
+    def watched(st, r_w):
+        out = dual(st, r_w)
+        values.append(-out)
+        return out
+
+    monkeypatch.setattr(qp_das, "dual_objective_from_state", watched)
+    return values
+
+
+def test_objective_history_monotone_nonincreasing(monkeypatch):
+    values = _watch_objective(monkeypatch)
     for seed in range(5):
+        values.clear()
         qp = generate_qp(10, 20, "half", seed)
         sol = solve_das(qp.subproblem())
-        hist = np.array(sol.objective_history)
+        hist = np.array(values)
+        assert hist.size == sol.iterations
         assert np.all(np.diff(hist) <= 1e-9 * np.maximum(1.0, np.abs(hist[:-1])))
 
 
-def test_solution_matches_dual_objective():
+def test_solution_matches_dual_objective(monkeypatch):
+    values = _watch_objective(monkeypatch)
     qp = generate_qp(7, 10, "full", 5)
     data = qp.subproblem()
     sol = solve_das(data)
-    assert sol.objective_history[-1] == pytest.approx(
+    assert values[-1] == pytest.approx(
         -dual_objective(data, sol.omega, sol.gamma), rel=1e-9, abs=1e-9)

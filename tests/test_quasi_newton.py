@@ -110,6 +110,13 @@ def test_limited_history_fifo():
     assert np.allclose(kept[1][0], pairs[2][0])
 
 
+def test_history_limit_must_be_positive():
+    # a window of no pairs would leave W = I whatever the updates
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="history_limit"):
+            QuasiNewtonState(3, storage="limited", history_limit=bad)
+
+
 def test_empty_limited_history_is_identity():
     qn = QuasiNewtonState(4, storage="limited")
     r = np.array([1.0, -2.0, 0.5, 3.0])

@@ -131,6 +131,13 @@ def test_options_validation(tmp_path):
     path.write_text("LSWW_stepsize_sufficient_decrease_threshold = 1.5\n")
     with pytest.raises(ValueError, match="ls_decrease < ls_curvature"):
         load_options_file(str(path))
+    # a limited-memory window needs at least one pair
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="history_limit"):
+            SolverOptions(history_limit=bad)
+        path.write_text(f"SMLM_history = {bad}\n")
+        with pytest.raises(ValueError, match="history_limit"):
+            load_options_file(str(path))
     with pytest.raises(ValueError):
         SolverOptions(strategy="newton")
     with pytest.raises(ValueError):
