@@ -10,6 +10,11 @@ KKT system on the working set, takes a blocking-limited segment toward the
 target, and either drops the blocking index or checks optimality and adds
 the single most violated index.  Every solve starts cold from the column
 with the smallest diagonal of G'WG; no state carries over between solves.
+
+Each pivot factors its bordered matrix once, by LAPACK ``dgetrf`` from
+scipy, and makes the first solve and three refinement solves with ``dgetrs``
+on that factor.  A singular factor or a non-finite solution raises
+``DasError``; there is no least-squares fallback.
 """
 
 from __future__ import annotations
@@ -17,12 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 
 from .subproblem import SubproblemData, compute_kkt_residual
 
 
 class DasError(RuntimeError):
-    """Pivot cap exceeded without reaching the requested KKT tolerance."""
+    """Pivot cap exceeded without reaching the requested KKT tolerance, or a
+    working-set KKT matrix that cannot be solved."""
 
 
 @dataclass
@@ -78,7 +85,7 @@ def _init_state(data: SubproblemData) -> DasState:
                     omega=omega, gamma=np.zeros(data.n))
 
 
-def _solve_eqp(st: DasState, S: list[int], F: np.ndarray):
+def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, pivot: int):
     """Bordered KKT solve on the working set: unknowns (omega_S, gamma_F, mult)."""
     s, f = len(S), F.size
     dim = s + f + 1
@@ -99,19 +106,23 @@ def _solve_eqp(st: DasState, S: list[int], F: np.ndarray):
     # A tiny proximal term makes the minimizer unique, which keeps a
     # just-freed variable's target on its feasible side (anti-cycling);
     # iterative refinement against the unregularized system then removes
-    # the proximal bias from the returned solution.
+    # the proximal bias from the returned solution.  One LU factor of the
+    # regularized matrix serves the first solve and all three refinements.
     reg = 1e-11 * max(1.0, float(np.trace(M[:s + f, :s + f])) / max(1, s + f))
     M_reg = M.copy()
     M_reg[np.arange(s + f), np.arange(s + f)] += reg
-    try:
-        sol = np.linalg.solve(M_reg, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError
+    # M is exactly symmetric (G'WG and W are), so its transpose is the same
+    # matrix, already in LAPACK's column-major layout: getrf copies nothing.
+    lu, piv, info = _getrf(M_reg.T, overwrite_a=1)
+    if info == 0:
+        sol = _getrs(lu, piv, rhs)[0]
         for _ in range(3):
-            sol = sol + np.linalg.solve(M_reg, rhs - M @ sol)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return sol[:s], sol[s:s + f], float(sol[-1])
+            sol = sol + _getrs(lu, piv, rhs - M @ sol)[0]
+        if np.all(np.isfinite(sol)):
+            return sol[:s], sol[s:s + f], float(sol[-1])
+    raise DasError(f"pivot {pivot}: the KKT matrix of a working set of {s} "
+                   f"omega and {f} gamma indices is singular or gives a "
+                   "non-finite solution")
 
 
 def _w_times_model(st: DasState) -> np.ndarray:
@@ -139,7 +150,7 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
         iterations += 1
         S = st.S
         F = np.flatnonzero(st.gamma_sign)
-        t_omega, t_gamma, u_eqp = _solve_eqp(st, S, F)
+        t_omega, t_gamma, u_eqp = _solve_eqp(st, S, F, iterations)
 
         # blocking ratio toward the target along the segment
         alpha = 1.0

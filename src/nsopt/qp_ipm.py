@@ -14,7 +14,11 @@ simplex row is solved through the 1x1 Schur complement A'(Q + D)^-1 A, as in
 structure-exploiting interior-point codes (Gertz & Wright 2003).  When
 rounding leaves Q + D numerically indefinite, the factorization is retried
 once with the diagonal shifted by 1e-12 max(1, max diag Q); if that fails
-too, ``IpmError`` is raised.  Step sizes follow a two-segment merit-function
+too, ``IpmError`` is raised.  The factorization (``dpotrf``), the
+triangular solves (``dtrsv``) and every product with Q (``dsymv``) use
+scipy's BLAS and LAPACK: numpy loads an OpenBLAS of its own, and an
+iteration that switched between the two would keep both libraries' thread
+pools spinning.  Step sizes follow a two-segment merit-function
 search bounded by the fraction-to-the-boundary rule: a common primal/dual
 step is optimized first, then the remaining slack in whichever bound is
 looser.
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsv as _trsv
+from scipy.linalg.blas import dsymv as _symv, dtrsv as _trsv
 from scipy.linalg.lapack import dpotrf as _potrf
 
 from .subproblem import SubproblemData, compute_kkt_residual
@@ -128,7 +132,7 @@ class CholeskySchurFactor:
     def _matvec(self, sol: np.ndarray) -> np.ndarray:
         x = sol[:-1]
         out = np.empty(sol.size)
-        out[:-1] = self.A * sol[-1] - self.Q @ x - self.d * x
+        out[:-1] = self.A * sol[-1] - _q_times(self.Q, x) - self.d * x
         out[-1] = self.A @ x
         return out
 
@@ -144,8 +148,15 @@ def _merit_of(theta: np.ndarray, v: np.ndarray, r_d: np.ndarray,
     return r_p * r_p + float(r_d @ r_d) + float(theta @ v)
 
 
+def _q_times(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q x by scipy's ``dsymv``.  Q must be exactly symmetric: its transpose
+    is then the same matrix, and for a C-ordered Q already in the
+    column-major layout BLAS reads, so nothing is copied."""
+    return _symv(1.0, Q.T, x)
+
+
 def residuals(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray):
-    r_d = qp.Q @ theta + qp.c - qp.A * u - v
+    r_d = _q_times(qp.Q, theta) + qp.c - qp.A * u - v
     r_p = qp.b - float(qp.A @ theta)
     r_c = -theta * v
     return r_d, r_p, r_c
@@ -186,7 +197,7 @@ def _box_free_qp(P: np.ndarray, q: np.ndarray, lo: float, hi: float):
 
 def step_sizes(qp: QpData, theta, u, v, r_p, r_d, dtheta, du, dv):
     """Two-segment merit search bounded by fraction-to-the-boundary."""
-    q_dtheta = qp.Q @ dtheta
+    q_dtheta = _q_times(qp.Q, dtheta)
     a_theta = _fraction_to_boundary(theta, dtheta)
     a_v = _fraction_to_boundary(v, dv)
     a_bar = min(a_theta, a_v)

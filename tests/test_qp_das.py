@@ -80,3 +80,74 @@ def test_solution_matches_dual_objective(monkeypatch):
     sol = solve_das(data)
     assert values[-1] == pytest.approx(
         -dual_objective(data, sol.omega, sol.gamma), rel=1e-9, abs=1e-9)
+
+
+def test_each_pivot_factors_once(monkeypatch):
+    calls = []
+    getrf = qp_das._getrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return getrf(*args, **kwargs)
+
+    monkeypatch.setattr(qp_das, "_getrf", counted)
+    for seed in range(3):
+        calls.clear()
+        sol = solve_das(generate_qp(40, 80, "full", seed).subproblem())
+        assert len(calls) == sol.iterations
+
+
+def _reference_eqp(st, S, F):
+    """The bordered solve with ``np.linalg.solve`` and three refinements."""
+    s, f = len(S), F.size
+    W = st.dense_W()
+    M = np.zeros((s + f + 1, s + f + 1))
+    M[:s, :s] = st.K[np.ix_(S, S)]
+    M[s:s + f, :s] = st.WG[np.ix_(F, S)]
+    M[:s, s:s + f] = M[s:s + f, :s].T
+    M[s:s + f, s:s + f] = W[np.ix_(F, F)]
+    M[:s, -1] = M[-1, :s] = 1.0
+    rhs = np.concatenate([st.b[S], -st.delta * st.gamma_sign[F], [1.0]])
+    reg = 1e-11 * max(1.0, float(np.trace(M[:-1, :-1])) / max(1, s + f))
+    M_reg = M + reg * np.diag(np.r_[np.ones(s + f), 0.0])
+    sol = np.linalg.solve(M_reg, rhs)
+    for _ in range(3):
+        sol = sol + np.linalg.solve(M_reg, rhs - M @ sol)
+    return sol
+
+
+def test_solve_eqp_matches_reference_on_random_working_sets():
+    # With n = 10, the Gram block of a working set is singular when
+    # s + f > 10.  At s + f = 11 its null space is one vector that the
+    # simplex row does not annihilate, so the bordered matrix is still
+    # nonsingular and the two solves agree to 1e-10.  Beyond that the
+    # bordered matrix is singular too: the solution is set by the proximal
+    # term, its size is about 1/reg, and two LAPACK builds agree only to
+    # about eps / 1e-11 relative.
+    rng = np.random.default_rng(11)
+    qp = generate_qp(10, 30, "full", 2)
+    st = qp_das._init_state(qp.subproblem())
+    sizes = []
+    for _ in range(60):
+        total = int(rng.integers(1, 15))
+        f = int(rng.integers(0, min(total, 8)))
+        s = total - f
+        sizes.append(total)
+        S = sorted(rng.choice(30, size=s, replace=False).tolist())
+        F = np.sort(rng.choice(10, size=f, replace=False))
+        st.gamma_sign[:] = 0
+        st.gamma_sign[F] = rng.choice([-1, 1], size=f)
+        t_omega, t_gamma, mult = qp_das._solve_eqp(st, S, F, 1)
+        got = np.concatenate([t_omega, t_gamma, [mult]])
+        ref = _reference_eqp(st, S, F)
+        tol = 1e-10 if total <= 11 else 1e-4
+        assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+    assert sizes.count(11) >= 3 and sum(t > 11 for t in sizes) >= 10
+
+
+def test_nan_in_gtwg_raises_das_error(capfd):
+    data = generate_qp(8, 12, "half", 0).subproblem()
+    data.gtwg[3, 3] = np.nan  # the cached G'WG the solver reads
+    with pytest.raises(qp_das.DasError, match="pivot 1: .* 1 omega and 0 gamma"):
+        solve_das(data)
+    assert capfd.readouterr().err == ""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,3 +284,54 @@ def test_probe_rejects_having_nothing_to_check(ipm_probe):
     core = qp_ipm.solve_ipm_core(_toy(), np.ones(1), 0.0, np.full(1, 1e-10))
     assert core.iterations == 0 and len(probe.cores) == 1
     assert probe.problems() == ["no Newton step recorded"]
+
+
+def _core_qps(monkeypatch, data) -> list[QpData]:
+    """The QP of every core solve that ``solve_ipm`` makes on ``data``."""
+    seen, core = [], qp_ipm.solve_ipm_core
+
+    def watched(qp, *args, **kwargs):
+        seen.append(qp)
+        return core(qp, *args, **kwargs)
+
+    monkeypatch.setattr(qp_ipm, "solve_ipm_core", watched)
+    solve_ipm(data)
+    return seen
+
+
+@pytest.mark.parametrize("metric", ["identity", "BFGS", "limited"])
+def test_q_times_matches_matmul_on_both_paths(monkeypatch, metric):
+    # dsymv reads one triangle, so the iteration's Q must be exactly
+    # symmetric: G'WG on the omega-only path, the np.block Q on the full one.
+    qp = generate_qp(30, 60, "full", 1)
+    rng = np.random.default_rng(2)
+    qn = QuasiNewtonState(30, storage="limited" if metric == "limited" else "full")
+    if metric != "identity":
+        for _ in range(4):
+            s = rng.standard_normal(30)
+            qn.update(s, s + 0.3 * rng.standard_normal(30))
+    data = SubproblemData(G=qp.G, b=qp.b, delta=0.05, qn=qn)
+    qps = _core_qps(monkeypatch, data)
+    assert [q.size for q in qps] == [60, 120]  # omega-only, then full path
+    for q in qps:
+        assert np.array_equal(q.Q, q.Q.T)
+        for _ in range(3):
+            x = rng.standard_normal(q.size)
+            err = np.linalg.norm(qp_ipm._q_times(q.Q, x) - q.Q @ x)
+            assert err <= 1e-13 * np.linalg.norm(q.Q) * np.linalg.norm(x)
+
+
+def test_q_times_copies_no_matrix(monkeypatch):
+    # f2py would silently copy a C-ordered Q into Fortran order: 5 MB here.
+    qps = _core_qps(monkeypatch, generate_qp(200, 400, "full", 0).subproblem())
+    Q = qps[-1].Q
+    assert Q.shape == (800, 800)
+    x = np.ones(800)
+    qp_ipm._q_times(Q, x)  # load the wrapper before measuring
+    tracemalloc.start()
+    try:
+        qp_ipm._q_times(Q, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Q.nbytes / 4

@@ -1,0 +1,119 @@
+"""Summarize two sets of perfbench results into one BENCH_*.json record.
+
+    python3 tools/bench_record.py --parent DIR COMMIT --change DIR COMMIT --out BENCH_N.json
+
+Each DIR holds the result files that ``perfbench/run.py`` wrote under
+``perfbench/out/results/`` for one side (a source tree's results directory
+or a copy of it); COMMIT names the code that side ran.  For every workload
+found on both sides the record gives, per side, the median and quartiles of
+each end-to-end metric in BENCHMARK.json over the untraced runs, the failed
+and attempted operations, the per-layer metrics of one traced run, the BLAS
+thread settings and the library versions.  Runs of the two sides with the
+same ``--seed`` form a pair, and ``change_better`` counts the pairs in which
+the change's value is better (ties count for neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load(directory: str) -> dict[str, dict[str, list[dict]]]:
+    """Result records of a side, by workload and then "untraced"/"traced",
+    in file-name (start time) order."""
+    out = defaultdict(lambda: {"untraced": [], "traced": []})
+    for file in sorted(Path(directory).glob("*.json")):
+        with open(file) as fh:
+            record = json.load(fh)
+        out[record["workload"]]["traced" if record["trace"] else "untraced"].append(record)
+    return out
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    if len(values) < 2:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"q1": q1, "median": statistics.median(values), "q3": q3}
+
+
+def side_summary(runs: dict[str, list[dict]], commit: str, metrics: list[dict]) -> dict:
+    untraced = runs["untraced"]
+    summary = {
+        "commit": commit,
+        "runs": len(untraced),
+        "seeds": [r["seed"] for r in untraced],
+        "all_correct": all(r["correct"] for r in untraced),
+        "failed": sum(r["failed"] for r in untraced),
+        "attempted": sum(r["attempted"] for r in untraced),
+        "end_to_end": {
+            m["name"]: {"unit": m["unit"],
+                        **quartiles([r["metrics"][m["name"]]["value"] for r in untraced])}
+            for m in metrics},
+        "blas_threads": untraced[0]["blas_threads"],
+        "versions": untraced[0]["versions"],
+        "cpu_model": untraced[0]["cpu_model"],
+    }
+    if runs["traced"]:
+        traced = runs["traced"][-1]
+        summary["traced"] = {
+            "correct": traced["correct"],
+            "failed": traced["failed"],
+            "attempted": traced["attempted"],
+            "rounds": len(traced["round_wall_s"]),
+            "wall_s_per_round": traced["traced_wall_s"],
+            "counts": {k: v["value"] for k, v in traced["metrics"].items()
+                       if v["unit"] == "count"},
+            "self_s": {k: v["value"] for k, v in traced["metrics"].items()
+                       if v["unit"] == "s"},
+        }
+    return summary
+
+
+def pairs_won(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+    """Pairs (same seed on both sides) and, per metric, how many the change wins."""
+    by_seed = {r["seed"]: r for r in parent}
+    pairs = [(by_seed[r["seed"]], r) for r in change if r["seed"] in by_seed]
+    won = {}
+    for m in metrics:
+        name, sign = m["name"], (1 if m["better"] == "lower" else -1)
+        won[name] = sum(1 for p, c in pairs
+                        if sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) < 0)
+    return {"pairs": len(pairs), "change_better": won}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", nargs=2, required=True, metavar=("DIR", "COMMIT"))
+    parser.add_argument("--change", nargs=2, required=True, metavar=("DIR", "COMMIT"))
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    with open(ROOT / "BENCHMARK.json") as fh:
+        metrics = json.load(fh)["end_to_end"]
+
+    parent, change = load(args.parent[0]), load(args.change[0])
+    workloads = {}
+    for name in sorted(set(parent) & set(change)):
+        if not (parent[name]["untraced"] and change[name]["untraced"]):
+            continue
+        workloads[name] = {
+            "parent": side_summary(parent[name], args.parent[1], metrics),
+            "change": side_summary(change[name], args.change[1], metrics),
+            **pairs_won(parent[name]["untraced"], change[name]["untraced"], metrics),
+        }
+    if not workloads:
+        raise SystemExit("no workload has untraced results on both sides")
+    with open(args.out, "w") as fh:
+        json.dump({"workloads": workloads}, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
