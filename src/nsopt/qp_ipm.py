@@ -15,7 +15,7 @@ structure-exploiting interior-point codes (Gertz & Wright 2003).  When
 rounding leaves Q + D numerically indefinite, the factorization is retried
 once with the diagonal shifted by 1e-12 max(1, max diag Q); if that fails
 too, ``IpmError`` is raised.  The factorization (``dpotrf``), the
-triangular solves (``dtrsv``) and every product with Q (``dsymv``) use
+triangular solves (``dtrsv``) and every product with Q (``dgemv``) use
 scipy's BLAS and LAPACK: numpy loads an OpenBLAS of its own, and an
 iteration that switched between the two would keep both libraries' thread
 pools spinning.  Step sizes follow a two-segment merit-function
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymv as _symv, dtrsv as _trsv
+from scipy.linalg.blas import dgemv as _gemv, dtrsv as _trsv
 from scipy.linalg.lapack import dpotrf as _potrf
 
 from .subproblem import SubproblemData, compute_kkt_residual
@@ -149,10 +149,10 @@ def _merit_of(theta: np.ndarray, v: np.ndarray, r_d: np.ndarray,
 
 
 def _q_times(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q x by scipy's ``dsymv``.  Q must be exactly symmetric: its transpose
-    is then the same matrix, and for a C-ordered Q already in the
-    column-major layout BLAS reads, so nothing is copied."""
-    return _symv(1.0, Q.T, x)
+    """Q x by scipy's ``dgemv``.  A C-ordered Q is its transpose in BLAS's
+    column-major layout, so nothing is copied, and the transposed product
+    sums in the same order as numpy's ``Q @ x``."""
+    return _gemv(1.0, Q.T, x, trans=1)
 
 
 def residuals(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray):
