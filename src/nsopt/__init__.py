@@ -2,8 +2,9 @@
 
 The solver combines a bundle/sampling outer loop with damped quasi-Newton
 metric updates.  Each iteration solves a small convex QP over the simplex,
-for which two interchangeable solvers are provided: a dual active-set method
-and a tailored predictor-corrector interior-point method.
+for which two interchangeable solvers are provided: an active-set method on
+the dual subproblem in (omega, gamma) and a tailored predictor-corrector
+interior-point method.
 """
 
 from .oracle import ObjectiveOracle, check_derivatives, scale_objective

@@ -1,20 +1,30 @@
-"""Primal active-set solver for the simplex-constrained subproblem QP
+"""Active-set method on the dual subproblem in (omega, gamma), the
+simplex-constrained QP
 
     min over (omega, gamma):
         1/2 (G w + gamma)' W (G w + gamma) - b'w + delta ||gamma||_1
         s.t. 1'w = 1, w >= 0.
 
-The working set is the support S of omega plus a sign state in {-1, 0, +1}
-per gamma coordinate.  Each pivot solves the bordered equality-constrained
-KKT system on the working set, takes a blocking-limited segment toward the
-target, and either drops the blocking index or checks optimality and adds
-the single most violated index.  Every solve starts cold from the column
-with the smallest diagonal of G'WG; no state carries over between solves.
+omega_j is index j and gamma_i is index m + i of one index space, and the
+iterate is one vector z = (omega, gamma).  A sign vector marks the working
+set: 1 on the support S of omega, -1 or +1 on a free gamma, 0 at a bound.
+Each pivot solves the bordered equality-constrained KKT system on the
+working set and steps toward its solution.  The first index to block the
+step (S in entry order, then the free gammas ascending) is dropped.  An
+unblocked step prices every other index in one violation vector and adds
+the most violated, omega first on a tie.  Every solve starts cold from the
+column with the smallest diagonal of G'WG.
+
+Anti-cycling at numerical noise level: an index dropped by a zero-length
+step is banned until the objective makes measurable progress, and banned
+indices skip the optimality test.  This is the known early exit: the solver
+can report optimality while a banned index still violates the KKT
+conditions.
 
 Each pivot factors its bordered matrix once, by LAPACK ``dgetrf`` from
 scipy, and makes the first solve and three refinement solves with ``dgetrs``
 on that factor.  A singular factor or a non-finite solution raises
-``DasError``; there is no least-squares fallback.
+``DasError``.
 """
 
 from __future__ import annotations
@@ -42,19 +52,22 @@ class DasState:
     b: np.ndarray
     delta: float
     qn: object
-    S: list[int]
-    gamma_sign: np.ndarray  # (n,) in {-1, 0, +1}
-    omega: np.ndarray
-    gamma: np.ndarray
+    S: list[int]  # omega support, in order of entry
+    z: np.ndarray  # (m + n,) iterate (omega, gamma)
+    sign: np.ndarray  # (m + n,) 1 on S, -1 or +1 on a free gamma, 0 at a bound
     _wd: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def m(self) -> int:
-        return self.G.shape[1]
+    def omega(self) -> np.ndarray:
+        return self.z[:self.G.shape[1]]
 
     @property
-    def n(self) -> int:
-        return self.G.shape[0]
+    def gamma(self) -> np.ndarray:
+        return self.z[self.G.shape[1]:]
+
+    @property
+    def gamma_sign(self) -> np.ndarray:
+        return self.sign[self.G.shape[1]:]
 
     def dense_W(self) -> np.ndarray:
         if self._wd is None:
@@ -75,14 +88,11 @@ class DasSolution:
 
 
 def _init_state(data: SubproblemData) -> DasState:
-    K = data.gtwg
-    j0 = int(np.argmin(np.diag(K)))
-    omega = np.zeros(data.m)
-    omega[j0] = 1.0
-    return DasState(G=data.G, WG=data.wg, K=K, b=data.b,
-                    delta=data.delta, qn=data.qn,
-                    S=[j0], gamma_sign=np.zeros(data.n, dtype=int),
-                    omega=omega, gamma=np.zeros(data.n))
+    j0 = int(np.argmin(np.diag(data.gtwg)))
+    z, sign = np.zeros(data.m + data.n), np.zeros(data.m + data.n, dtype=int)
+    z[j0], sign[j0] = 1.0, 1
+    return DasState(G=data.G, WG=data.wg, K=data.gtwg, b=data.b,
+                    delta=data.delta, qn=data.qn, S=[j0], z=z, sign=sign)
 
 
 def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, pivot: int):
@@ -125,114 +135,73 @@ def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, pivot: int):
                    "non-finite solution")
 
 
-def _w_times_model(st: DasState) -> np.ndarray:
-    """W (G omega + gamma) at the current working point."""
-    wm = st.WG @ st.omega
-    F = np.flatnonzero(st.gamma_sign)
-    if F.size:
-        wm = wm + st.dense_W()[:, F] @ st.gamma[F]
-    return wm
-
-
 def solve_das(data: SubproblemData, tol: float = 1e-8,
               max_iterations: int | None = None) -> DasSolution:
     st = _init_state(data)
-    m, n = st.m, st.n
+    m, n = data.m, data.n
     cap = max_iterations if max_iterations is not None else 100 * (m + 2 * n)
-    iterations = 0
-    # Anti-cycling at numerical noise level: an index dropped by a
-    # zero-length blocking step is barred from re-entry until the objective
-    # makes measurable progress.
-    banned: set[tuple[str, int]] = set()
+    banned = np.zeros(m + n, dtype=bool)
     q_ref = np.inf
 
-    for _ in range(cap):
-        iterations += 1
-        S = st.S
-        F = np.flatnonzero(st.gamma_sign)
-        t_omega, t_gamma, u_eqp = _solve_eqp(st, S, F, iterations)
+    for iterations in range(1, cap + 1):
+        F = st.gamma_sign.nonzero()[0]
+        t_omega, t_gamma, u_eqp = _solve_eqp(st, st.S, F, iterations)
 
-        # blocking ratio toward the target along the segment
-        alpha = 1.0
-        block = None  # ("omega", j) or ("gamma", i)
-        cur_w = st.omega[S]
-        for idx, j in enumerate(S):
-            if t_omega[idx] < -1e-14:
-                a = cur_w[idx] / (cur_w[idx] - t_omega[idx])
-                if a < alpha:
-                    alpha, block = a, ("omega", j)
-        cur_g = st.gamma[F]
-        for idx, i in enumerate(F):
-            if t_gamma[idx] * st.gamma_sign[i] < -1e-14:
-                a = cur_g[idx] / (cur_g[idx] - t_gamma[idx])
-                if a < alpha:
-                    alpha, block = a, ("gamma", int(i))
-
-        if block is not None:
-            st.omega[S] = cur_w + alpha * (t_omega - cur_w)
-            st.gamma[F] = cur_g + alpha * (t_gamma - cur_g)
-            kind, idx = block
-            if kind == "omega":
-                st.S = [j for j in S if j != idx]
-                st.omega[idx] = 0.0
-            else:
-                st.gamma_sign[idx] = 0
-                st.gamma[idx] = 0.0
+        # blocking ratio toward the target along the segment: the first
+        # minimum below 1, over S in entry order and then F ascending
+        work = np.concatenate((st.S, m + F))
+        cur, target = st.z[work], np.concatenate((t_omega, t_gamma))
+        ratio = np.full(work.size, np.inf)
+        np.divide(cur, cur - target, out=ratio,
+                  where=target * st.sign[work] < -1e-14)
+        k = int(ratio.argmin())
+        alpha = float(ratio[k])
+        blocked = alpha < 1.0
+        if blocked:
+            st.z[work] = cur + alpha * (target - cur)
+            drop = int(work[k])
+            st.z[drop], st.sign[drop] = 0.0, 0
+            st.S = [j for j in st.S if j != drop]
             if alpha <= 1e-12:
-                banned.add(block)
-            q = -dual_objective_from_state(st, _w_times_model(st))
-            if q < q_ref - 1e-13 * max(1.0, abs(q_ref)):
-                banned.clear()
-                q_ref = q
-            continue
+                banned[drop] = True
+        else:
+            st.z[work] = target
 
-        st.omega[S] = t_omega
+        F = st.gamma_sign.nonzero()[0]
+        wm = st.WG @ st.omega  # W (G omega + gamma)
         if F.size:
-            st.gamma[F] = t_gamma
-        wm = _w_times_model(st)
+            wm = wm + st.dense_W()[:, F] @ st.gamma[F]
         q = -dual_objective_from_state(st, wm)
         if q < q_ref - 1e-13 * max(1.0, abs(q_ref)):
-            banned.clear()
+            banned[:] = False
             q_ref = q
+        if blocked:
+            continue
 
-        # optimality check at the working-set solution
-        grad = st.G.T @ wm - st.b
+        # optimality test at the working-set solution; banned indices skip it
         u = -u_eqp
-        v_omega = grad - u
-        v_omega_masked = v_omega.copy()
-        v_omega_masked[S] = np.inf
-        for kind, idx in banned:
-            if kind == "omega":
-                v_omega_masked[idx] = np.inf
-        worst_omega = float(np.min(v_omega_masked)) if m > len(S) else np.inf
-        free_mask = st.gamma_sign == 0
-        box = st.delta - np.abs(wm)
-        box_masked = np.where(free_mask, box, np.inf)
-        for kind, idx in banned:
-            if kind == "gamma":
-                box_masked[idx] = np.inf
-        worst_gamma = float(np.min(box_masked)) if free_mask.any() else np.inf
-        worst = min(worst_omega, worst_gamma)
-        if worst >= -0.5 * tol:
-            sigma = np.maximum(st.gamma, 0.0)
-            rho = np.maximum(-st.gamma, 0.0)
+        violation = np.concatenate((st.G.T @ wm - st.b - u,
+                                    st.delta - np.abs(wm)))
+        violation[(st.sign != 0) | banned] = np.inf
+        k = int(violation.argmin())
+        if violation[k] >= -0.5 * tol:
+            sigma, rho = np.maximum(st.gamma, 0.0), np.maximum(-st.gamma, 0.0)
             d = -st.qn.apply_W(st.G @ st.omega + st.gamma)
             res = compute_kkt_residual(data, st.omega, sigma, rho, u, d)
             return DasSolution(st.omega.copy(), st.gamma.copy(), sigma, rho, u,
                                d, res, iterations)
-        if worst_omega <= worst_gamma:
-            j_new = int(np.argmin(v_omega_masked))
-            st.S = S + [j_new]
+        if k < m:
+            st.S.append(k)
+            st.sign[k] = 1
         else:
-            i_new = int(np.argmin(box_masked))
-            st.gamma_sign[i_new] = -int(np.sign(wm[i_new]))
+            st.sign[k] = -int(np.sign(wm[k - m]))
 
     raise DasError(f"active-set pivot cap {cap} exceeded")
 
 
 def dual_objective_from_state(st: DasState, r_w: np.ndarray) -> float:
     """Dual objective at the state's working point, given
-    r_w = ``_w_times_model(st)``."""
+    r_w = W (G omega + gamma)."""
     r = st.G @ st.omega + st.gamma
     return float(-0.5 * r @ r_w + st.b @ st.omega
                  - st.delta * np.sum(np.abs(st.gamma)))

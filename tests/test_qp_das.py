@@ -151,3 +151,23 @@ def test_nan_in_gtwg_raises_das_error(capfd):
     with pytest.raises(qp_das.DasError, match="pivot 1: .* 1 omega and 0 gamma"):
         solve_das(data)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("dcase, pivots", [("half", 461), ("full", 674)])
+def test_path_through_degenerate_steps(dcase, pivots):
+    # Seed 0 at n = 200, m = 400 takes 1 (half) and 39 (full) zero-length
+    # blocking steps, so its path runs through the banned set; the small
+    # instances of acceptance criterion 1 take none.
+    sol = solve_das(generate_qp(200, 400, dcase, 0).subproblem())
+    assert sol.iterations == pivots
+    assert sol.kkt_residual <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "DAS early exit: banned indices skip the optimality test, so the solver "
+    "reports optimality while a banned index still violates the KKT "
+    "conditions"))
+@pytest.mark.parametrize("seed", [7, 9])
+def test_full_case_reaches_tolerance(seed):
+    sol = solve_das(generate_qp(200, 400, "full", seed).subproblem())
+    assert sol.kkt_residual <= 1e-8
