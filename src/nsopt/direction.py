@@ -1,7 +1,8 @@
 """Search-direction computation from the bundle and quasi-Newton metric.
 
 Builds the dual subproblem data for one of three strategies and recovers the
-primal direction d = -W (G omega + gamma) from the chosen QP solver:
+primal direction d = -W (G omega + gamma) from the chosen QP solver, or from
+the other one when the chosen one fails:
 
 - "gradient": current gradient only (m = 1);
 - "gradient_combination": all bundle gradients with a common intercept f_k;
@@ -16,15 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .point_set import PointSet
-from .qp_das import solve_das
-from .qp_ipm import solve_ipm
+from .qp_das import DasError, solve_das
+from .qp_ipm import IpmError, solve_ipm
 from .quasi_newton import QuasiNewtonState
 from .subproblem import SubproblemData
 
-__all__ = ["SubproblemData", "DirectionResult", "build_subproblem",
-           "compute_direction"]
+__all__ = ["SubproblemData", "DirectionResult", "SubproblemFailure",
+           "build_subproblem", "compute_direction"]
 
 _DOWNSHIFT = 1e-8
+# What a QP solver raises when it cannot solve a subproblem.
+_QP_FAILURES = (DasError, IpmError, np.linalg.LinAlgError)
+
+
+class SubproblemFailure(RuntimeError):
+    """Both QP solvers failed on one subproblem."""
 
 
 @dataclass
@@ -37,6 +44,7 @@ class DirectionResult:
     solver: str  # "gradient", "das", or "ipm"
     model_norm_sq: float  # d'Hd = (G w + gamma)' W (G w + gamma)
     inf_norms: tuple[float, float, float]  # ||d||, ||Gw||, ||Gw + gamma||
+    fallback: bool = False  # the chosen QP solver failed and the other one solved
 
 
 def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
@@ -61,7 +69,7 @@ def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
 
 
 def _finalize(data: SubproblemData, omega, gamma, u, d, res,
-              solver) -> DirectionResult:
+              solver, fallback=False) -> DirectionResult:
     """``d`` is -W (G omega + gamma), already formed by the caller."""
     g_omega = data.G @ omega
     model = g_omega + gamma
@@ -70,7 +78,7 @@ def _finalize(data: SubproblemData, omega, gamma, u, d, res,
                  float(np.max(np.abs(g_omega), initial=0.0)),
                  float(np.max(np.abs(model), initial=0.0)))
     return DirectionResult(d, np.asarray(omega, dtype=float), gamma, u, res,
-                           solver, model_norm_sq, inf_norms)
+                           solver, model_norm_sq, inf_norms, fallback)
 
 
 def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
@@ -90,9 +98,16 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
                              "gradient")
 
     data = build_subproblem(point_set, qn, delta, strategy)
-    if data.m <= options.qp_size_threshold:
-        sol, solver = solve_das(data, tol=options.qp_tolerance), "das"
-    else:
-        sol, solver = solve_ipm(data, tol=options.qp_tolerance), "ipm"
-    return _finalize(data, sol.omega, sol.gamma, sol.u, sol.d,
-                     sol.kkt_residual, solver)
+    solvers = [("das", solve_das), ("ipm", solve_ipm)]
+    if data.m > options.qp_size_threshold:
+        solvers.reverse()
+    failures = []
+    for solver, solve in solvers:
+        try:
+            sol = solve(data, tol=options.qp_tolerance)
+        except _QP_FAILURES as exc:
+            failures.append(f"{solver}: {type(exc).__name__}: {exc}")
+            continue
+        return _finalize(data, sol.omega, sol.gamma, sol.u, sol.d,
+                         sol.kkt_residual, solver, bool(failures))
+    raise SubproblemFailure("; ".join(failures))

@@ -50,6 +50,16 @@ class SolverOptions:
             raise ValueError(f"unknown storage mode {self.qn_storage!r}")
         if self.line_search not in ("weak_wolfe", "backtracking"):
             raise ValueError(f"unknown line search {self.line_search!r}")
+        if self.p is not None and self.p < 0:
+            raise ValueError("p must be nonnegative")
+        if self.eps_min <= 0:
+            raise ValueError("eps_min must be positive")
+        if self.qp_tolerance <= 0:
+            raise ValueError("qp_tolerance must be positive")
+        if self.iteration_limit < 1:
+            raise ValueError("iteration_limit must be at least 1")
+        if self.qp_size_threshold < 0:
+            raise ValueError("qp_size_threshold must be nonnegative")
 
     def samples_per_iteration(self, n: int) -> int:
         if self.p is not None:

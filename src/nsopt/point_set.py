@@ -1,4 +1,5 @@
-"""Bundle maintenance: ball sampling, distance pruning, and age pruning.
+"""Bundle maintenance: ball sampling, the choice of samples worth evaluating,
+distance pruning, and age pruning.
 
 The bundle is columns 0..m-1 of Fortran-ordered point and gradient blocks,
 with value and birth vectors.  Columns are appended and pruning keeps their
@@ -159,6 +160,24 @@ def prune_by_distance(point_set: PointSet, x_next: np.ndarray, eps_next: float,
     point_set._keep(np.array([j for j in range(X.shape[1]) if j == cur
                               or np.linalg.norm(X[:, j] - x_next) <= limit], dtype=int))
     return point_set
+
+
+def newest_finite(points: list[np.ndarray], f, limit: int) -> list[tuple[np.ndarray, float]]:
+    """The last ``limit`` points with finite f(x), as (x, f(x)) in draw order.
+
+    f is evaluated from the newest point backwards and no further than the
+    ``limit``-th finite value.  For points that join a bundle with a birth
+    newer than every element's, ``limit = cap - 1`` gives exactly those that
+    ``prune_by_age(point_set, cap)`` would keep after adding all of them.
+    """
+    kept = []
+    for x in reversed(points):
+        if len(kept) == limit:
+            break
+        f_x = f(x)
+        if np.isfinite(f_x):
+            kept.append((x, f_x))
+    return kept[::-1]
 
 
 def prune_by_age(point_set: PointSet, limit: int) -> PointSet:

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import StallCounter, init_radii, update_radii
-from .direction import compute_direction
+from .direction import SubproblemFailure, compute_direction
 from .line_search import LineSearchError, backtracking_armijo, weak_wolfe
 from .oracle import CountingOracle, ObjectiveOracle, scale_objective
 from .options import SolverOptions
-from .point_set import BundleElement, PointSet, prune_by_age, prune_by_distance, sample_ball
+from .point_set import (BundleElement, PointSet, newest_finite, prune_by_age,
+                        prune_by_distance, sample_ball)
 from .quasi_newton import QuasiNewtonState, damp
 
 _UNBOUNDED_BELOW = -1e18
@@ -29,7 +30,9 @@ _DEGENERATE_MODEL = 1e-20
 class SolverReport:
     x: np.ndarray
     final_f_unscaled: float
-    termination_reason: str  # stationary | iteration_limit | objective_unbounded | line_search_failure
+    # stationary | iteration_limit | objective_unbounded | line_search_failure
+    # | subproblem_failure (both QP solvers failed)
+    termination_reason: str
     iterations: int
     function_evaluations: int
     gradient_evaluations: int
@@ -38,6 +41,7 @@ class SolverReport:
     eps_final: float
     delta_final: float
     f_history: list[float] = field(default_factory=list)  # unscaled, accepted iterates
+    qp_fallbacks: int = 0  # QPs handed to the other solver after the chosen one failed
 
 
 def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
@@ -72,18 +76,25 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
     termination = "iteration_limit"
     iterations = 0
     null_steps = 0  # consecutive line-search failures answered by enrichment
+    qp_fallbacks = 0
 
     for k in range(1, opts.iteration_limit + 1):
         iterations = k
         if p > 0:
-            for x_s in sample_ball(current.x, radii.eps, p, rng):
-                f_s = ev.f(x_s)
-                if not np.isfinite(f_s):
-                    continue
+            # every point is drawn, so the stream stays the same, but only
+            # the samples that age pruning would keep are evaluated
+            samples = sample_ball(current.x, radii.eps, p, rng)
+            for x_s, f_s in newest_finite(samples, ev.f, bundle_cap - 1):
                 bundle.add(BundleElement(x=x_s, f=f_s, g=ev.g(x_s), birth=k))
             prune_by_age(bundle, bundle_cap)
 
-        result = compute_direction(bundle, qn, radii.delta, opts)
+        try:
+            result = compute_direction(bundle, qn, radii.delta, opts)
+        except SubproblemFailure:
+            qp_fallbacks += 1
+            termination = "subproblem_failure"
+            break
+        qp_fallbacks += result.fallback
 
         if result.model_norm_sq <= _DEGENERATE_MODEL:
             # stationary for the current model: no usable step, shrink radii
@@ -165,4 +176,5 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
         eps_final=radii.eps,
         delta_final=radii.delta,
         f_history=f_history,
+        qp_fallbacks=qp_fallbacks,
     )

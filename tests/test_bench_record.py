@@ -12,12 +12,15 @@ _spec.loader.exec_module(bench_record)
 _METRICS = ("wall_s", "cpu_s", "solve_p50_s", "peak_rss_mb", "setup_s")
 
 
-def _write(directory: Path, seed: int, wall: float, trace: int = 0):
+def _write(directory: Path, seed: int, wall: float, trace: int = 0,
+           failed: int = 2, **values):
+    """A result file whose end-to-end metrics all read ``wall`` except
+    those given in ``values``."""
     directory.mkdir(exist_ok=True)
     metrics = ({"qp_das.pivots": {"value": 7, "unit": "count"},
                 "qp_das.self_s": {"value": wall, "unit": "s"}} if trace else
-               {m: {"value": wall, "unit": "s"} for m in _METRICS})
-    record = {"correct": True, "attempted": 10, "failed": 2, "metrics": metrics,
+               {m: {"value": values.get(m, wall), "unit": "s"} for m in _METRICS})
+    record = {"correct": True, "attempted": 10, "failed": failed, "metrics": metrics,
               "workload": "qp-n200", "seed": seed, "trace": trace,
               "blas_threads": {"OPENBLAS_NUM_THREADS": "1"},
               "versions": {"numpy": "x"}, "cpu_model": "cpu",
@@ -45,6 +48,49 @@ def test_medians_quartiles_pairs_and_trace(tmp_path):
     traced = w["change"]["traced"]
     assert traced["counts"] == {"qp_das.pivots": 7}
     assert traced["self_s"] == {"qp_das.self_s": 1.5}
+
+
+def test_verdict_claim_bound_and_spread(tmp_path):
+    # Ten pairs.  wall_s: the change wins 9 and its median is 1.45 lower, more
+    # than the parent's IQR.  cpu_s: the change is 10% worse, within the 25%
+    # bound.  solve_p50_s: 40% worse.  peak_rss_mb: the parent spreads wider
+    # than the 10% bound.  setup_s: equal, so no pair is won.
+    parent_wall = [5.0, 5.2, 4.9, 5.1, 5.3, 5.0, 4.8, 5.2, 5.1, 5.0]
+    for seed, wall in enumerate(parent_wall):
+        change_wall = 5.5 if seed == 0 else wall - 1.5
+        _write(tmp_path / "p", seed, 1.0, wall_s=wall, cpu_s=2.0, solve_p50_s=1.0,
+               peak_rss_mb=50.0 + 10 * (seed % 2))
+        _write(tmp_path / "c", seed, 1.0, wall_s=change_wall, cpu_s=2.2,
+               solve_p50_s=1.4, peak_rss_mb=55.0, failed=3 if seed == 9 else 2)
+    out = tmp_path / "BENCH.json"
+    bench_record.main(["--parent", str(tmp_path / "p"), "abc",
+                       "--change", str(tmp_path / "c"), "def", "--out", str(out)])
+    v = json.loads(out.read_text())["workloads"]["qp-n200"]["verdict"]
+    wall, cpu, p50 = v["metrics"]["wall_s"], v["metrics"]["cpu_s"], v["metrics"]["solve_p50_s"]
+    assert wall["pairs_won"] == 9 and wall["claim_holds"] and wall["within_bound"]
+    assert wall["median_gap"] == pytest.approx(5.05 - 3.6)
+    assert 0 < wall["parent_iqr"] < 1.5 and not wall["unresolved"]
+    assert cpu["pairs_won"] == 0 and not cpu["claim_holds"]
+    assert cpu["change_worse_by"] == pytest.approx(0.1) and cpu["within_bound"]
+    assert p50["change_worse_by"] == pytest.approx(0.4) and not p50["within_bound"]
+    assert v["metrics"]["peak_rss_mb"]["unresolved"]
+    assert v["metrics"]["setup_s"]["pairs_won"] == 0
+    assert not v["metrics"]["setup_s"]["claim_holds"]
+    assert v["metrics"]["setup_s"]["within_bound"]
+    assert not v["failed_no_worse"]  # 21 of 100 failed against 20 of 100
+
+
+def test_no_claim_from_fewer_than_ten_pairs(tmp_path):
+    for seed in range(9):
+        _write(tmp_path / "p", seed, 5.0 + 0.01 * seed)
+        _write(tmp_path / "c", seed, 1.0)
+    out = tmp_path / "BENCH.json"
+    bench_record.main(["--parent", str(tmp_path / "p"), "a",
+                       "--change", str(tmp_path / "c"), "b", "--out", str(out)])
+    v = json.loads(out.read_text())["workloads"]["qp-n200"]["verdict"]
+    assert v["metrics"]["wall_s"]["pairs_won"] == 9
+    assert not v["metrics"]["wall_s"]["claim_holds"]
+    assert v["failed_no_worse"]
 
 
 def test_no_common_workload_is_an_error(tmp_path):

@@ -3,10 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nsopt.direction import (DirectionResult, SubproblemData,
+from nsopt import direction
+from nsopt.direction import (DirectionResult, SubproblemData, SubproblemFailure,
                              build_subproblem, compute_direction)
 from nsopt.options import SolverOptions
 from nsopt.point_set import BundleElement, PointSet
+from nsopt.qp_das import DasError
+from nsopt.qp_ipm import IpmError
 from nsopt.quasi_newton import QuasiNewtonState, damp
 
 
@@ -76,6 +79,33 @@ def test_direction_routing_by_bundle_size():
         ps = _bundle(entries)
         res = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
         assert res.solver == expected
+
+
+@pytest.mark.parametrize("m, chosen, other", [(10, "das", "ipm"), (30, "ipm", "das")])
+def test_failed_solver_hands_the_subproblem_to_the_other(monkeypatch, m, chosen,
+                                                         other):
+    rng = np.random.default_rng(3)
+    n = 5
+    ps = _bundle([(rng.standard_normal(n), 1.0, 2.0 + rng.standard_normal(n))
+                  for _ in range(m)])
+    opts = SolverOptions(strategy="cutting_plane")
+    clean = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
+    assert clean.solver == chosen and not clean.fallback
+
+    def fail(error):
+        def solve(data, tol):
+            raise error(f"{error.__name__} injected")
+        return solve
+
+    monkeypatch.setattr(direction, "solve_" + chosen,
+                        fail(DasError if chosen == "das" else IpmError))
+    res = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
+    assert res.solver == other and res.fallback
+    assert np.allclose(res.d, clean.d, atol=1e-6)
+    monkeypatch.setattr(direction, "solve_" + other, fail(np.linalg.LinAlgError))
+    with pytest.raises(SubproblemFailure, match=f"{chosen}: .*injected; {other}: "
+                       "LinAlgError: LinAlgError injected"):
+        compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
 
 
 def test_finalize_metric_application():

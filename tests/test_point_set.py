@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nsopt.options import SolverOptions
-from nsopt.point_set import (BundleElement, PointSet, prune_by_age,
-                             prune_by_distance, sample_ball)
+from nsopt.point_set import (BundleElement, PointSet, newest_finite,
+                             prune_by_age, prune_by_distance, sample_ball)
 from nsopt.quasi_newton import QuasiNewtonState, damp
 
 
@@ -89,6 +89,98 @@ def test_prune_by_age_never_evicts_current():
     assert list(ps.birth) == [0, 5]
     assert np.array_equal(ps.X, [[0.0, 5.0]])
     assert ps.current is cur
+
+
+def _sampled_bundle(rng, n, k, sizes):
+    """A bundle before iteration k's sampling: a current iterate and older
+    elements, all born before k, the current one not always the newest."""
+    def elem(birth):
+        return BundleElement(x=rng.standard_normal(n), f=float(rng.standard_normal()),
+                             g=rng.standard_normal(n), birth=birth)
+
+    before, after = sizes
+    elems = [elem(int(rng.integers(0, k))) for _ in range(before)]
+    cur = elem(int(rng.integers(0, k)))
+    ps = PointSet(elems[0]) if elems else PointSet(cur)
+    for e in elems[1:]:
+        ps.add(e)
+    if elems:
+        ps.set_current(cur)
+    for _ in range(after):
+        ps.add(elem(int(rng.integers(0, k))))
+    return ps
+
+
+def _bundle_state(ps):
+    return (ps.X.copy(), ps.gradients().copy(), ps.f.copy(), ps.birth.copy(),
+            ps._cur, ps.current)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_newest_finite_keeps_what_age_pruning_keeps(seed):
+    # Reference: evaluate every sample, add the finite ones, prune by age.
+    # The survivor rule evaluates f only back to the (cap - 1)-th finite
+    # sample, and g only at those it returns; the bundle must come out
+    # identical, columns, values, births and current position alike.
+    rng = np.random.default_rng(seed)
+    n, k, cap = 3, 7, int(rng.integers(2, 7))
+    p = int(rng.integers(0, 2 * cap + 2))
+    if seed % 4 == 0:
+        p = int(rng.integers(0, cap))  # p <= cap - 1: every sample is kept
+    sizes = (int(rng.integers(0, cap)), int(rng.integers(0, cap)))
+    samples = [rng.standard_normal(n) for _ in range(p)]
+    finite = rng.uniform(size=p) < rng.choice([0.3, 0.7, 1.0])
+    if seed % 3 == 0 and p:
+        finite[-min(p, 2):] = False  # the newest draws are out of the domain
+    values = {id(x): (float(x @ x) if ok else np.inf) for x, ok in zip(samples, finite)}
+    gradient = {id(x): 2.0 * x for x in samples}
+    evaluated = []
+
+    def f(x):
+        evaluated.append(id(x))
+        return values[id(x)]
+
+    reference = _sampled_bundle(np.random.default_rng([seed, 1]), n, k, sizes)
+    for x in samples:
+        if np.isfinite(values[id(x)]):
+            reference.add(BundleElement(x=x, f=values[id(x)], g=gradient[id(x)], birth=k))
+    prune_by_age(reference, cap)
+
+    ps = _sampled_bundle(np.random.default_rng([seed, 1]), n, k, sizes)
+    kept = newest_finite(samples, f, cap - 1)
+    for x, f_x in kept:
+        ps.add(BundleElement(x=x, f=f_x, g=gradient[id(x)], birth=k))
+    prune_by_age(ps, cap)
+
+    got, want = _bundle_state(ps), _bundle_state(reference)
+    for a, b in zip(got[:4], want[:4]):
+        assert np.array_equal(a, b)
+    assert got[4] == want[4]
+    assert got[5].birth == want[5].birth and np.array_equal(got[5].x, want[5].x)
+    # f is evaluated newest first over a suffix of the draws: all of them,
+    # or just enough to end on the (cap - 1)-th finite value
+    assert [id(x) for x, _ in kept] == [id(x) for x in samples
+                                        if np.isfinite(values[id(x)])][-(cap - 1):]
+    suffix = samples[p - len(evaluated):]
+    assert evaluated == [id(x) for x in reversed(suffix)]
+    finite_seen = sum(np.isfinite(values[i]) for i in evaluated)
+    assert len(evaluated) == p or (finite_seen == cap - 1
+                                   and np.isfinite(values[evaluated[-1]]))
+
+
+def test_newest_finite_stops_at_the_limit():
+    points = [np.array([float(i)]) for i in range(20)]
+    calls = []
+
+    def f(x):
+        calls.append(float(x[0]))
+        return 0.0 if x[0] != 18 else np.inf
+
+    kept = newest_finite(points, f, 9)
+    assert [float(x[0]) for x, _ in kept] == [10.0, 11.0, 12.0, 13.0, 14.0,
+                                               15.0, 16.0, 17.0, 19.0]
+    assert calls == [19.0, 18.0, 17.0, 16.0, 15.0, 14.0, 13.0, 12.0, 11.0, 10.0]
+    assert newest_finite(points, f, 0) == [] and len(calls) == 10
 
 
 def test_bundle_limit_formula():

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import nsopt
+from nsopt import direction
 from nsopt.options import STRATEGIES, SolverOptions, load_options_file
 from nsopt.oracle import ObjectiveOracle
 from nsopt.problems import make_problem
+from nsopt.qp_das import DasError
+from nsopt.qp_ipm import IpmError
 from nsopt.solver import run_solver
 
 
@@ -86,6 +89,58 @@ def test_seeded_runs_are_reproducible():
     assert a.iterations == b.iterations
 
 
+def test_sampling_evaluates_only_the_samples_that_stay():
+    # 20 samples per iteration against a bundle cap of 10: f is evaluated
+    # back to the 9th finite sample and g only at those 9.  The path is the
+    # one of evaluating all 20 (9376 f and 7331 g evaluations).
+    prob = make_problem("ChainedLQ", 200)
+    opts = SolverOptions(strategy="gradient_combination", seed=0)
+    report = run_solver(prob.oracle, prob.x0, opts)
+    assert report.termination_reason == "stationary"
+    assert report.iterations == 349
+    assert report.function_evaluations == 5537
+    assert report.gradient_evaluations == 3492
+
+
+def _failing(error, calls):
+    def solve(data, tol):
+        calls.append(data.m)
+        raise error("injected failure")
+    return solve
+
+
+@pytest.mark.parametrize("name, error", [("solve_das", DasError),
+                                         ("solve_das", np.linalg.LinAlgError),
+                                         ("solve_ipm", IpmError)])
+def test_failed_qp_falls_back_to_the_other_solver(monkeypatch, name, error):
+    # a threshold of 0 sends every subproblem to the IPM, so the IPM
+    # failures are injected on its path
+    prob = make_problem("ChainedLQ", 10)
+    threshold = 0 if name == "solve_ipm" else 25
+    opts = SolverOptions(qp_size_threshold=threshold)
+    clean = run_solver(prob.oracle, prob.x0, opts)
+    assert clean.qp_fallbacks == 0
+    calls = []
+    monkeypatch.setattr(direction, name, _failing(error, calls))
+    report = run_solver(prob.oracle, prob.x0, opts)
+    assert report.termination_reason == "stationary"
+    assert report.qp_fallbacks == len(calls) > 0
+    assert report.final_f_unscaled == pytest.approx(clean.final_f_unscaled, abs=1e-5)
+
+
+def test_both_qp_solvers_failing_ends_the_run(monkeypatch):
+    prob = make_problem("ChainedLQ", 10)
+    calls = []
+    monkeypatch.setattr(direction, "solve_das", _failing(DasError, calls))
+    monkeypatch.setattr(direction, "solve_ipm", _failing(IpmError, calls))
+    report = run_solver(prob.oracle, prob.x0, SolverOptions())
+    assert report.termination_reason == "subproblem_failure"
+    assert report.iterations == 1 and report.qp_fallbacks == 1
+    assert len(calls) == 2
+    assert np.array_equal(report.x, prob.x0)
+    assert report.f_history == [report.final_f_unscaled]
+
+
 def test_accuracy_mode_not_worse_than_speed_mode():
     prob = make_problem("MaxQ", 20)
     speed = run_solver(prob.oracle, prob.x0, SolverOptions(delta_f=1e-5, n_f=10))
@@ -142,6 +197,21 @@ def test_options_validation(tmp_path):
         SolverOptions(strategy="newton")
     with pytest.raises(ValueError):
         SolverOptions(eta=1.0, psi=0.5)
+
+
+@pytest.mark.parametrize("field, bad, good", [
+    ("p", -1, 0),
+    ("eps_min", 0.0, 1e-12),
+    ("qp_tolerance", 0.0, 1e-12),
+    ("iteration_limit", 0, 1),
+    ("qp_size_threshold", -1, 0),
+])
+def test_options_bounds(field, bad, good):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: bad})
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: -abs(bad) - 1})
+    assert getattr(SolverOptions(**{field: good}), field) == good
 
 
 def test_samples_per_iteration_defaults():

@@ -11,6 +11,15 @@ and attempted operations, the per-layer metrics of one traced run, the BLAS
 thread settings and the library versions.  Runs of the two sides with the
 same ``--seed`` form a pair, and ``change_better`` counts the pairs in which
 the change's value is better (ties count for neither side).
+
+``verdict`` applies the rules for landing a change to each end-to-end
+metric: ``claim_holds`` when the change wins at least 9 in 10 of at least
+ten pairs and its median is better than the parent's by more than the
+parent's interquartile range; ``within_bound`` when the change's median is
+worse than the parent's by no more than the metric's bound in
+BENCHMARK.json; ``unresolved`` when the parent's interquartile range is
+wider than that bound and not every run of the change beats every run of
+the parent.  ``failed_no_worse`` compares the shares of failed operations.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_PAIRS = 10
+PAIR_SHARE = 0.9  # of the pairs the change must win to claim a gain
 
 
 def load(directory: str) -> dict[str, dict[str, list[dict]]]:
@@ -88,6 +99,38 @@ def pairs_won(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
     return {"pairs": len(pairs), "change_better": won}
 
 
+def verdict(parent: list[dict], change: list[dict], metrics: list[dict],
+            won: dict) -> dict:
+    """Per metric, the claim and the bound rules (see the module docstring);
+    ``won`` is ``pairs_won``'s result for the same runs."""
+    out = {}
+    for m in metrics:
+        name, sign = m["name"], (1 if m["better"] == "lower" else -1)
+        p = [r["metrics"][name]["value"] for r in parent]
+        c = [r["metrics"][name]["value"] for r in change]
+        pq = quartiles(p)
+        iqr = pq["q3"] - pq["q1"]
+        gap = sign * (pq["median"] - statistics.median(c))  # > 0: change better
+        worse = -gap / abs(pq["median"]) if pq["median"] else 0.0
+        every_run_better = all(sign * (a - b) < 0 for a in c for b in p)
+        out[name] = {
+            "pairs_won": won["change_better"][name],
+            "parent_iqr": iqr,
+            "median_gap": gap,
+            "change_worse_by": worse,
+            "bound": m["bound"],
+            "claim_holds": (won["pairs"] >= MIN_PAIRS
+                            and won["change_better"][name] >= PAIR_SHARE * won["pairs"]
+                            and gap > iqr),
+            "within_bound": worse <= m["bound"],
+            "unresolved": (iqr > m["bound"] * abs(pq["median"])
+                           and not every_run_better),
+        }
+    share = [sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
+             for runs in (parent, change)]
+    return {"metrics": out, "failed_no_worse": share[1] <= share[0]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", nargs=2, required=True, metavar=("DIR", "COMMIT"))
@@ -100,12 +143,15 @@ def main(argv=None) -> int:
     parent, change = load(args.parent[0]), load(args.change[0])
     workloads = {}
     for name in sorted(set(parent) & set(change)):
-        if not (parent[name]["untraced"] and change[name]["untraced"]):
+        p, c = parent[name]["untraced"], change[name]["untraced"]
+        if not (p and c):
             continue
+        won = pairs_won(p, c, metrics)
         workloads[name] = {
             "parent": side_summary(parent[name], args.parent[1], metrics),
             "change": side_summary(change[name], args.change[1], metrics),
-            **pairs_won(parent[name]["untraced"], change[name]["untraced"], metrics),
+            **won,
+            "verdict": verdict(p, c, metrics, won),
         }
     if not workloads:
         raise SystemExit("no workload has untraced results on both sides")
