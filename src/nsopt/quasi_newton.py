@@ -5,9 +5,11 @@ array, updated in place by the BLAS rank-1 and rank-2 kernels ``dsyr`` and
 ``dsyr2`` and applied by ``dsymv``/``dsymm``.  A dense mirrored copy of W and
 H are formed from that triangle on request.
 Limited storage keeps a FIFO window of damped pairs (s, v) and applies
-H and W through the compact representation I + Psi M Psi' with an identity
-base matrix (Byrd, Nocedal & Schnabel 1994).  Psi'Psi here and Psi'G in the
-bundle follow the window by position (``window_shift``).
+H and W through the compact representation tau I + Psi M Psi' (Byrd,
+Nocedal & Schnabel 1994).  The base scale comes from the newest pair (Liu &
+Nocedal 1989; Nocedal & Wright 2006, eq. 7.20): BFGS starts from
+W0 = (s'v / v'v) I, DFP from W0 = (s's / s'v) I, and H0 = W0^-1.  Psi'Psi here
+and Psi'G in the bundle follow the window by position (``window_shift``).
 """
 
 from __future__ import annotations
@@ -118,23 +120,27 @@ def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class _CompactForm:
-    """Limited-memory matrix I + Psi M Psi' for stored pairs (a_i, b_i),
+    """Limited-memory matrix c I + Psi M Psi' for stored pairs (a_i, b_i),
     in the compact representation of Byrd, Nocedal & Schnabel (1994), with
-    Psi = [A B] and the middle matrix M applied through small factors.
+    Psi = [A B] and the middle matrix M applied through small factors.  The
+    base scale is tau = a'b / b'b of the newest pair.
 
     The inverse form is the inverse-BFGS product (BFGS W with (a, b) = (s, v),
-    DFP H with (a, b) = (v, s)):
+    DFP H with (a, b) = (v, s)) started from c I = tau I:
 
-        M = [[R^-T (D + B'B) R^-1, -R^-T], [-R^-1, 0]],  R = triu(A'B).
+        M = [[R^-T (D + tau B'B) R^-1, -tau R^-T], [-tau R^-1, 0]],
+        R = triu(A'B).
 
     The direct form is the direct-BFGS product (BFGS H with (a, b) = (s, v),
-    DFP W with (a, b) = (v, s)):
+    DFP W with (a, b) = (v, s)) started from c I = sigma I, sigma = 1/tau:
 
-        M = -[[A'A, L], [L', -D]]^-1,  L = strictly lower part of A'B,
+        M = -[[sigma I, 0], [0, I]] [[sigma A'A, L], [L', -D]]^-1
+             [[sigma I, 0], [0, I]],  L = strictly lower part of A'B,
 
     solved through the Cholesky factor of the Schur complement
-    C = A'A + L D^-1 L'.  Both middles use triangular solves only; an
-    explicit R^-1 loses accuracy under wide damping bounds.
+    C = sigma A'A + L D^-1 L'.  Both middles use triangular solves only; an
+    explicit R^-1 loses accuracy under wide damping bounds.  The two forms
+    over one basis are exact inverses of each other.
     """
 
     def __init__(self, psi: np.ndarray, gram: np.ndarray, inverse: bool):
@@ -142,38 +148,42 @@ class _CompactForm:
         h = self.h = psi.shape[1] // 2
         self.psi = psi
         self.inverse = inverse
+        tau = gram[h - 1, 2 * h - 1] / gram[2 * h - 1, 2 * h - 1]
+        self.scale = tau if inverse else 1.0 / tau
         ab = gram[:h, h:]
         self.d = np.diag(ab).copy()
         if inverse:
             self.r = np.triu(ab)
-            self.d_btb = np.diag(self.d) + gram[h:, h:]
+            self.d_btb = np.diag(self.d) + tau * gram[h:, h:]
         else:
             self.l = np.tril(ab, -1)
-            c = gram[:h, :h] + (self.l / self.d) @ self.l.T
+            c = self.scale * gram[:h, :h] + (self.l / self.d) @ self.l.T
             self.c_factor = np.linalg.cholesky(c)
 
     def middle(self, P: np.ndarray) -> np.ndarray:
         """M P for P with 2h rows (P = Psi' X)."""
-        h = self.h
+        h, c = self.h, self.scale
         p1, p2 = P[:h], P[h:]
         if self.inverse:
             a = _solve_upper(self.r, p1)
-            top = _solve_lower(self.r.T, self.d_btb @ a - p2)
-            return np.concatenate([top, -a])
+            top = _solve_lower(self.r.T, self.d_btb @ a - c * p2)
+            return np.concatenate([top, -c * a])
         d = self.d if P.ndim == 1 else self.d[:, None]
         cf = self.c_factor
-        x1 = _solve_upper(cf.T, _solve_lower(cf, p1 + self.l @ (p2 / d)))
+        x1 = _solve_upper(cf.T, _solve_lower(cf, c * p1 + self.l @ (p2 / d)))
         x2 = (self.l.T @ x1 - p2) / d
-        return -np.concatenate([x1, x2])
+        return -np.concatenate([c * x1, x2])
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return X + self.psi @ self.middle(self.psi.T @ X)
+    def apply(self, X: np.ndarray, psi_x: np.ndarray | None = None) -> np.ndarray:
+        """(c I + Psi M Psi') X, given Psi'X optionally."""
+        P = self.psi.T @ X if psi_x is None else psi_x
+        return self.scale * X + self.psi @ self.middle(P)
 
     def gram(self, X: np.ndarray, xtx: np.ndarray,
              psi_x: np.ndarray | None = None) -> np.ndarray:
-        """X' (I + Psi M Psi') X given X'X and, optionally, Psi'X."""
+        """X' (c I + Psi M Psi') X given X'X and, optionally, Psi'X."""
         P = self.psi.T @ X if psi_x is None else psi_x
-        return xtx + P.T @ self.middle(P)
+        return self.scale * xtx + P.T @ self.middle(P)
 
 
 class QuasiNewtonState:
@@ -267,15 +277,18 @@ class QuasiNewtonState:
         form = self._form("H")
         return r.copy() if form is None else form.apply(r)
 
-    def apply_W_matrix(self, A: np.ndarray) -> np.ndarray:
-        """W applied to A (a vector, or each column of a matrix)."""
+    def apply_W_matrix(self, A: np.ndarray,
+                       psi_a: np.ndarray | None = None) -> np.ndarray:
+        """W applied to A (a vector, or each column of a matrix).  Limited
+        storage forms it as tau A + Psi M (Psi'A); ``psi_a`` supplies Psi'A
+        when the caller already has it."""
         A = np.asarray(A, dtype=float)
         if self.storage == "full":
             if A.ndim == 1:
                 return dsymv(1.0, self._w, A)
             return dsymm(1.0, self._w, A)
         form = self._form("W")
-        return A.copy() if form is None else form.apply(A)
+        return A.copy() if form is None else form.apply(A, psi_a)
 
     def dense_W(self) -> np.ndarray:
         """W as a new, exactly symmetric dense array.  Full storage mirrors
@@ -323,7 +336,7 @@ class QuasiNewtonState:
 
     def gram_W(self, A: np.ndarray, ata: np.ndarray | None = None,
                psi_a: np.ndarray | None = None) -> np.ndarray:
-        """A' W A.  Limited storage forms it as A'A + (Psi'A)' M (Psi'A)
+        """A' W A.  Limited storage forms it as tau A'A + (Psi'A)' M (Psi'A)
         without W A; ``ata`` and ``psi_a`` supply A'A and Psi'A when the
         caller already has them."""
         A = np.asarray(A, dtype=float)

@@ -7,9 +7,9 @@
 and the KKT residual of its nonnegative reformulation with theta = (w, sigma,
 rho), gamma = sigma - rho.  Both QP solvers return the step
 d = -W (G w + gamma) with their solution; the residual and the search
-direction read it instead of applying W again.  Under limited storage G'WG
-is formed from G'G and Psi'G, which the bundle keeps by column position and
-by the metric's pair window.
+direction read it instead of applying W again.  Under limited storage W G
+and G'WG are formed from Psi'G, and G'WG also from G'G, which the bundle
+keeps by column position and by the metric's pair window.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class SubproblemData:
     @property
     def wg(self) -> np.ndarray:
         if self._wg is None:
-            self._wg = self.qn.apply_W_matrix(self.G)
+            self._wg = self.qn.apply_W_matrix(self.G, self.psi_g)
         return self._wg
 
     @property

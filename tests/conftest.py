@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from nsopt import qp_ipm
+from nsopt.quasi_newton import QuasiNewtonState
 
 
 class IpmProbe:
@@ -73,3 +75,20 @@ class IpmProbe:
 def ipm_probe(monkeypatch):
     """Installs an ``IpmProbe`` over whatever ``qp_ipm`` holds when called."""
     return lambda: IpmProbe(monkeypatch)
+
+
+@pytest.fixture
+def full_from_base():
+    """A full-storage reference for a limited-memory state: it starts from
+    the limited base W0 = tau I of the newest pair (s'v / v'v for BFGS,
+    s's / s'v for DFP) and takes the window's pairs in order."""
+    def build(n, mode, pairs):
+        s, v = pairs[-1]
+        tau = float(s @ v) / float(v @ v) if mode == "BFGS" else \
+            float(s @ s) / float(s @ v)
+        full = QuasiNewtonState(n, mode=mode, storage="full")
+        full.W = tau * np.eye(n)
+        for s, v in pairs:
+            full.update(s, v)
+        return full
+    return build

@@ -118,28 +118,29 @@ def test_criterion_5_accuracy_mode_dominance():
     _report(5, "accuracy mode dominates speed mode", ok)
 
 
-def test_criterion_6_quasi_newton_properties():
+def test_criterion_6_quasi_newton_properties(full_from_base):
     # Damping bounds well inside [eta, psi] keep the metric conditioned, so
     # the identities below are checkable at tight tolerances while every
-    # update still goes through the damping path.
+    # update still goes through the damping path.  Each full-storage
+    # reference starts from the limited-memory base of the newest pair.
     eta, psi = 0.5, 2.0
     rng = np.random.default_rng(0)
     ok = True
     for _ in range(100):
-        full = {m: QuasiNewtonState(30, mode=m) for m in ("BFGS", "DFP")}
         lim = {m: QuasiNewtonState(30, mode=m, storage="limited",
                                    history_limit=20) for m in ("BFGS", "DFP")}
+        pairs = []
         for _ in range(20):
             s = rng.standard_normal(30)
             y = rng.standard_normal(30)
             _, v = damp(s, y, eta, psi)
             sv = float(s @ v)
             ok = ok and sv >= eta * float(s @ s) and float(v @ v) <= psi * sv
+            pairs.append((s, v))
             for mode in ("BFGS", "DFP"):
-                full[mode].update(s, v)
                 lim[mode].update(s, v)
         for mode in ("BFGS", "DFP"):
-            qn = full[mode]
+            qn = full_from_base(30, mode, pairs)
             ok = ok and np.max(np.abs(qn.H @ qn.W - np.eye(30))) <= 1e-6
             try:
                 np.linalg.cholesky(qn.H)

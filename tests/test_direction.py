@@ -132,11 +132,11 @@ def test_direction_inf_norms_consistent():
 
 
 @pytest.mark.parametrize("mode", ["BFGS", "DFP"])
-def test_subproblem_gtwg_matches_columnwise_metric_limited(mode):
+def test_subproblem_gtwg_matches_columnwise_metric_limited(mode, full_from_base):
     # G'WG under limited storage comes from the compact form and the bundle's
     # cached G'G and Psi'G; the references apply W one column at a time,
-    # through the limited state and through a full-storage state fed the
-    # pairs the limited state holds.
+    # through the limited state and through a full-storage state started
+    # from the limited state's base and fed the pairs it holds.
     # A second limited state on the same bundle must not reuse the first
     # state's cached products.
     rng = np.random.default_rng(6)
@@ -154,9 +154,7 @@ def test_subproblem_gtwg_matches_columnwise_metric_limited(mode):
                   for _ in range(5)])
     build_subproblem(ps, lim, 1.0, "cutting_plane").gtwg  # fills the caches
     update(lim, 1)  # evicts the oldest limited-memory pair
-    full = QuasiNewtonState(n, mode=mode)
-    for s, v in lim.pairs:
-        full.update(s, v)
+    full = full_from_base(n, mode, list(lim.pairs))
     other = QuasiNewtonState(n, mode=mode, storage="limited", history_limit=8)
     update(other, 9)
     for _ in range(4):
@@ -169,6 +167,30 @@ def test_subproblem_gtwg_matches_columnwise_metric_limited(mode):
             ref = G.T @ np.column_stack([qn.apply_W(G[:, j])
                                          for j in range(data.m)])
             assert np.max(np.abs(data.gtwg - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode", ["BFGS", "DFP"])
+def test_limited_wg_reads_the_bundle_psi_g(mode):
+    # Under limited storage W G = tau G + Psi M (Psi'G) takes Psi'G from the
+    # bundle.  A copy of the subproblem whose Psi'G is zeroed gets only the
+    # base term, so W G reads the held product instead of forming it again.
+    rng = np.random.default_rng(12)
+    n = 12
+    qn = QuasiNewtonState(n, mode=mode, storage="limited", history_limit=4)
+    for _ in range(6):
+        s = rng.standard_normal(n)
+        qn.update(s, damp(s, rng.standard_normal(n), 0.5, 2.0)[1])
+    ps = _bundle([(rng.standard_normal(n), 1.0, rng.standard_normal(n))
+                  for _ in range(7)])
+    data = build_subproblem(ps, qn, 1.0, "cutting_plane")
+    ref = qn.apply_W_matrix(data.G)
+    assert np.max(np.abs(data.wg - ref)) <= 1e-12 * np.max(np.abs(ref))
+    s, v = qn.pairs[-1]
+    tau = float(s @ v) / float(v @ v) if mode == "BFGS" else \
+        float(s @ s) / float(s @ v)
+    blind = SubproblemData(G=data.G, b=data.b, delta=1.0, qn=qn, gtg=data.gtg,
+                           psi_g=np.zeros_like(data.psi_g))
+    assert np.allclose(blind.wg, tau * data.G, rtol=1e-13, atol=0.0)
 
 
 def test_limited_build_subproblem_copies_no_gradient_block():
@@ -207,10 +229,10 @@ def _count_w_products(monkeypatch):
     calls = []
     apply = QuasiNewtonState.apply_W_matrix
 
-    def counted(self, A):
+    def counted(self, A, psi_a=None):
         if np.ndim(A) == 1:
             calls.append(1)
-        return apply(self, A)
+        return apply(self, A, psi_a)
 
     monkeypatch.setattr(QuasiNewtonState, "apply_W_matrix", counted)
     return calls

@@ -158,16 +158,15 @@ def test_apply_h_w_inverse_pair(mode, storage):
 
 
 @pytest.mark.parametrize("mode", ["BFGS", "DFP"])
-def test_limited_matches_full_within_history(mode):
+def test_limited_matches_full_within_history(mode, full_from_base):
     rng = np.random.default_rng(11)
     n = 8
-    full = QuasiNewtonState(n, mode=mode, storage="full")
     lim = QuasiNewtonState(n, mode=mode, storage="limited", history_limit=20)
     for _ in range(15):
         s = rng.standard_normal(n)
         _, v = damp(s, rng.standard_normal(n), ETA_TIGHT, PSI_TIGHT)
-        full.update(s, v)
         lim.update(s, v)
+        full = full_from_base(n, mode, list(lim.pairs))
         r = rng.standard_normal(n)
         ref_w = full.apply_W(r)
         ref_h = full.apply_H(r)
@@ -272,3 +271,40 @@ def test_full_update_allocates_no_dense_matrix(mode):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 4
+
+
+def _dense_window_reference(pairs, mode):
+    """W and H of ``pairs`` by the dense recursions of ``_reference_update``,
+    started from W0 = tau I of the newest pair: tau = s'v / v'v for BFGS and
+    s's / s'v for DFP (Nocedal & Wright 2006, eq. 7.20)."""
+    s, v = pairs[-1]
+    tau = float(s @ v) / float(v @ v) if mode == "BFGS" else \
+        float(s @ s) / float(s @ v)
+    n = s.size
+    H, W = np.eye(n) / tau, tau * np.eye(n)
+    for s, v in pairs:
+        H, W = _reference_update(H, W, s, v, mode)
+    return W, H
+
+
+@pytest.mark.parametrize("mode", ["BFGS", "DFP"])
+def test_limited_matches_dense_recursions_from_scaled_base(mode):
+    # The window of 4 pairs wraps over 15 updates; after each update both
+    # compact forms, W and H, match the dense recursions over the window
+    # from the same scaled base, and stay exact inverses of each other.
+    rng = np.random.default_rng(21)
+    n = 10
+    qn = QuasiNewtonState(n, mode=mode, storage="limited", history_limit=4)
+    pairs = []
+    for _ in range(15):
+        s = rng.standard_normal(n)
+        _, v = damp(s, rng.standard_normal(n), ETA_TIGHT, PSI_TIGHT)
+        qn.update(s, v)
+        pairs = (pairs + [(s, v)])[-4:]
+        W_ref, H_ref = _dense_window_reference(pairs, mode)
+        I = np.eye(n)
+        W = qn.apply_W_matrix(I)
+        H = np.column_stack([qn.apply_H(I[:, j]) for j in range(n)])
+        assert np.max(np.abs(W - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
+        assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
+        assert np.max(np.abs(H @ W - I)) <= 1e-12

@@ -7,6 +7,7 @@ import pytest
 
 import nsopt
 from nsopt import direction
+from nsopt.denoise import add_salt_pepper, make_denoising, synthetic_image
 from nsopt.options import STRATEGIES, SolverOptions, load_options_file
 from nsopt.oracle import ObjectiveOracle
 from nsopt.problems import make_problem
@@ -258,3 +259,14 @@ def test_zero_gradient_start_shrinks_radii_then_stops(strategy):
     assert report.eps_final == pytest.approx(1e-5)
     assert report.delta_final == pytest.approx(1e-4)
     assert report.final_f_unscaled == 0.0
+
+
+def test_limited_metric_line_search_takes_few_trial_points():
+    # A well-scaled limited-memory metric offers steps the line search
+    # accepts at once or nearly so.  From W0 = I the same run took 4214 f
+    # evaluations over 357 iterations.
+    noisy = add_salt_pepper(synthetic_image(16, 16), 0.05, 0)
+    prob = make_denoising(noisy, "abs", 2.0 ** 5, 1.0)
+    report = run_solver(prob.oracle, prob.x0, SolverOptions(qn_storage="limited"))
+    assert report.termination_reason == "stationary"
+    assert report.function_evaluations <= 2 * report.iterations
