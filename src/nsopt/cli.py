@@ -157,12 +157,13 @@ def cmd_qp_bench(args) -> int:
                         rows.append({
                             "n": n, "m": m, "dcase": case, "seed": seed,
                             "solver": solver, "cpu": f"{cpu:.6f}",
+                            "iterations": sol.iterations,
                             "kkt_residual": f"{sol.kkt_residual:.3e}",
                             "d_err": f"{d_err:.3e}",
                             "shortcut": str(shortcut).lower(),
                         })
-    _emit(rows, ["n", "m", "dcase", "seed", "solver", "cpu", "kkt_residual",
-                 "d_err", "shortcut"], args.out, args.table)
+    _emit(rows, ["n", "m", "dcase", "seed", "solver", "cpu", "iterations",
+                 "kkt_residual", "d_err", "shortcut"], args.out, args.table)
     return 0
 
 

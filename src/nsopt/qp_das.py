@@ -15,11 +15,12 @@ unblocked step prices every other index in one violation vector and adds
 the most violated, omega first on a tie.  Every solve starts cold from the
 column with the smallest diagonal of G'WG.
 
-Anti-cycling at numerical noise level: an index dropped by a zero-length
-step is banned until the objective makes measurable progress, and banned
-indices skip the optimality test.  This is the known early exit: the solver
-can report optimality while a banned index still violates the KKT
-conditions.
+Anti-cycling: each working-set solve carries a tiny proximal term centred on
+the current iterate, so when the working-set minimizer is not unique the
+target is the one nearest the iterate, and a newly added index does not get
+a target on the wrong side of its bound.  Every index outside the working
+set is priced at every unblocked pivot, so the solver stops only when none
+of them violates its optimality condition by more than half the tolerance.
 
 Each pivot factors its bordered matrix once, by LAPACK ``dgetrf`` from
 scipy, and makes the first solve and three refinement solves with ``dgetrs``
@@ -113,11 +114,15 @@ def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, pivot: int):
     M[-1, :s] = 1.0
     rhs[-1] = 1.0
     # The Hessian block is a Gram matrix and can be singular when s + f > n.
-    # A tiny proximal term makes the minimizer unique, which keeps a
-    # just-freed variable's target on its feasible side (anti-cycling);
-    # iterative refinement against the unregularized system then removes
-    # the proximal bias from the returned solution.  One LU factor of the
-    # regularized matrix serves the first solve and all three refinements.
+    # A tiny proximal term centred on the iterate x0 makes the minimizer
+    # unique: the solve is for the step from x0, so the target is the
+    # working-set minimizer nearest the iterate, which keeps a just-added
+    # variable's target on its feasible side (anti-cycling).  Iterative
+    # refinement against the unregularized system then removes the proximal
+    # bias from the returned solution.  One LU factor of the regularized
+    # matrix serves the first solve and all three refinements.
+    x0 = np.concatenate((st.z[S], st.gamma[F], [0.0]))
+    rhs -= M @ x0
     reg = 1e-11 * max(1.0, float(np.trace(M[:s + f, :s + f])) / max(1, s + f))
     M_reg = M.copy()
     M_reg[np.arange(s + f), np.arange(s + f)] += reg
@@ -125,9 +130,10 @@ def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, pivot: int):
     # matrix, already in LAPACK's column-major layout: getrf copies nothing.
     lu, piv, info = _getrf(M_reg.T, overwrite_a=1)
     if info == 0:
-        sol = _getrs(lu, piv, rhs)[0]
+        step = _getrs(lu, piv, rhs)[0]
         for _ in range(3):
-            sol = sol + _getrs(lu, piv, rhs - M @ sol)[0]
+            step = step + _getrs(lu, piv, rhs - M @ step)[0]
+        sol = x0 + step
         if np.all(np.isfinite(sol)):
             return sol[:s], sol[s:s + f], float(sol[-1])
     raise DasError(f"pivot {pivot}: the KKT matrix of a working set of {s} "
@@ -140,8 +146,6 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
     st = _init_state(data)
     m, n = data.m, data.n
     cap = max_iterations if max_iterations is not None else 100 * (m + 2 * n)
-    banned = np.zeros(m + n, dtype=bool)
-    q_ref = np.inf
 
     for iterations in range(1, cap + 1):
         F = st.gamma_sign.nonzero()[0]
@@ -156,33 +160,23 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
                   where=target * st.sign[work] < -1e-14)
         k = int(ratio.argmin())
         alpha = float(ratio[k])
-        blocked = alpha < 1.0
-        if blocked:
+        if alpha < 1.0:
             st.z[work] = cur + alpha * (target - cur)
             drop = int(work[k])
             st.z[drop], st.sign[drop] = 0.0, 0
             st.S = [j for j in st.S if j != drop]
-            if alpha <= 1e-12:
-                banned[drop] = True
-        else:
-            st.z[work] = target
+            continue
+        st.z[work] = target
 
-        F = st.gamma_sign.nonzero()[0]
+        # optimality test at the working-set solution over every index
+        # outside the working set
         wm = st.WG @ st.omega  # W (G omega + gamma)
         if F.size:
             wm = wm + st.dense_W()[:, F] @ st.gamma[F]
-        q = -dual_objective_from_state(st, wm)
-        if q < q_ref - 1e-13 * max(1.0, abs(q_ref)):
-            banned[:] = False
-            q_ref = q
-        if blocked:
-            continue
-
-        # optimality test at the working-set solution; banned indices skip it
         u = -u_eqp
         violation = np.concatenate((st.G.T @ wm - st.b - u,
                                     st.delta - np.abs(wm)))
-        violation[(st.sign != 0) | banned] = np.inf
+        violation[st.sign != 0] = np.inf
         k = int(violation.argmin())
         if violation[k] >= -0.5 * tol:
             sigma, rho = np.maximum(st.gamma, 0.0), np.maximum(-st.gamma, 0.0)
@@ -197,11 +191,3 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
             st.sign[k] = -int(np.sign(wm[k - m]))
 
     raise DasError(f"active-set pivot cap {cap} exceeded")
-
-
-def dual_objective_from_state(st: DasState, r_w: np.ndarray) -> float:
-    """Dual objective at the state's working point, given
-    r_w = W (G omega + gamma)."""
-    r = st.G @ st.omega + st.gamma
-    return float(-0.5 * r @ r_w + st.b @ st.omega
-                 - st.delta * np.sum(np.abs(st.gamma)))

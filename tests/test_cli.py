@@ -115,6 +115,8 @@ def test_qp_bench_rows_and_certificates(capsys):
     for row in rows:
         assert float(row["d_err"]) <= 1e-5
         assert float(row["kkt_residual"]) <= 1e-8
+        # DAS pivots or IPM iterations
+        assert row["iterations"].isdigit() and int(row["iterations"]) > 0
     shortcut_by_case = {r["dcase"]: r["shortcut"] for r in rows
                         if r["solver"] == "ipm"}
     assert shortcut_by_case["zero"] == "true"
@@ -139,7 +141,7 @@ def test_qp_bench_gives_each_solver_its_own_subproblem(monkeypatch, capsys):
         seen.append(data)
         return SimpleNamespace(omega=np.full(data.m, 1.0 / data.m),
                                gamma=np.zeros(data.n), kkt_residual=0.0,
-                               omega_only=False)
+                               iterations=1, omega_only=False)
 
     monkeypatch.setattr(cli, "solve_das", fake_solver)
     monkeypatch.setattr(cli, "solve_ipm", fake_solver)

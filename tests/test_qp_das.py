@@ -47,38 +47,40 @@ def test_generated_qp_zero_case():
     assert sol.kkt_residual <= 1e-8
 
 
-def _watch_objective(monkeypatch) -> list[float]:
-    """The primal objective -dual after each pivot of ``solve_das``, in
-    order, recorded where it evaluates the dual objective."""
-    values = []
-    dual = qp_das.dual_objective_from_state
+def _solve_watching_objective(data):
+    """``solve_das`` on ``data``, and the primal objective -dual after each
+    pivot, in order.  Each working-set solve records the iterate that the
+    previous pivot left, and the solver's iterate after it returns gives the
+    last."""
+    values, seen = [], []
+    solve = qp_das._solve_eqp
 
-    def watched(st, r_w):
-        out = dual(st, r_w)
-        values.append(-out)
-        return out
+    def watched(st, S, F, pivot):
+        if pivot > 1:
+            values.append(-dual_objective(data, st.omega, st.gamma))
+        seen[:] = [st]
+        return solve(st, S, F, pivot)
 
-    monkeypatch.setattr(qp_das, "dual_objective_from_state", watched)
-    return values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp_das, "_solve_eqp", watched)
+        sol = solve_das(data)
+    values.append(-dual_objective(data, seen[0].omega, seen[0].gamma))
+    return sol, np.array(values)
 
 
-def test_objective_history_monotone_nonincreasing(monkeypatch):
-    values = _watch_objective(monkeypatch)
+def test_objective_history_monotone_nonincreasing():
     for seed in range(5):
-        values.clear()
-        qp = generate_qp(10, 20, "half", seed)
-        sol = solve_das(qp.subproblem())
-        hist = np.array(values)
+        sol, hist = _solve_watching_objective(
+            generate_qp(10, 20, "half", seed).subproblem())
         assert hist.size == sol.iterations
         assert np.all(np.diff(hist) <= 1e-9 * np.maximum(1.0, np.abs(hist[:-1])))
 
 
-def test_solution_matches_dual_objective(monkeypatch):
-    values = _watch_objective(monkeypatch)
+def test_solution_matches_dual_objective():
     qp = generate_qp(7, 10, "full", 5)
     data = qp.subproblem()
-    sol = solve_das(data)
-    assert values[-1] == pytest.approx(
+    sol, hist = _solve_watching_objective(data)
+    assert hist[-1] == pytest.approx(
         -dual_objective(data, sol.omega, sol.gamma), rel=1e-9, abs=1e-9)
 
 
@@ -98,7 +100,8 @@ def test_each_pivot_factors_once(monkeypatch):
 
 
 def _reference_eqp(st, S, F):
-    """The bordered solve with ``np.linalg.solve`` and three refinements."""
+    """The bordered solve for the step from the iterate, with
+    ``np.linalg.solve`` and three refinements."""
     s, f = len(S), F.size
     W = st.dense_W()
     M = np.zeros((s + f + 1, s + f + 1))
@@ -107,13 +110,15 @@ def _reference_eqp(st, S, F):
     M[:s, s:s + f] = M[s:s + f, :s].T
     M[s:s + f, s:s + f] = W[np.ix_(F, F)]
     M[:s, -1] = M[-1, :s] = 1.0
+    x0 = np.concatenate([st.omega[S], st.gamma[F], [0.0]])
     rhs = np.concatenate([st.b[S], -st.delta * st.gamma_sign[F], [1.0]])
+    rhs = rhs - M @ x0
     reg = 1e-11 * max(1.0, float(np.trace(M[:-1, :-1])) / max(1, s + f))
     M_reg = M + reg * np.diag(np.r_[np.ones(s + f), 0.0])
-    sol = np.linalg.solve(M_reg, rhs)
+    step = np.linalg.solve(M_reg, rhs)
     for _ in range(3):
-        sol = sol + np.linalg.solve(M_reg, rhs - M @ sol)
-    return sol
+        step = step + np.linalg.solve(M_reg, rhs - M @ step)
+    return x0 + step
 
 
 def test_solve_eqp_matches_reference_on_random_working_sets():
@@ -121,10 +126,12 @@ def test_solve_eqp_matches_reference_on_random_working_sets():
     # s + f > 10.  At s + f = 11 its null space is one vector that the
     # simplex row does not annihilate, so the bordered matrix is still
     # nonsingular and the two solves agree to 1e-10.  Beyond that the
-    # bordered matrix is singular too: the solution is set by the proximal
+    # bordered matrix is singular too: the step is set by the proximal
     # term, its size is about 1/reg, and two LAPACK builds agree only to
-    # about eps / 1e-11 relative.
-    rng = np.random.default_rng(11)
+    # about eps / 1e-11 relative.  Each state has a random iterate on its
+    # working set, drawn from a stream of its own so that the working sets
+    # do not depend on it.
+    rng, rng_z = np.random.default_rng(11), np.random.default_rng(12)
     qp = generate_qp(10, 30, "full", 2)
     st = qp_das._init_state(qp.subproblem())
     sizes = []
@@ -137,12 +144,28 @@ def test_solve_eqp_matches_reference_on_random_working_sets():
         F = np.sort(rng.choice(10, size=f, replace=False))
         st.gamma_sign[:] = 0
         st.gamma_sign[F] = rng.choice([-1, 1], size=f)
+        st.z[:] = 0.0
+        st.omega[S] = rng_z.dirichlet(np.ones(s))
+        st.gamma[F] = st.gamma_sign[F] * rng_z.random(f)
         t_omega, t_gamma, mult = qp_das._solve_eqp(st, S, F, 1)
         got = np.concatenate([t_omega, t_gamma, [mult]])
         ref = _reference_eqp(st, S, F)
         tol = 1e-10 if total <= 11 else 1e-4
         assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
     assert sizes.count(11) >= 3 and sum(t > 11 for t in sizes) >= 10
+
+
+def test_singular_working_set_targets_the_minimizer_nearest_the_iterate():
+    # Columns 0 and 1 are equal with equal b, so every split of the simplex
+    # weight between them minimizes on S = {0, 1}.  The proximal term is
+    # centred on the iterate, so the target is the iterate's own split; one
+    # centred on the origin would give (0.5, 0.5).
+    data = _data([[1.0, 1.0, -1.0], [0.5, 0.5, 2.0]], [0.3, 0.3, 0.0])
+    st = qp_das._init_state(data)
+    st.z[:] = 0.0
+    st.z[:2] = 0.7, 0.3
+    t_omega, _, _ = qp_das._solve_eqp(st, [0, 1], np.array([], int), 1)
+    assert np.allclose(t_omega, [0.7, 0.3], rtol=0.0, atol=1e-9)
 
 
 def test_nan_in_gtwg_raises_das_error(capfd):
@@ -153,21 +176,41 @@ def test_nan_in_gtwg_raises_das_error(capfd):
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("dcase, pivots", [("half", 461), ("full", 674)])
-def test_path_through_degenerate_steps(dcase, pivots):
-    # Seed 0 at n = 200, m = 400 takes 1 (half) and 39 (full) zero-length
-    # blocking steps, so its path runs through the banned set; the small
-    # instances of acceptance criterion 1 take none.
+def _count_zero_length_steps(monkeypatch) -> list[int]:
+    """Count the zero-length blocking steps of ``solve_das`` from outside:
+    a working-set solve that finds ``st.z`` unchanged while the working set
+    has shrunk since the previous solve."""
+    count, last = [0], []
+    solve = qp_das._solve_eqp
+
+    def watched(st, S, F, pivot):
+        size = len(S) + F.size
+        if last and size < last[0] and np.array_equal(st.z, last[1]):
+            count[0] += 1
+        last[:] = [size, st.z.copy()]
+        return solve(st, S, F, pivot)
+
+    monkeypatch.setattr(qp_das, "_solve_eqp", watched)
+    return count
+
+
+@pytest.mark.parametrize("dcase, pivots", [("half", 457), ("full", 631)])
+def test_path_through_degenerate_steps(monkeypatch, dcase, pivots):
+    # Seed 0 at n = 200, m = 400 meets working sets whose minimizer is not
+    # unique.  The proximal term centred on the iterate keeps the path free
+    # of zero-length blocking steps.
+    zero_steps = _count_zero_length_steps(monkeypatch)
     sol = solve_das(generate_qp(200, 400, dcase, 0).subproblem())
     assert sol.iterations == pivots
+    assert zero_steps[0] == 0
     assert sol.kkt_residual <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "DAS early exit: banned indices skip the optimality test, so the solver "
-    "reports optimality while a banned index still violates the KKT "
-    "conditions"))
-@pytest.mark.parametrize("seed", [7, 9])
-def test_full_case_reaches_tolerance(seed):
-    sol = solve_das(generate_qp(200, 400, "full", seed).subproblem())
+@pytest.mark.parametrize("seed, dcase", [
+    (1, "full"), (2, "half"), (3, "full"), (4, "full"), (5, "half"),
+    (5, "full"), (7, "full"), (8, "full"), (9, "full")])
+def test_full_case_reaches_tolerance(seed, dcase):
+    # Instances on which an optimality test that skipped any index would
+    # stop above tol.
+    sol = solve_das(generate_qp(200, 400, dcase, seed).subproblem())
     assert sol.kkt_residual <= 1e-8
