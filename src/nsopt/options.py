@@ -26,7 +26,7 @@ class SolverOptions:
     ls_initial: float = 1.0
     ls_decrease: float = 1e-10
     ls_curvature: float = 0.9
-    qp_size_threshold: int = 25
+    qp_size_threshold: int = 256
     eps_min: float = 1e-5
     iteration_limit: int = 100_000
     try_gradient_step: bool = True

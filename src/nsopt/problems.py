@@ -105,13 +105,17 @@ def _cb3_terms(x):
     a, b = x[:-1], x[1:]
     t1 = a ** 4 + b ** 2
     t2 = (2.0 - a) ** 2 + (2.0 - b) ** 2
-    t3 = 2.0 * np.exp(b - a)
+    # exp overflows to inf at trial points far out; f is then inf and the
+    # line search rejects the point
+    with np.errstate(over="ignore"):
+        t3 = 2.0 * np.exp(b - a)
     return t1, t2, t3
 
 
 def _cb3_grads(x):
     a, b = x[:-1], x[1:]
-    e = 2.0 * np.exp(b - a)
+    with np.errstate(over="ignore"):
+        e = 2.0 * np.exp(b - a)
     return ((4.0 * a ** 3, 2.0 * b),
             (-2.0 * (2.0 - a), -2.0 * (2.0 - b)),
             (-e, e))

@@ -15,12 +15,29 @@ unblocked step prices every other index in one violation vector and adds
 the most violated, omega first on a tie.  Every solve starts cold from the
 column with the smallest diagonal of G'WG.
 
+Pricing takes omega_j's condition, (G'WG omega + G'W gamma)_j - b_j - u,
+from G'WG, the matrix of the bordered solve, so that the two agree to
+rounding.  Formed as G'(W (G omega)) instead, it carried rounding of order
+eps |G|'|W G| omega: 2e-8 on a bundle under a metric with eigenvalues from
+5e-9 to 9e6, above the tolerance, and the solver added an index whose
+working-set target was negative, dropped it at once and cycled to its pivot
+cap.  The gammas' condition delta - |W (G omega + gamma)| reads the
+subproblem's W G when it already holds one (full storage forms it for G'WG)
+or once a gamma enters the working set, whose bordered solve needs its rows.
+Until then, under limited storage, W G is not formed: each unblocked pivot
+makes one W-vector product W (G omega), as the interior-point solver's
+omega-only path does.  The step d = -W (G omega + gamma) is the last of
+these products, not another product with W.
+
 Anti-cycling: each working-set solve carries a tiny proximal term centred on
 the current iterate, so when the working-set minimizer is not unique the
 target is the one nearest the iterate, and a newly added index does not get
 a target on the wrong side of its bound.  Every index outside the working
-set is priced at every unblocked pivot, so the solver stops only when none
-of them violates its optimality condition by more than half the tolerance.
+set is priced at every unblocked pivot, and the solver stops only when none
+of them violates its optimality condition by more than ``_PRICING * tol``.
+Near a stationary point |d| is about 1e-6, and an index left violating its
+condition by a few 1e-9 can move d by its own length; pricing is therefore
+finer than the tenth of ``tol`` to which the interior-point core runs.
 
 Each pivot factors its bordered matrix once, by LAPACK ``dgetrf`` from
 scipy, and makes the first solve and three refinement solves with ``dgetrs``
@@ -38,6 +55,11 @@ from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 from .subproblem import SubproblemData, compute_kkt_residual
 
 
+# The solver stops when no index violates its optimality condition by more
+# than this fraction of the requested tolerance.
+_PRICING = 0.05
+
+
 class DasError(RuntimeError):
     """Pivot cap exceeded without reaching the requested KKT tolerance, or a
     working-set KKT matrix that cannot be solved."""
@@ -45,30 +67,32 @@ class DasError(RuntimeError):
 
 @dataclass
 class DasState:
-    """Working set and iterate of one solve.  G, WG, K and b are borrowed
-    from the subproblem and never written."""
-    G: np.ndarray
-    WG: np.ndarray
-    K: np.ndarray  # G'WG
-    b: np.ndarray
-    delta: float
-    qn: object
+    """Working set and iterate of one solve.  The subproblem's arrays are
+    borrowed and never written; its W G is formed on first use of ``WG``."""
+    data: SubproblemData
     S: list[int]  # omega support, in order of entry
     z: np.ndarray  # (m + n,) iterate (omega, gamma)
     sign: np.ndarray  # (m + n,) 1 on S, -1 or +1 on a free gamma, 0 at a bound
     _wd: np.ndarray | None = field(default=None, repr=False)
 
+    G = property(lambda self: self.data.G)
+    WG = property(lambda self: self.data.wg)
+    K = property(lambda self: self.data.gtwg)  # G'WG
+    b = property(lambda self: self.data.b)
+    delta = property(lambda self: self.data.delta)
+    qn = property(lambda self: self.data.qn)
+
     @property
     def omega(self) -> np.ndarray:
-        return self.z[:self.G.shape[1]]
+        return self.z[:self.data.m]
 
     @property
     def gamma(self) -> np.ndarray:
-        return self.z[self.G.shape[1]:]
+        return self.z[self.data.m:]
 
     @property
     def gamma_sign(self) -> np.ndarray:
-        return self.sign[self.G.shape[1]:]
+        return self.sign[self.data.m:]
 
     def dense_W(self) -> np.ndarray:
         if self._wd is None:
@@ -92,8 +116,19 @@ def _init_state(data: SubproblemData) -> DasState:
     j0 = int(np.argmin(np.diag(data.gtwg)))
     z, sign = np.zeros(data.m + data.n), np.zeros(data.m + data.n, dtype=int)
     z[j0], sign[j0] = 1.0, 1
-    return DasState(G=data.G, WG=data.wg, K=data.gtwg, b=data.b,
-                    delta=data.delta, qn=data.qn, S=[j0], z=z, sign=sign)
+    return DasState(data=data, S=[j0], z=z, sign=sign)
+
+
+def _w_model(st: DasState, F: np.ndarray) -> np.ndarray:
+    """W (G omega + gamma), F the free gammas.  Reads W G when the
+    subproblem holds it, else makes one W-vector product."""
+    if st.data.has_wg:
+        wm = st.WG @ st.omega
+        if F.size:
+            wm += st.dense_W()[:, F] @ st.gamma[F]
+        return wm
+    # gamma = 0 here: the bordered solve reads W G once a gamma is free
+    return st.qn.apply_W(st.G @ st.omega)
 
 
 def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, pivot: int):
@@ -170,17 +205,17 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
 
         # optimality test at the working-set solution over every index
         # outside the working set
-        wm = st.WG @ st.omega  # W (G omega + gamma)
-        if F.size:
-            wm = wm + st.dense_W()[:, F] @ st.gamma[F]
+        wm = _w_model(st, F)
         u = -u_eqp
-        violation = np.concatenate((st.G.T @ wm - st.b - u,
-                                    st.delta - np.abs(wm)))
+        v_omega = st.K @ st.omega - st.b - u
+        if F.size:
+            v_omega += st.WG[F].T @ st.gamma[F]
+        violation = np.concatenate((v_omega, st.delta - np.abs(wm)))
         violation[st.sign != 0] = np.inf
         k = int(violation.argmin())
-        if violation[k] >= -0.5 * tol:
+        if violation[k] >= -_PRICING * tol:
             sigma, rho = np.maximum(st.gamma, 0.0), np.maximum(-st.gamma, 0.0)
-            d = -st.qn.apply_W(st.G @ st.omega + st.gamma)
+            d = -wm
             res = compute_kkt_residual(data, st.omega, sigma, rho, u, d)
             return DasSolution(st.omega.copy(), st.gamma.copy(), sigma, rho, u,
                                d, res, iterations)

@@ -49,6 +49,12 @@ class SubproblemData:
         return self.G.shape[1]
 
     @property
+    def has_wg(self) -> bool:
+        """Whether W G is already formed: under full storage by ``gtwg``,
+        under limited storage only once ``wg`` is read."""
+        return self._wg is not None
+
+    @property
     def wg(self) -> np.ndarray:
         if self._wg is None:
             self._wg = self.qn.apply_W_matrix(self.G, self.psi_g)

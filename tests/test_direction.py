@@ -8,7 +8,7 @@ from nsopt.direction import (DirectionResult, SubproblemData, SubproblemFailure,
                              build_subproblem, compute_direction)
 from nsopt.options import SolverOptions
 from nsopt.point_set import BundleElement, PointSet
-from nsopt.qp_das import DasError
+from nsopt.qp_das import DasError, solve_das
 from nsopt.qp_ipm import IpmError
 from nsopt.quasi_newton import QuasiNewtonState, damp
 
@@ -74,7 +74,7 @@ def test_direction_routing_by_bundle_size():
     rng = np.random.default_rng(0)
     n = 4
     opts = SolverOptions(strategy="gradient_combination")
-    for m, expected in ((25, "das"), (26, "ipm")):
+    for m, expected in ((256, "das"), (257, "ipm")):
         entries = [([0.0] * n, 1.0, rng.standard_normal(n)) for _ in range(m)]
         ps = _bundle(entries)
         res = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
@@ -84,11 +84,13 @@ def test_direction_routing_by_bundle_size():
 @pytest.mark.parametrize("m, chosen, other", [(10, "das", "ipm"), (30, "ipm", "das")])
 def test_failed_solver_hands_the_subproblem_to_the_other(monkeypatch, m, chosen,
                                                          other):
+    # routing at threshold 25 keeps the bundles small; the default's
+    # boundary is pinned by test_direction_routing_by_bundle_size
     rng = np.random.default_rng(3)
     n = 5
     ps = _bundle([(rng.standard_normal(n), 1.0, 2.0 + rng.standard_normal(n))
                   for _ in range(m)])
-    opts = SolverOptions(strategy="cutting_plane")
+    opts = SolverOptions(strategy="cutting_plane", qp_size_threshold=25)
     clean = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
     assert clean.solver == chosen and not clean.fallback
 
@@ -238,18 +240,28 @@ def _count_w_products(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("storage", ["full", "limited"])
-@pytest.mark.parametrize("case, m, delta, solver, products", [
-    ("gradient", 1, 1e6, "gradient", 1),
-    ("das", 10, 1e6, "das", 1),
-    ("das, trust region binding", 10, 0.05, "das", 1),
-    ("ipm omega-only", 30, 1e6, "ipm", 1),
-    ("ipm full", 30, 0.05, "ipm", 2),
+@pytest.mark.parametrize("case, m, delta, solver, products, storage", [
+    ("gradient", 1, 1e6, "gradient", 1, "full"),
+    ("gradient", 1, 1e6, "gradient", 1, "limited"),
+    ("das", 10, 1e6, "das", 0, "full"),
+    ("das", 10, 1e6, "das", 3, "limited"),
+    ("das, trust region binding", 10, 0.05, "das", 0, "full"),
+    ("das, trust region binding", 10, 0.05, "das", 1, "limited"),
+    ("ipm omega-only", 30, 1e6, "ipm", 1, "full"),
+    ("ipm omega-only", 30, 1e6, "ipm", 1, "limited"),
+    ("ipm full", 30, 0.05, "ipm", 2, "full"),
+    ("ipm full", 30, 0.05, "ipm", 2, "limited"),
 ])
-def test_one_w_product_per_direction(monkeypatch, storage, case, m, delta,
-                                     solver, products):
-    # W (G omega + gamma) is formed once per QP solution (once more on the
-    # IPM full path, after its omega-only attempt) and then only read
+def test_one_w_product_per_direction(monkeypatch, case, m, delta, solver,
+                                     products, storage):
+    # W-vector products per direction.  The IPM forms W (G omega + gamma)
+    # once per solution, once more on its full path after the omega-only
+    # attempt.  The DAS prices with W G when the subproblem holds it, as it
+    # does under full storage, and then makes none.  Under limited storage
+    # it makes one per unblocked pivot (3 here) until a gamma enters and
+    # W G is formed (after 1 here).  Either solver's d is its last
+    # W (G omega + gamma), only read after that.  Routing at threshold 25
+    # keeps the IPM bundles small.
     rng = np.random.default_rng(7)
     n = 6
     qn = QuasiNewtonState(n, storage=storage, history_limit=4)
@@ -261,7 +273,7 @@ def test_one_w_product_per_direction(monkeypatch, storage, case, m, delta,
     ps = _bundle([(rng.standard_normal(n), 1.0, 2.0 + rng.standard_normal(n))
                   for _ in range(m)])
     strategy = "gradient" if m == 1 else "cutting_plane"
-    opts = SolverOptions(strategy=strategy)
+    opts = SolverOptions(strategy=strategy, qp_size_threshold=25)
     calls = _count_w_products(monkeypatch)
     res = compute_direction(ps, qn, delta, opts)
     assert res.solver == solver
@@ -269,3 +281,34 @@ def test_one_w_product_per_direction(monkeypatch, storage, case, m, delta,
     assert len(calls) == products
     model = ps.gradients() @ res.omega + res.gamma
     assert np.allclose(res.d, -qn.apply_W(model), rtol=1e-12, atol=1e-14)
+
+
+def test_limited_das_without_gamma_forms_no_w_g(monkeypatch):
+    # An omega-only DAS solve under limited storage takes G'WG from the
+    # compact form and W (G omega) one vector at a time: it applies W to no
+    # matrix and leaves the subproblem's W G unformed.
+    rng = np.random.default_rng(9)
+    n, m = 40, 12
+    qn = QuasiNewtonState(n, storage="limited", history_limit=4)
+    for _ in range(6):
+        s = rng.standard_normal(n)
+        qn.update(s, damp(s, rng.standard_normal(n), 0.5, 2.0)[1])
+    ps = _bundle([(rng.standard_normal(n), 1.0, 2.0 + rng.standard_normal(n))
+                  for _ in range(m)])
+    data = build_subproblem(ps, qn, 1e6, "cutting_plane")
+    matrices = []
+    apply = QuasiNewtonState.apply_W_matrix
+
+    def counted(self, A, psi_a=None):
+        if np.ndim(A) == 2:
+            matrices.append(np.shape(A))
+        return apply(self, A, psi_a)
+
+    monkeypatch.setattr(QuasiNewtonState, "apply_W_matrix", counted)
+    sol = solve_das(data)
+    assert matrices == []
+    assert data._wg is None
+    assert not np.any(sol.gamma)
+    assert sol.iterations > 1 and np.count_nonzero(sol.omega) > 1
+    assert np.allclose(sol.d, -qn.apply_W(data.G @ sol.omega),
+                       rtol=1e-12, atol=1e-14)

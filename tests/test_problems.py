@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,32 @@ def test_gradient_is_finite_everywhere_sampled(name):
         g = prob.oracle.evaluate_g(x)
         assert np.all(np.isfinite(g))
         assert g.shape == (8,)
+
+
+@pytest.mark.parametrize("name", ["ChainedCB3_1", "ChainedCB3_2"])
+def test_cb3_overflow_gives_inf_without_a_warning(name):
+    # exp(b - a) overflows at line-search trial points far from the start:
+    # f is inf there, silently, and finite values are the formula's own.
+    prob = make_problem(name, 6)
+    far = np.array([-400.0, 400.0, 0.0, 1.0, 2.0, 3.0])
+    rng = np.random.default_rng(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prob.oracle.evaluate_f(far) == np.inf
+        assert not np.all(np.isfinite(prob.oracle.evaluate_g(far)))
+        for x in rng.uniform(-3.0, 3.0, (20, 6)):
+            a, b = x[:-1], x[1:]
+            terms = np.vstack([a ** 4 + b ** 2, (2.0 - a) ** 2 + (2.0 - b) ** 2,
+                               2.0 * np.exp(b - a)])
+            sums = np.sum(terms, axis=1)
+            if name == "ChainedCB3_1":
+                assert prob.oracle.evaluate_f(x) == np.sum(np.max(terms, axis=0))
+                continue
+            assert prob.oracle.evaluate_f(x) == np.max(sums)
+            e = 2.0 * np.exp(b - a)
+            gi, gj = [(4.0 * a ** 3, 2.0 * b), (-2.0 * (2.0 - a), -2.0 * (2.0 - b)),
+                      (-e, e)][int(np.argmax(sums))]
+            g = np.zeros(6)
+            g[:-1] += gi
+            g[1:] += gj
+            assert np.array_equal(prob.oracle.evaluate_g(x), g)

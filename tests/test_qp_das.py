@@ -214,3 +214,52 @@ def test_full_case_reaches_tolerance(seed, dcase):
     # stop above tol.
     sol = solve_das(generate_qp(200, 400, dcase, seed).subproblem())
     assert sol.kkt_residual <= 1e-8
+
+
+def test_near_stationary_direction_under_an_ill_conditioned_metric():
+    # W has eigenvalues 1e-6 to 1 along the columns of Q.  g1 = q1 lies on
+    # the smallest, so |W g1| = 1e-6, and g2 = g1 + e q2 is a close
+    # gradient whose b is 2e-9 higher.  At omega = e1, omega_2 violates its
+    # optimality condition by 2e-9: less than half the tolerance 1e-8, and
+    # yet the minimizer puts t = 2e-9 / e^2 on g2 and moves d by as much as
+    # its length.  g3 stays out of the support.
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    lam = np.array([1e-6, 1.0, 1e-2, 1.0])
+    qn = QuasiNewtonState(4)
+    qn.W = (Q * lam) @ Q.T
+    e = 2e-3
+    G = Q @ np.array([[1.0, 0.0, 0.0, 0.0], [1.0, e, 0.0, 0.0],
+                      [-1.0, 0.0, 1.0, 0.5]]).T
+    b = np.array([0.0, 2e-9, -3.0])
+    t = 2e-9 / e ** 2
+    d_star = -Q @ (lam * np.array([1.0, t * e, 0.0, 0.0]))
+    sol = solve_das(SubproblemData(G=G, b=b, delta=1e6, qn=qn), tol=1e-8)
+    assert 1e-6 < np.linalg.norm(d_star) < 2e-6
+    assert np.linalg.norm(sol.d - d_star) <= 1e-6 * np.linalg.norm(d_star)
+    assert np.allclose(sol.omega, [1.0 - t, t, 0.0], rtol=0.0, atol=1e-10)
+
+
+def test_degenerate_bundle_under_an_ill_conditioned_metric_does_not_cycle():
+    # Gradients c + r_k and c - r_k with each r_k W-orthogonal to c: the
+    # minimizer has G omega = c, and there every index meets its optimality
+    # condition with equality.  W's eigenvalues run from 5e-9 to 1e8, so
+    # G'(W (G omega)) carries rounding of about 1e-7, while G'WG omega has
+    # only the rounding of G'WG.  Priced from the former, the solver added an
+    # index whose working-set target was negative, dropped it at once and
+    # cycled to its pivot cap.
+    rng = np.random.default_rng(0)
+    n = 12
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.r_[5e-9, np.ones(n - 2), 1e8]
+    c = np.zeros(n)
+    c[0], c[-1] = 60.0, 2e-3
+    R = np.zeros((n, 4))
+    R[1:-1] = rng.standard_normal((n - 2, 4))
+    qn = QuasiNewtonState(n)
+    qn.W = (Q * lam) @ Q.T
+    G = Q @ np.column_stack([c[:, None] + R, c[:, None] - R])
+    sol = solve_das(SubproblemData(G=G, b=np.full(8, 198.0), delta=1e6, qn=qn))
+    d_star = -Q @ (lam * c)
+    assert sol.iterations <= 10
+    assert np.linalg.norm(sol.d - d_star) <= 1e-10 * np.linalg.norm(d_star)
