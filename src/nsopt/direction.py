@@ -7,7 +7,7 @@ the other one when the chosen one fails:
 - "gradient": current gradient only (m = 1);
 - "gradient_combination": all bundle gradients with a common intercept f_k;
 - "cutting_plane": linearization values b_j = f_j + g_j'(x_k - x_j),
-  downshifted to stay below f_k.
+  downshifted to stay below f_k, from the offsets the bundle holds for x_k.
 """
 
 from __future__ import annotations
@@ -57,21 +57,17 @@ def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
     if strategy == "gradient_combination":
         b = np.full(len(point_set), cur.f)
     elif strategy == "cutting_plane":
-        X, f = point_set.X, point_set.f
-        b = np.empty(len(point_set))
-        for j in range(b.size):
-            dx = cur.x - X[:, j]
-            raw = f[j] + float(G[:, j] @ dx)
-            b[j] = min(raw, cur.f - _DOWNSHIFT * float(dx @ dx))
+        q, r = point_set.offsets()
+        b = np.minimum(point_set.f + r, cur.f - _DOWNSHIFT * q)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return SubproblemData(G=G, b=b, delta=delta, qn=qn, gtg=gtg, psi_g=psi_g)
 
 
-def _finalize(data: SubproblemData, omega, gamma, u, d, res,
-              solver, fallback=False) -> DirectionResult:
-    """``d`` is -W (G omega + gamma), already formed by the caller."""
-    g_omega = data.G @ omega
+def _finalize(omega, gamma, u, d, g_omega, res, solver,
+              fallback=False) -> DirectionResult:
+    """``d`` is -W (G omega + gamma) and ``g_omega`` is G omega, both
+    already formed by the caller."""
     model = g_omega + gamma
     model_norm_sq = float(-(d @ model))
     inf_norms = (float(np.max(np.abs(d), initial=0.0)),
@@ -90,11 +86,9 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
         g = point_set.current.g
         wg = qn.apply_W(g)
         if np.max(np.abs(wg), initial=0.0) <= delta:
-            f = point_set.current.f
-            data = SubproblemData(G=g.reshape(-1, 1), b=np.array([f]),
-                                  delta=delta, qn=qn)
-            u = float(g @ wg) - f  # makes the single-point KKT system exact
-            return _finalize(data, np.ones(1), np.zeros(n), u, -wg, 0.0,
+            # makes the single-point KKT system exact
+            u = float(g @ wg) - point_set.current.f
+            return _finalize(np.ones(1), np.zeros(n), u, -wg, g, 0.0,
                              "gradient")
 
     data = build_subproblem(point_set, qn, delta, strategy)
@@ -108,6 +102,6 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
         except _QP_FAILURES as exc:
             failures.append(f"{solver}: {type(exc).__name__}: {exc}")
             continue
-        return _finalize(data, sol.omega, sol.gamma, sol.u, sol.d,
+        return _finalize(sol.omega, sol.gamma, sol.u, sol.d, sol.g_omega,
                          sol.kkt_residual, solver, bool(failures))
     raise SubproblemFailure("; ".join(failures))

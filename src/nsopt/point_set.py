@@ -5,6 +5,13 @@ The bundle is columns 0..m-1 of Fortran-ordered point and gradient blocks,
 with value and birth vectors.  Columns are appended and pruning keeps their
 order, so G'G and Psi'G follow positions: new columns are a suffix, pruning
 slices the held products, and Psi'G's rows follow the metric's pair window.
+
+The offsets of the columns from the current iterate x, q_j = |x - x_j|^2 and
+r_j = g_j'(x - x_j), are held the same way.  Distance pruning reads q and the
+cutting-plane subproblem reads both, so the point and gradient blocks are
+streamed once per iterate.  Making another element current clears them; an
+added column (a sample or a null-step trial point) is computed on the next
+read, and pruning slices them.
 """
 
 from __future__ import annotations
@@ -14,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quasi_newton import window_shift
+
+# The offsets are formed in column blocks of at most this many bytes, so no
+# n x m temporary is made.
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(eq=False)
@@ -42,6 +53,8 @@ class PointSet:
         # G'G and Psi'G over the leading columns, Psi'G for (state, window)
         self._gtg = self._psi_g = np.zeros((0, 0))
         self._psi_of = (None, None)
+        # q and r of the leading columns for the current iterate
+        self._q = self._r = np.zeros(0)
         self.set_current(current)
 
     def __len__(self) -> int:
@@ -64,6 +77,7 @@ class PointSet:
         """Append ``element`` and make it the current iterate."""
         self.add(element)
         self.current, self._cur = element, self._m - 1
+        self._q = self._r = np.zeros(0)
 
     def _view(self, name: str) -> np.ndarray:
         view = getattr(self, name)[..., :self._m]
@@ -115,19 +129,56 @@ class PointSet:
             self._psi_g, self._psi_of = P, (qn, window)
         return G, self._gtg, self._psi_g
 
+    def offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """q_j = (x - x_j)'(x - x_j) and r_j = g_j'(x - x_j) for the current
+        iterate x, valid until the next add, prune or change of the current
+        iterate.
+
+        Only columns added since the previous call are computed, in blocks
+        of ``_BLOCK_BYTES``.  Each entry is the dot product of one column
+        pair, which sums as the per-column ``@`` does.
+        """
+        m, k = self._m, self._q.size
+        if k < m:
+            x = self.current.x
+            q, r = np.empty(m), np.empty(m)
+            q[:k], r[:k] = self._q, self._r
+            width = max(1, _BLOCK_BYTES // (8 * x.size))
+            dx = np.empty((x.size, min(width, m - k)), order="F")
+            for lo in range(k, m, width):
+                hi = min(lo + width, m)
+                part = dx[:, :hi - lo]
+                np.subtract(x[:, None], self._X[:, lo:hi], out=part)
+                np.vecdot(part, part, axis=0, out=q[lo:hi])
+                np.vecdot(self._G[:, lo:hi], part, axis=0, out=r[lo:hi])
+            self._q, self._r = q, r
+        return self._q, self._r
+
     def _keep(self, keep: np.ndarray) -> None:
         """Compact the bundle to the columns ``keep`` (increasing)."""
         if keep.size == self._m:
             return
-        for name in self._BLOCKS:
-            block = getattr(self, name)
-            block[..., :keep.size] = block[..., keep]
+        self._f[:keep.size], self._birth[:keep.size] = self._f[keep], self._birth[keep]
+        # Each run of consecutive kept columns of X and G moves left as one
+        # range of the Fortran-ordered block.  numpy copies an overlapping
+        # 1-D range in place, so no n x m temporary is made, and a run reads
+        # no column that an earlier run wrote.
+        n = self._X.shape[0]
+        flats = [block.reshape(-1, order="F") for block in (self._X, self._G)]
+        starts = (np.flatnonzero(np.diff(keep) != 1) + 1).tolist()
+        for lo, hi in zip([0, *starts], [*starts, keep.size]):
+            src = int(keep[lo])
+            if src != lo:
+                for flat in flats:
+                    flat[lo * n:hi * n] = flat[src * n:(src + hi - lo) * n]
         self._m, self._cur = keep.size, int(np.searchsorted(keep, self._cur))
         if self._gtg.size:
             held = keep[keep < len(self._gtg)]
             self._gtg = self._gtg[np.ix_(held, held)]
         if self._psi_g.size:
             self._psi_g = self._psi_g[:, keep[keep < self._psi_g.shape[1]]]
+        held = keep[keep < self._q.size]
+        self._q, self._r = self._q[held], self._r[held]
 
 
 def sample_ball(x_k: np.ndarray, eps: float, p: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -150,15 +201,16 @@ def sample_ball(x_k: np.ndarray, eps: float, p: int, rng: np.random.Generator) -
     return points
 
 
-def prune_by_distance(point_set: PointSet, x_next: np.ndarray, eps_next: float,
+def prune_by_distance(point_set: PointSet, eps_next: float,
                       envelope_factor: float) -> PointSet:
-    """Drop elements farther than envelope_factor * eps_next from x_next."""
+    """Drop elements farther than envelope_factor * eps_next from the
+    current iterate.  The distance is sqrt(q_j), as ``np.linalg.norm``
+    rounds it."""
     if envelope_factor <= 0:
         raise ValueError("envelope_factor must be positive")
-    limit = envelope_factor * eps_next
-    X, cur = point_set.X, point_set._cur
-    point_set._keep(np.array([j for j in range(X.shape[1]) if j == cur
-                              or np.linalg.norm(X[:, j] - x_next) <= limit], dtype=int))
+    keep = np.sqrt(point_set.offsets()[0]) <= envelope_factor * eps_next
+    keep[point_set._cur] = True
+    point_set._keep(np.flatnonzero(keep))
     return point_set
 
 

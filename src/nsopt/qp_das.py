@@ -27,7 +27,9 @@ or once a gamma enters the working set, whose bordered solve needs its rows.
 Until then, under limited storage, W G is not formed: each unblocked pivot
 makes one W-vector product W (G omega), as the interior-point solver's
 omega-only path does.  The step d = -W (G omega + gamma) is the last of
-these products, not another product with W.
+these products, not another product with W, and the solution keeps the
+G omega that product was made from; a solve that read W G instead forms
+G omega once, at the end.
 
 Anti-cycling: each working-set solve carries a tiny proximal term centred on
 the current iterate, so when the working-set minimizer is not unique the
@@ -102,12 +104,17 @@ class DasState:
 
 @dataclass
 class DasSolution:
+    """A solve's iterate, multiplier u, step d and KKT residual.  ``g_omega``
+    is the G omega that d was formed from, or, when the solve read W G
+    instead, G omega formed once at the end; the search direction reads it
+    instead of forming another n x m product."""
     omega: np.ndarray
     gamma: np.ndarray
     sigma: np.ndarray
     rho: np.ndarray
     u: float
     d: np.ndarray  # -W (G omega + gamma)
+    g_omega: np.ndarray  # G omega
     kkt_residual: float
     iterations: int
 
@@ -119,16 +126,18 @@ def _init_state(data: SubproblemData) -> DasState:
     return DasState(data=data, S=[j0], z=z, sign=sign)
 
 
-def _w_model(st: DasState, F: np.ndarray) -> np.ndarray:
-    """W (G omega + gamma), F the free gammas.  Reads W G when the
-    subproblem holds it, else makes one W-vector product."""
+def _w_model(st: DasState, F: np.ndarray):
+    """W (G omega + gamma), F the free gammas, and G omega if it was formed.
+    Reads W G when the subproblem holds it, else makes one W-vector
+    product."""
     if st.data.has_wg:
         wm = st.WG @ st.omega
         if F.size:
             wm += st.dense_W()[:, F] @ st.gamma[F]
-        return wm
+        return wm, None
     # gamma = 0 here: the bordered solve reads W G once a gamma is free
-    return st.qn.apply_W(st.G @ st.omega)
+    g_omega = st.G @ st.omega
+    return st.qn.apply_W(g_omega), g_omega
 
 
 def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, pivot: int):
@@ -205,7 +214,7 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
 
         # optimality test at the working-set solution over every index
         # outside the working set
-        wm = _w_model(st, F)
+        wm, g_omega = _w_model(st, F)
         u = -u_eqp
         v_omega = st.K @ st.omega - st.b - u
         if F.size:
@@ -216,9 +225,11 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
         if violation[k] >= -_PRICING * tol:
             sigma, rho = np.maximum(st.gamma, 0.0), np.maximum(-st.gamma, 0.0)
             d = -wm
+            if g_omega is None:
+                g_omega = st.G @ st.omega
             res = compute_kkt_residual(data, st.omega, sigma, rho, u, d)
             return DasSolution(st.omega.copy(), st.gamma.copy(), sigma, rho, u,
-                               d, res, iterations)
+                               d, g_omega, res, iterations)
         if k < m:
             st.S.append(k)
             st.sign[k] = 1

@@ -24,10 +24,10 @@ step is optimized first, then the remaining slack in whichever bound is
 looser.
 
 The solve records no per-iteration history: its solution carries the
-iterate, the step d = -W (G omega + gamma) of the subproblem and a count of
-factorizations.  ``merit`` and ``_plugback_residual`` evaluate the merit
-function at an iterate and the residual of a Newton step, for checks made
-from outside the iteration.
+iterate, the step d = -W (G omega + gamma) of the subproblem, the G omega
+that step was formed from, and a count of factorizations.  ``merit`` and
+``_plugback_residual`` evaluate the merit function at an iterate and the
+residual of a Newton step, for checks made from outside the iteration.
 """
 
 from __future__ import annotations
@@ -79,12 +79,17 @@ class IpmCoreResult:
 
 @dataclass
 class IpmSolution:
+    """A solve's iterate, multiplier u, step d and KKT residual.  ``g_omega``
+    is the G omega that d was formed from, on the omega-only and on the full
+    path; the search direction reads it instead of forming another n x m
+    product."""
     omega: np.ndarray
     gamma: np.ndarray
     sigma: np.ndarray
     rho: np.ndarray
     u: float
     d: np.ndarray  # -W (G omega + gamma)
+    g_omega: np.ndarray  # G omega
     kkt_residual: float
     iterations: int
     omega_only: bool
@@ -351,13 +356,14 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8,
     core = solve_ipm_core(qp_small, omega0, 0.0, v0, tol=core_tol,
                           max_iterations=max_iterations, soft_tol=tol)
     omega = core.theta
-    wg_omega = data.qn.apply_W(data.G @ omega)
+    g_omega = data.G @ omega
+    wg_omega = data.qn.apply_W(g_omega)
     if np.max(np.abs(wg_omega)) <= data.delta:
         zeros = np.zeros(n)
         d = -wg_omega
         res = compute_kkt_residual(data, omega, zeros, zeros, core.u, d)
         return IpmSolution(omega, zeros.copy(), zeros.copy(), zeros.copy(),
-                           core.u, d, res, core.iterations, True,
+                           core.u, d, g_omega, res, core.iterations, True,
                            core.diagnostics)
 
     wg = data.wg
@@ -380,7 +386,8 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8,
     sigma = core.theta[m:m + n]
     rho = core.theta[m + n:]
     gamma = sigma - rho
-    d = -data.qn.apply_W(data.G @ omega + gamma)
+    g_omega = data.G @ omega
+    d = -data.qn.apply_W(g_omega + gamma)
     res = compute_kkt_residual(data, omega, sigma, rho, core.u, d)
-    return IpmSolution(omega, gamma, sigma, rho, core.u, d, res,
+    return IpmSolution(omega, gamma, sigma, rho, core.u, d, g_omega, res,
                        core.iterations, False, core.diagnostics)

@@ -105,7 +105,7 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
                 break
             radii = new_radii
             stall.count = 0
-            prune_by_distance(bundle, current.x, radii.eps, opts.envelope_factor)
+            prune_by_distance(bundle, radii.eps, opts.envelope_factor)
             continue
 
         search = weak_wolfe if opts.line_search == "weak_wolfe" else backtracking_armijo
@@ -147,7 +147,7 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
 
         nxt = BundleElement(x=ls.x_next, f=ls.f_next, g=ls.g_next, birth=k)
         bundle.set_current(nxt)
-        prune_by_distance(bundle, ls.x_next, radii.eps, opts.envelope_factor)
+        prune_by_distance(bundle, radii.eps, opts.envelope_factor)
         prune_by_age(bundle, bundle_cap)
 
         s = ls.x_next - current.x

@@ -103,11 +103,19 @@ def compute_kkt_residual(data: SubproblemData, omega: np.ndarray, sigma: np.ndar
     v_omega = data.G.T @ wm - data.b - u
     v_sigma = wm + data.delta
     v_rho = -wm + data.delta
-    theta = np.concatenate([omega, sigma, rho])
-    v = np.concatenate([v_omega, v_sigma, v_rho])
+    # the extremes over theta = (omega, sigma, rho) and v taken piece by
+    # piece, which for finite values are those over their concatenations
+    low, high = np.minimum.reduce, np.maximum.reduce
+    theta_min = min(low(omega, initial=0.0), low(sigma, initial=0.0),
+                    low(rho, initial=0.0))
+    v_min = min(low(v_omega, initial=0.0), low(v_sigma, initial=0.0),
+                low(v_rho, initial=0.0))
+    complementarity = max(high(np.abs(omega * v_omega), initial=0.0),
+                          high(np.abs(sigma * v_sigma), initial=0.0),
+                          high(np.abs(rho * v_rho), initial=0.0))
     return max(
         abs(float(np.sum(omega)) - 1.0),
-        float(max(0.0, -np.min(theta, initial=0.0))),
-        float(max(0.0, -np.min(v, initial=0.0))),
-        float(np.max(np.abs(theta * v), initial=0.0)),
+        float(max(0.0, -theta_min)),
+        float(max(0.0, -v_min)),
+        float(complementarity),
     )

@@ -9,8 +9,9 @@ from nsopt.direction import (DirectionResult, SubproblemData, SubproblemFailure,
 from nsopt.options import SolverOptions
 from nsopt.point_set import BundleElement, PointSet
 from nsopt.qp_das import DasError, solve_das
-from nsopt.qp_ipm import IpmError
+from nsopt.qp_ipm import IpmError, solve_ipm
 from nsopt.quasi_newton import QuasiNewtonState, damp
+from nsopt.subproblem import compute_kkt_residual
 
 
 def _bundle(entries):
@@ -312,3 +313,64 @@ def test_limited_das_without_gamma_forms_no_w_g(monkeypatch):
     assert sol.iterations > 1 and np.count_nonzero(sol.omega) > 1
     assert np.allclose(sol.d, -qn.apply_W(data.G @ sol.omega),
                        rtol=1e-12, atol=1e-14)
+
+
+def _concatenated_kkt_residual(data, omega, sigma, rho, u, d):
+    """The residual over theta = (omega, sigma, rho) and v concatenated."""
+    wm = -d
+    theta = np.concatenate([omega, sigma, rho])
+    v = np.concatenate([data.G.T @ wm - data.b - u, wm + data.delta,
+                        -wm + data.delta])
+    return max(abs(float(np.sum(omega)) - 1.0),
+               float(max(0.0, -np.min(theta, initial=0.0))),
+               float(max(0.0, -np.min(v, initial=0.0))),
+               float(np.max(np.abs(theta * v), initial=0.0)))
+
+
+def _random_subproblem(rng, n, m, storage, delta):
+    qn = QuasiNewtonState(n, storage=storage, history_limit=3)
+    for _ in range(4):
+        s = rng.standard_normal(n)
+        qn.update(s, damp(s, rng.standard_normal(n), 0.5, 2.0)[1])
+    return SubproblemData(G=rng.standard_normal((n, m)), b=rng.standard_normal(m),
+                          delta=delta, qn=qn)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kkt_residual_matches_the_concatenated_form(seed):
+    # Random pieces at random scales, so that each piece of theta and v
+    # decides the residual in some trials; d is drawn freely.
+    rng = np.random.default_rng(seed)
+    n, m = 8, 5
+    data = _random_subproblem(rng, n, m, ("full", "limited")[seed % 2], 0.3)
+    for trial in range(60):
+        scale = 10.0 ** rng.integers(-6, 4, size=5)
+        omega, sigma, rho = (s * rng.standard_normal(k)
+                             for s, k in zip(scale, (m, n, n)))
+        if trial % 4 == 0:  # a solver's output: nonnegative, zeros in gamma
+            omega, sigma, rho = np.abs(omega), np.zeros(n), np.zeros(n)
+        u = scale[3] * float(rng.standard_normal())
+        d = scale[4] * rng.standard_normal(n)
+        got = compute_kkt_residual(data, omega, sigma, rho, u, d)
+        assert got == _concatenated_kkt_residual(data, omega, sigma, rho, u, d)
+        d = -data.qn.apply_W(data.G @ omega + (sigma - rho))
+        assert compute_kkt_residual(data, omega, sigma, rho, u) == \
+            compute_kkt_residual(data, omega, sigma, rho, u, d)
+
+
+@pytest.mark.parametrize("storage", ["full", "limited"])
+@pytest.mark.parametrize("delta", [1e6, 0.05])
+def test_solutions_carry_g_omega_and_their_kkt_residual(storage, delta):
+    # Both solvers, on the omega-only path and with the trust region
+    # binding: G omega is returned bit for bit as the caller would form it,
+    # and the residual equals the concatenated form.
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        data = _random_subproblem(rng, 10, 6, storage, delta)
+        for solve in (solve_das, solve_ipm):
+            sol = solve(data, tol=1e-8)
+            assert np.array_equal(sol.g_omega, data.G @ np.asarray(sol.omega))
+            assert sol.kkt_residual == _concatenated_kkt_residual(
+                data, sol.omega, sol.sigma, sol.rho, sol.u, sol.d)
+            if solve is solve_ipm and delta < 1:
+                assert not sol.omega_only

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nsopt import point_set
 from nsopt.options import SolverOptions
 from nsopt.point_set import (BundleElement, PointSet, newest_finite,
                              prune_by_age, prune_by_distance, sample_ball)
@@ -47,7 +50,7 @@ def test_prune_by_distance_removes_far_points():
     near = _elem([0.9, 0.0], birth=2)
     ps.add(far)
     ps.add(near)
-    prune_by_distance(ps, cur.x, eps_next=0.01, envelope_factor=100.0)
+    prune_by_distance(ps, eps_next=0.01, envelope_factor=100.0)
     assert list(ps.birth) == [0, 2]  # far (birth 1) is gone
     assert np.array_equal(ps.X, np.column_stack([cur.x, near.x]))
     assert ps.current is cur
@@ -56,7 +59,7 @@ def test_prune_by_distance_removes_far_points():
 def test_prune_by_distance_keeps_lone_current():
     cur = _elem([5.0])
     ps = PointSet(cur)
-    prune_by_distance(ps, cur.x, eps_next=1e-6, envelope_factor=1.0)
+    prune_by_distance(ps, eps_next=1e-6, envelope_factor=1.0)
     assert len(ps) == 1
     assert np.array_equal(ps.X[:, 0], cur.x)
     assert ps.current is cur
@@ -206,11 +209,19 @@ def _reference_basis(qn):
     return np.hstack([S, V] if qn.mode == "BFGS" else [V, S])
 
 
+def _reference_offsets(cur, elements):
+    """q_j and r_j as per-column products, the form the offsets replace."""
+    q = [float((cur.x - e.x) @ (cur.x - e.x)) for e in elements]
+    r = [float(e.g @ (cur.x - e.x)) for e in elements]
+    return np.array(q), np.array(r)
+
+
 @pytest.mark.parametrize("mode", ["BFGS", "DFP"])
 def test_products_follow_columns_and_pair_window(mode):
     # A seeded random sequence of bundle and metric changes.  After each
     # step the columns must match a list-based model of the bundle, and
-    # G'G, Psi'G and the metric's Psi'Psi products formed from scratch.
+    # G'G, Psi'G and the metric's Psi'Psi products formed from scratch;
+    # the held offsets must equal per-column products bit for bit.
     rng = np.random.default_rng(4)
     n = 6
     states = [QuasiNewtonState(n, mode=mode, storage="limited",
@@ -238,8 +249,11 @@ def test_products_follow_columns_and_pair_window(mode):
             ps.set_current(cur)
         elif step == "distance":
             dist = [np.linalg.norm(e.x - cur.x) for e in model]
-            limit = float(np.quantile(dist, 0.7))
-            prune_by_distance(ps, cur.x, limit, 1.0)
+            # half the time the limit is one of the distances, so the
+            # element at the limit must round the same way to stay
+            limit = float(rng.choice(dist) if rng.integers(2)
+                          else np.quantile(dist, 0.7))
+            prune_by_distance(ps, limit, 1.0)
             model = [e for e in model
                      if e is cur or np.linalg.norm(e.x - cur.x) <= limit]
         elif step == "age":
@@ -259,6 +273,14 @@ def test_products_follow_columns_and_pair_window(mode):
         assert np.array_equal(ps.X, np.column_stack([e.x for e in model]))
         assert np.array_equal(ps.f, [e.f for e in model])
         assert ps.current is cur
+        q_ref, r_ref = _reference_offsets(cur, model)
+        held = ps._q.size  # a prefix, computed for the current iterate
+        assert held == ps._r.size <= len(model)
+        assert np.array_equal(ps._q, q_ref[:held])
+        assert np.array_equal(ps._r, r_ref[:held])
+        if rng.integers(2):
+            q, r = ps.offsets()
+            assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
         ref = np.column_stack([e.g for e in model])
         G, gram, psi_g = ps.gradient_products(qn)
         assert np.array_equal(G, ref)
@@ -278,3 +300,82 @@ def test_products_follow_columns_and_pair_window(mode):
         assert np.allclose(qn.gram_W(G, gram, psi_g), want,
                            rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
     assert all(state.updates > 3 * state.history_limit for state in states)
+
+
+@pytest.mark.parametrize("width", [1, 8, 16, 70, None])
+def test_offsets_match_per_column_products_across_blocks(monkeypatch, width):
+    # q and r formed in blocks of ``width`` columns (None: the module's
+    # block) against the per-column products, bit for bit, with columns
+    # added after a first read and some dropped before the last one.
+    rng = np.random.default_rng(11)
+    n, m = 512, 90
+    if width is not None:
+        monkeypatch.setattr(point_set, "_BLOCK_BYTES", 8 * n * width)
+    cur = BundleElement(x=rng.standard_normal(n), f=0.0,
+                        g=rng.standard_normal(n), birth=0)
+    elements = [BundleElement(x=cur.x + rng.standard_normal(n) * 10.0 ** rng.integers(-8, 2),
+                              f=0.0, g=rng.standard_normal(n), birth=j)
+                for j in range(1, m)]
+    ps = PointSet(cur)
+    for e in elements[:40]:
+        ps.add(e)
+    ps.offsets()
+    for e in elements[40:]:
+        ps.add(e)
+    model = [cur] + elements
+    got = ps.offsets()
+    for a, b in zip(got, _reference_offsets(cur, model)):
+        assert np.array_equal(a, b)
+    prune_by_age(ps, 60)
+    model = [cur] + elements[-59:]
+    for a, b in zip(ps.offsets(), _reference_offsets(cur, model)):
+        assert np.array_equal(a, b)
+
+
+def test_offsets_clear_when_the_current_iterate_changes():
+    rng = np.random.default_rng(12)
+    n = 5
+    elements = [BundleElement(x=rng.standard_normal(n), f=0.0,
+                              g=rng.standard_normal(n), birth=j) for j in range(4)]
+    ps = PointSet(elements[0])
+    for e in elements[1:3]:
+        ps.add(e)
+    ps.offsets()
+    ps.set_current(elements[3])
+    assert ps._q.size == 0
+    for a, b in zip(ps.offsets(), _reference_offsets(elements[3], elements)):
+        assert np.array_equal(a, b)
+    assert ps.offsets()[0][3] == 0.0 and ps.offsets()[1][3] == 0.0
+
+
+@pytest.mark.parametrize("far", [lambda j: j % 3 == 0, lambda j: j == 1],
+                         ids=["every-third", "one-long-run"])
+def test_prune_by_distance_copies_no_block(far):
+    # One iteration's distance prune at n=4096, m=50 after a new iterate:
+    # the offsets of every column are formed, the far columns are dropped
+    # and the rest compacted in place, so the peak stays below half of one
+    # n x m copy.  At least two thirds of the columns stay, so a copy of
+    # those kept, or of one run of them, would exceed the bound too.
+    rng = np.random.default_rng(13)
+    n, m = 4096, 50
+    centre = rng.standard_normal(n)
+    ps = PointSet(BundleElement(x=centre, f=0.0, g=rng.standard_normal(n), birth=0))
+    for j in range(1, m - 1):
+        scale = 3.0 if far(j) else 1.0
+        ps.add(BundleElement(x=centre + scale * rng.standard_normal(n),
+                             f=0.0, g=rng.standard_normal(n), birth=j))
+    ps.set_current(BundleElement(x=centre.copy(), f=0.0,
+                                 g=rng.standard_normal(n), birth=m))
+    want = [j for j in range(m) if j in (0, m - 1) or not far(j)]
+    limit = 1.5 * np.sqrt(n)  # distances near sqrt(n) stay, 3 sqrt(n) go
+    kept = (ps.X[:, want].copy(), ps.gradients()[:, want].copy(), ps.birth[want])
+    tracemalloc.start()
+    try:
+        prune_by_distance(ps, limit, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(want) > 2 * m / 3
+    assert np.array_equal(ps.X, kept[0]) and np.array_equal(ps.gradients(), kept[1])
+    assert np.array_equal(ps.birth, kept[2])
+    assert peak < n * m * 8 / 2

@@ -270,3 +270,79 @@ def test_limited_metric_line_search_takes_few_trial_points():
     report = run_solver(prob.oracle, prob.x0, SolverOptions(qn_storage="limited"))
     assert report.termination_reason == "stationary"
     assert report.function_evaluations <= 2 * report.iterations
+
+
+def _per_column_build(point_set, qn, delta, strategy):
+    """``build_subproblem`` with b from a loop over the bundle columns."""
+    cur = point_set.current
+    if strategy == "gradient":
+        return direction.SubproblemData(G=cur.g.reshape(-1, 1), b=np.array([cur.f]),
+                                        delta=delta, qn=qn)
+    G, gtg, psi_g = point_set.gradient_products(qn)
+    if strategy == "gradient_combination":
+        b = np.full(len(point_set), cur.f)
+    else:
+        X, f = point_set.X, point_set.f
+        b = np.empty(len(point_set))
+        for j in range(b.size):
+            dx = cur.x - X[:, j]
+            raw = f[j] + float(G[:, j] @ dx)
+            b[j] = min(raw, cur.f - 1e-8 * float(dx @ dx))
+    return direction.SubproblemData(G=G, b=b, delta=delta, qn=qn, gtg=gtg,
+                                    psi_g=psi_g)
+
+
+def _per_column_prune(point_set, eps_next, envelope_factor):
+    """``prune_by_distance`` with one norm per column."""
+    limit = envelope_factor * eps_next
+    X, cur, x = point_set.X, point_set._cur, point_set.current.x
+    point_set._keep(np.array([j for j in range(X.shape[1]) if j == cur
+                              or np.linalg.norm(X[:, j] - x) <= limit], dtype=int))
+    return point_set
+
+
+def _denoise_16():
+    noisy = add_salt_pepper(synthetic_image(16, 16), 0.05, 0)
+    prob = make_denoising(noisy, "abs", 2.0 ** 5, 1.0)
+    return prob, SolverOptions(qn_storage="limited", delta_f=1e-5, n_f=10)
+
+
+def _cb3_50():
+    return (make_problem("ChainedCB3_2", 50),
+            SolverOptions(strategy="cutting_plane", delta_f=1e-5, n_f=10))
+
+
+def _sampled_20():
+    return (make_problem("ChainedLQ", 20),
+            SolverOptions(strategy="gradient_combination", delta_f=1e-5, n_f=10))
+
+
+@pytest.mark.parametrize("case", [_denoise_16, _cb3_50, _sampled_20],
+                         ids=["denoise-16x16", "cb3-n50", "sampling-n20"])
+def test_held_offsets_and_solver_g_omega_keep_the_path(monkeypatch, case):
+    # The offsets the bundle holds (distance pruning, cutting-plane b) and
+    # the G omega the QP solvers return replace per-column loops and a
+    # product in the direction; the run must be bitwise the same as with
+    # those written out here.
+    prob, opts = case()
+    fast = run_solver(prob.oracle, prob.x0, opts)
+
+    built = []
+    finalize = direction._finalize
+
+    def build(*args):
+        built.append(_per_column_build(*args))
+        return built[-1]
+
+    def formed_g_omega(omega, gamma, u, d, g_omega, *rest):
+        return finalize(omega, gamma, u, d, built[-1].G @ omega, *rest)
+
+    monkeypatch.setattr(direction, "build_subproblem", build)
+    monkeypatch.setattr(direction, "_finalize", formed_g_omega)
+    monkeypatch.setattr(nsopt.solver, "prune_by_distance", _per_column_prune)
+    slow = run_solver(prob.oracle, prob.x0, opts)
+    assert built  # the written-out forms ran
+    assert np.array_equal(fast.x, slow.x)
+    assert np.array_equal(fast.f_history, slow.f_history)
+    assert ((fast.iterations, fast.function_evaluations, fast.gradient_evaluations)
+            == (slow.iterations, slow.function_evaluations, slow.gradient_evaluations))
