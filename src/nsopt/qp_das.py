@@ -41,18 +41,47 @@ Near a stationary point |d| is about 1e-6, and an index left violating its
 condition by a few 1e-9 can move d by its own length; pricing is therefore
 finer than the tenth of ``tol`` to which the interior-point core runs.
 
-Each pivot factors its bordered matrix once, by LAPACK ``dgetrf`` from
-scipy, and makes the first solve and three refinement solves with ``dgetrs``
-on that factor.  A singular factor or a non-finite solution raises
-``DasError``.
+The solver holds a factor of its working set across pivots instead of
+factoring each pivot's bordered matrix from scratch, as Goldfarb & Idnani
+(1983) update theirs on each add or drop.  The working set is kept in entry
+order, omega and gamma indices alike, with H, the unregularized Hessian
+block over it (entries of G'WG, W G and W), and a lower Cholesky factor L of
+H + reg I.  An add appends one row and column to H and one row to L: with
+l = L^-1 h, the new pivot is h_kk + reg - l'l.  A drop at position p
+deletes a row and column of H and updates only the trailing block of L to
+chol(L33 L33' + l32 l32'): below 100 rows by forming that block and calling
+``dpotrf``, from 100 rows by one Givens rotation per column (LINPACK's
+``dchud``), since OpenBLAS's threaded product and factorization of large
+blocks round differently at one and at two BLAS threads, and the pivot
+path would follow.  The simplex row is taken by its 1 x 1 Schur
+complement e'(H + reg I)^-1 e, where e marks the omega indices: appended to
+L as the row (L^-1 e)', it makes an LDL' factor of the regularized bordered
+matrix, so each solve is two triangular solves (LAPACK ``dtrtrs`` from
+scipy, on the factor's buffer without a copy).  Five solves per pivot use
+that factor: the first, one refinement against the regularized matrix and
+three against the unregularized one.  A Cholesky factor of H + reg I
+rounds by about eps / reg along H's null space, which the refinements
+against the singular unregularized matrix cannot see; the one against the
+regularized matrix removes it.
+
+reg is 1e-11 max(1, trace(H) / k) for a working set of k indices, evaluated
+at the last full factorization: 1e-11 max(1, (G'WG)_jj) for the starting
+column j.  Rounding can leave a Gram block indefinite by more than that, and
+then an append or a drop's refactorization breaks down (rotations
+cannot).  The whole block
+is then refactored with reg from the current working set, and if that fails
+too, reg grows by a factor of 100, at most four times, before ``DasError``
+is raised.  A non-finite solution raises ``DasError`` as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
+from scipy.linalg.blas import drot as _rot
+from scipy.linalg.lapack import dpotrf as _potrf, dtrtrs as _trtrs
 
 from .subproblem import SubproblemData, compute_kkt_residual
 
@@ -62,20 +91,52 @@ from .subproblem import SubproblemData, compute_kkt_residual
 _PRICING = 0.05
 
 
+# Proximal weight relative to the mean diagonal of the Hessian block, and how
+# a factorization that breaks down is retried: reg grows by _REG_GROWTH at
+# most _REG_RETRIES times.
+_REG = 1e-11
+_REG_GROWTH, _REG_RETRIES = 100.0, 4
+_MIN_CAPACITY = 16
+# Trailing blocks of at least this many rows are updated by rotations.
+_ROTATE_FROM = 100
+
+
 class DasError(RuntimeError):
     """Pivot cap exceeded without reaching the requested KKT tolerance, or a
-    working-set KKT matrix that cannot be solved."""
+    working-set KKT matrix that cannot be factored or solved."""
 
 
-@dataclass
 class DasState:
-    """Working set and iterate of one solve.  The subproblem's arrays are
-    borrowed and never written; its W G is formed on first use of ``WG``."""
-    data: SubproblemData
-    S: list[int]  # omega support, in order of entry
-    z: np.ndarray  # (m + n,) iterate (omega, gamma)
-    sign: np.ndarray  # (m + n,) 1 on S, -1 or +1 on a free gamma, 0 at a bound
-    _wd: np.ndarray | None = field(default=None, repr=False)
+    """Working set, iterate and held factor of one solve.  The subproblem's
+    arrays are borrowed and never written; its W G is formed on first use of
+    ``WG``.
+
+    ``order[:k]`` is the working set in entry order, ``pos`` each index's
+    position in it (-1 outside), ``H[:k, :k]`` the Hessian block over it and
+    ``L[:k, :k]`` the lower Cholesky factor of H + reg I.  Both buffers grow
+    by doubling and keep one spare row and column for the simplex border.
+    """
+
+    def __init__(self, data: SubproblemData, j0: int):
+        m, n = data.m, data.n
+        self.data = data
+        self.z = np.zeros(m + n)  # iterate (omega, gamma)
+        # 1 on the omega support, -1 or +1 on a free gamma, 0 at a bound
+        self.sign = np.zeros(m + n, dtype=int)
+        self.z[j0], self.sign[j0] = 1.0, 1
+        cap = min(m + n + 1, _MIN_CAPACITY)
+        self.order = np.empty(cap, dtype=np.intp)
+        self.pos = np.full(m + n, -1, dtype=np.intp)
+        self.H = np.zeros((cap, cap))
+        self.L = np.zeros((cap, cap), order="F")
+        h = float(data.gtwg[j0, j0])
+        self.reg = _REG * max(1.0, h)
+        self.order[0], self.pos[j0] = j0, 0
+        self.H[0, 0], self.L[0, 0] = h, np.sqrt(h + self.reg)
+        self.k = 1
+        self.free = 0  # gamma indices in the working set
+        self.full_factorizations = 0
+        self._wd = None
 
     G = property(lambda self: self.data.G)
     WG = property(lambda self: self.data.wg)
@@ -101,6 +162,110 @@ class DasState:
             self._wd = self.qn.dense_W()
         return self._wd
 
+    def _row(self, idx: int):
+        """The Hessian entries of index idx against the working set, and its
+        diagonal entry."""
+        m = self.data.m
+        if idx >= m:
+            row = np.concatenate((self.WG[idx - m], self.dense_W()[idx - m]))
+        elif self.free:
+            row = np.concatenate((self.K[idx], self.WG[:, idx]))
+        else:
+            row = self.K[idx]
+        return row[self.order[:self.k]], float(row[idx])
+
+    def _grow(self) -> None:
+        k, cap = self.k, min(2 * self.order.size, self.z.size + 1)
+        order = np.empty(cap, dtype=np.intp)
+        H, L = np.zeros((cap, cap)), np.zeros((cap, cap), order="F")
+        order[:k], H[:k, :k], L[:k, :k] = (self.order[:k], self.H[:k, :k],
+                                           self.L[:k, :k])
+        self.order, self.H, self.L = order, H, L
+
+    def add(self, idx: int) -> None:
+        """Append index idx to the working set: one row and column of H,
+        one row of L."""
+        k = self.k
+        if k + 2 > self.order.size:
+            self._grow()
+        h, h_kk = self._row(idx)
+        H, L = self.H, self.L
+        H[k, :k] = h
+        H[:k, k] = h
+        H[k, k] = h_kk
+        self.order[k], self.pos[idx] = idx, k
+        self.k = k + 1
+        self.free += idx >= self.data.m
+        l, info = _trtrs(L[:, :k], h, lower=1)
+        pivot = h_kk + self.reg - float(l @ l)
+        if info == 0 and pivot > 0.0:
+            L[k, :k] = l
+            L[k, k] = np.sqrt(pivot)
+        else:
+            self._factor_all()
+
+    def drop(self, idx: int) -> None:
+        """Remove index idx from the working set and update the trailing
+        block of L behind its position."""
+        p, k = int(self.pos[idx]), self.k
+        H, L, order = self.H, self.L, self.order
+        H[p:k - 1, :k] = H[p + 1:k, :k]
+        H[:k - 1, p:k - 1] = H[:k - 1, p + 1:k]
+        order[p:k - 1] = order[p + 1:k]
+        self.pos[order[p:k - 1]] = np.arange(p, k - 1)
+        self.pos[idx] = -1
+        self.k = k - 1
+        self.free -= idx >= self.data.m
+        if p == k - 1:
+            return
+        # The trailing block's factor becomes chol(L33 L33' + l32 l32').
+        # Below _ROTATE_FROM rows it is refactored with LAPACK; from there
+        # on one Givens rotation per column folds l32 in (LINPACK's dchud),
+        # since OpenBLAS's blocked product and factorization of larger
+        # blocks round differently at one and at two threads.
+        if k - 1 - p < _ROTATE_FROM:
+            X = L[p + 1:k, p:k]  # [l32 L33]
+            T = X @ X.T
+            L[p:k - 1, :p] = L[p + 1:k, :p]
+            # T is symmetric, so its transpose is T in LAPACK's layout
+            c, info = _potrf(T.T, lower=1, overwrite_a=1)
+            if info == 0:
+                L[p:k - 1, p:k - 1] = c
+            else:
+                self._factor_all()
+            return
+        x = L[p + 1:k, p].copy()  # l32
+        for j in range(p + 1, k):
+            a, b = L[j, j], x[j - p - 1]
+            r = math.hypot(a, b)
+            L[j, j] = r
+            if j + 1 < k:
+                _rot(L[j + 1:k, j], x[j - p:], a / r, b / r,
+                     overwrite_x=1, overwrite_y=1)
+        L[p:k - 1, :p] = L[p + 1:k, :p]
+        L[p:k - 1, p:k - 1] = L[p + 1:k, p + 1:k]
+
+    def _factor_all(self) -> None:
+        """Factor the whole block after a breakdown, with reg from the
+        working set, growing it when the factorization still fails."""
+        k = self.k
+        block = self.H[:k, :k]
+        reg = _REG * max(1.0, float(np.trace(block)) / k)
+        for _ in range(_REG_RETRIES + 1):
+            P = block.copy()
+            P.ravel()[::k + 1] += reg
+            c, info = _potrf(P.T, lower=1, overwrite_a=1)
+            if info == 0:
+                self.L[:k, :k] = c
+                self.reg = reg
+                self.full_factorizations += 1
+                return
+            reg *= _REG_GROWTH
+        raise np.linalg.LinAlgError(
+            f"the Hessian block of a working set of {k - self.free} omega and "
+            f"{self.free} gamma indices is not positive definite with reg "
+            f"{reg / _REG_GROWTH:.1e}")
+
 
 @dataclass
 class DasSolution:
@@ -120,10 +285,7 @@ class DasSolution:
 
 
 def _init_state(data: SubproblemData) -> DasState:
-    j0 = int(np.argmin(np.diag(data.gtwg)))
-    z, sign = np.zeros(data.m + data.n), np.zeros(data.m + data.n, dtype=int)
-    z[j0], sign[j0] = 1.0, 1
-    return DasState(data=data, S=[j0], z=z, sign=sign)
+    return DasState(data, int(np.argmin(np.diag(data.gtwg))))
 
 
 def _w_model(st: DasState, F: np.ndarray):
@@ -140,49 +302,59 @@ def _w_model(st: DasState, F: np.ndarray):
     return st.qn.apply_W(g_omega), g_omega
 
 
-def _solve_eqp(st: DasState, S: list[int], F: np.ndarray, pivot: int):
-    """Bordered KKT solve on the working set: unknowns (omega_S, gamma_F, mult)."""
-    s, f = len(S), F.size
-    dim = s + f + 1
-    M = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
-    M[:s, :s] = st.K[np.ix_(S, S)]
-    rhs[:s] = st.b[S]
-    if f:
-        B = st.WG[np.ix_(F, S)]
-        M[s:s + f, :s] = B
-        M[:s, s:s + f] = B.T
-        M[s:s + f, s:s + f] = st.dense_W()[np.ix_(F, F)]
-        rhs[s:s + f] = -st.delta * st.gamma_sign[F]
-    M[:s, -1] = 1.0
-    M[-1, :s] = 1.0
-    rhs[-1] = 1.0
-    # The Hessian block is a Gram matrix and can be singular when s + f > n.
-    # A tiny proximal term centred on the iterate x0 makes the minimizer
-    # unique: the solve is for the step from x0, so the target is the
-    # working-set minimizer nearest the iterate, which keeps a just-added
-    # variable's target on its feasible side (anti-cycling).  Iterative
-    # refinement against the unregularized system then removes the proximal
-    # bias from the returned solution.  One LU factor of the regularized
-    # matrix serves the first solve and all three refinements.
-    x0 = np.concatenate((st.z[S], st.gamma[F], [0.0]))
+def _solve_eqp(st: DasState):
+    """Bordered KKT solve on the working set for the step from the iterate:
+    the target of each working-set index, in entry order, and the
+    multiplier of the simplex row."""
+    k, m = st.k, st.data.m
+    order = st.order[:k]
+    rhs = np.empty(k + 1)
+    if st.free:
+        is_omega = order < m
+        e = is_omega.astype(float)
+        rhs[:k] = -st.delta * st.sign[order]
+        rhs[:k][is_omega] = st.b[order[is_omega]]
+    else:
+        e = np.ones(k)
+        rhs[:k] = st.b[order]
+    rhs[k] = 1.0
+    # The Hessian block is a Gram matrix and can be singular when k > n.
+    # The factor's proximal term reg I makes the minimizer unique: the solve
+    # is for the step from the iterate x0, so the target is the working-set
+    # minimizer nearest the iterate, which keeps a just-added variable's
+    # target on its feasible side (anti-cycling).  One refinement against
+    # the regularized system removes the factor's rounding along H's null
+    # space; three against the unregularized system then remove the
+    # proximal bias from the returned solution.  Row k of L and of H is the
+    # simplex border: L_b = [L 0; c' 1] with c = L^-1 e gives the
+    # regularized bordered matrix as L_b diag(I, -c'c) L_b'.
+    c = _trtrs(st.L[:, :k], e, lower=1)[0]
+    schur = float(c @ c)
+    st.L[k, :k], st.L[k, k] = c, 1.0
+    st.H[k, :k], st.H[:k, k], st.H[k, k] = e, e, 0.0
+    L, M = st.L[:, :k + 1], st.H[:k + 1, :k + 1]
+    x0 = np.zeros(k + 1)
+    x0[:k] = st.z[order]
     rhs -= M @ x0
-    reg = 1e-11 * max(1.0, float(np.trace(M[:s + f, :s + f])) / max(1, s + f))
-    M_reg = M.copy()
-    M_reg[np.arange(s + f), np.arange(s + f)] += reg
-    # M is exactly symmetric (G'WG and W are), so its transpose is the same
-    # matrix, already in LAPACK's column-major layout: getrf copies nothing.
-    lu, piv, info = _getrf(M_reg.T, overwrite_a=1)
-    if info == 0:
-        step = _getrs(lu, piv, rhs)[0]
-        for _ in range(3):
-            step = step + _getrs(lu, piv, rhs - M @ step)[0]
-        sol = x0 + step
-        if np.all(np.isfinite(sol)):
-            return sol[:s], sol[s:s + f], float(sol[-1])
-    raise DasError(f"pivot {pivot}: the KKT matrix of a working set of {s} "
-                   f"omega and {f} gamma indices is singular or gives a "
-                   "non-finite solution")
+
+    def solve(r):
+        y = _trtrs(L, r, lower=1)[0]
+        y[k] /= -schur
+        return _trtrs(L, y, lower=1, trans=1)[0]
+
+    step = solve(rhs)
+    residual = rhs - M @ step
+    residual[:k] -= st.reg * step[:k]
+    step += solve(residual)
+    for _ in range(3):
+        step += solve(rhs - M @ step)
+    sol = x0 + step
+    if not np.all(np.isfinite(sol)):
+        raise np.linalg.LinAlgError(
+            f"the KKT matrix of a working set of {k - st.free} omega and "
+            f"{st.free} gamma indices is singular or gives a non-finite "
+            "solution")
+    return sol[:k], float(sol[k])
 
 
 def solve_das(data: SubproblemData, tol: float = 1e-8,
@@ -190,50 +362,56 @@ def solve_das(data: SubproblemData, tol: float = 1e-8,
     st = _init_state(data)
     m, n = data.m, data.n
     cap = max_iterations if max_iterations is not None else 100 * (m + 2 * n)
+    no_gamma = np.zeros(0, dtype=np.intp)
 
-    for iterations in range(1, cap + 1):
-        F = st.gamma_sign.nonzero()[0]
-        t_omega, t_gamma, u_eqp = _solve_eqp(st, st.S, F, iterations)
+    try:
+        for iterations in range(1, cap + 1):
+            target, u_eqp = _solve_eqp(st)
 
-        # blocking ratio toward the target along the segment: the first
-        # minimum below 1, over S in entry order and then F ascending
-        work = np.concatenate((st.S, m + F))
-        cur, target = st.z[work], np.concatenate((t_omega, t_gamma))
-        ratio = np.full(work.size, np.inf)
-        np.divide(cur, cur - target, out=ratio,
-                  where=target * st.sign[work] < -1e-14)
-        k = int(ratio.argmin())
-        alpha = float(ratio[k])
-        if alpha < 1.0:
-            st.z[work] = cur + alpha * (target - cur)
-            drop = int(work[k])
-            st.z[drop], st.sign[drop] = 0.0, 0
-            st.S = [j for j in st.S if j != drop]
-            continue
-        st.z[work] = target
+            # blocking ratio toward the target along the segment: the first
+            # minimum below 1, over S in entry order and then F ascending
+            work = st.order[:st.k]
+            F = no_gamma
+            if st.free:
+                F = st.gamma_sign.nonzero()[0]
+                work = np.concatenate((work[work < m], m + F))
+                target = target[st.pos[work]]
+            cur = st.z[work]
+            ratio = np.full(work.size, np.inf)
+            np.divide(cur, cur - target, out=ratio,
+                      where=target * st.sign[work] < -1e-14)
+            k = int(ratio.argmin())
+            alpha = float(ratio[k])
+            if alpha < 1.0:
+                st.z[work] = cur + alpha * (target - cur)
+                drop = int(work[k])
+                st.z[drop], st.sign[drop] = 0.0, 0
+                st.drop(drop)
+                continue
+            st.z[work] = target
 
-        # optimality test at the working-set solution over every index
-        # outside the working set
-        wm, g_omega = _w_model(st, F)
-        u = -u_eqp
-        v_omega = st.K @ st.omega - st.b - u
-        if F.size:
-            v_omega += st.WG[F].T @ st.gamma[F]
-        violation = np.concatenate((v_omega, st.delta - np.abs(wm)))
-        violation[st.sign != 0] = np.inf
-        k = int(violation.argmin())
-        if violation[k] >= -_PRICING * tol:
-            sigma, rho = np.maximum(st.gamma, 0.0), np.maximum(-st.gamma, 0.0)
-            d = -wm
-            if g_omega is None:
-                g_omega = st.G @ st.omega
-            res = compute_kkt_residual(data, st.omega, sigma, rho, u, d)
-            return DasSolution(st.omega.copy(), st.gamma.copy(), sigma, rho, u,
-                               d, g_omega, res, iterations)
-        if k < m:
-            st.S.append(k)
-            st.sign[k] = 1
-        else:
-            st.sign[k] = -int(np.sign(wm[k - m]))
-
+            # optimality test at the working-set solution over every index
+            # outside the working set
+            wm, g_omega = _w_model(st, F)
+            u = -u_eqp
+            v_omega = st.K @ st.omega - st.b - u
+            if F.size:
+                v_omega += st.WG[F].T @ st.gamma[F]
+            violation = np.concatenate((v_omega, st.delta - np.abs(wm)))
+            violation[st.sign != 0] = np.inf
+            k = int(violation.argmin())
+            if violation[k] >= -_PRICING * tol:
+                sigma = np.maximum(st.gamma, 0.0)
+                rho = np.maximum(-st.gamma, 0.0)
+                d = -wm
+                if g_omega is None:
+                    g_omega = st.G @ st.omega
+                res = compute_kkt_residual(data, st.omega, sigma, rho, u, d)
+                return DasSolution(st.omega.copy(), st.gamma.copy(), sigma,
+                                   rho, u, d, g_omega, res, iterations)
+            st.sign[k] = 1 if k < m else -int(np.sign(wm[k - m]))
+            st.add(k)
+    except np.linalg.LinAlgError as exc:
+        raise DasError(f"pivot {iterations}: {exc}") from None
     raise DasError(f"active-set pivot cap {cap} exceeded")
+

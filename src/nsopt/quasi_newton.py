@@ -208,9 +208,12 @@ class QuasiNewtonState:
         else:
             self.pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=history_limit)
         self.updates = 0  # serial number of the next pair
-        # compact W/H and their basis, rebuilt after each update
+        # compact W/H, rebuilt after each update
         self._forms: dict[str, _CompactForm] = {}
-        self._basis: tuple[tuple[int, int], np.ndarray] | None = None
+        # Psi' = [A B]': rows _psi_start to _psi_start + 2h of a buffer with
+        # room for the window to slide (see ``_push_basis``)
+        self._psi_rows: np.ndarray | None = None
+        self._psi_start = 0
         self._gram, self._gram_window = np.zeros((0, 0)), None  # Psi'Psi
 
     # -- updates ----------------------------------------------------------
@@ -224,10 +227,10 @@ class QuasiNewtonState:
         if rho <= 0.0:
             raise ValueError("update rejected: s'v must be positive (damp first)")
         if self.storage == "limited":
+            self._push_basis(*((s, v) if self.mode == "BFGS" else (v, s)))
             self.pairs.append((s.copy(), v.copy()))
             self.updates += 1
             self._forms = {}
-            self._basis = None
             return
         W = self._w
         w = dsymv(1.0, W, v)
@@ -242,6 +245,31 @@ class QuasiNewtonState:
         self._w = W
 
     # -- limited storage: compact representation ---------------------------
+
+    def _push_basis(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add the row pair (a, b) of a new pair to Psi', dropping the
+        oldest pair's rows when the window is full.
+
+        The window's rows are a_1..a_h, b_1..b_h.  A full window drops a_1
+        and b_1: its rows start one further on, a_new takes b_1's row and
+        b_new the row after b_h, so nothing else moves.  A growing window
+        moves its B rows down by one.  When the buffer's end is reached the
+        window moves back to its start, once every ``history_limit``
+        updates.
+        """
+        h, limit = len(self.pairs), self.history_limit
+        if self._psi_rows is None:
+            self._psi_rows = np.empty((3 * limit, self.n))
+        rows, start = self._psi_rows, self._psi_start
+        if h < limit:
+            rows[start + h + 1:start + 2 * h + 1] = rows[start + h:start + 2 * h]
+            rows[start + h], rows[start + 2 * h + 1] = a, b
+            return
+        if start + 2 * h + 1 > rows.shape[0]:
+            rows[:2 * h] = rows[start:start + 2 * h]
+            start = 0
+        rows[start + h], rows[start + 2 * h] = a, b
+        self._psi_start = start + 1
 
     def _form(self, which: str) -> _CompactForm | None:
         """Compact W or H of the stored pairs; None while the history is empty.
@@ -322,17 +350,14 @@ class QuasiNewtonState:
         Psi = [A B] in the compact forms of W and H.
 
         A = S, B = V for BFGS and A = V, B = S for DFP.  None for full
-        storage or an empty history.
+        storage or an empty history.  Psi is a view of the held buffer,
+        valid until the next update.
         """
         if self.storage != "limited" or not self.pairs:
             return None
-        if self._basis is None:
-            lead, trail = (0, 1) if self.mode == "BFGS" else (1, 0)
-            window = (self.updates - len(self.pairs), len(self.pairs))
-            psi = np.array([p[lead] for p in self.pairs]
-                           + [p[trail] for p in self.pairs]).T
-            self._basis = (window, psi)
-        return self._basis
+        h = len(self.pairs)
+        start = self._psi_start
+        return (self.updates - h, h), self._psi_rows[start:start + 2 * h].T
 
     def gram_W(self, A: np.ndarray, ata: np.ndarray | None = None,
                psi_a: np.ndarray | None = None) -> np.ndarray:

@@ -13,11 +13,12 @@ _METRICS = ("wall_s", "cpu_s", "solve_p50_s", "peak_rss_mb", "setup_s")
 
 
 def _write(directory: Path, seed: int, wall: float, trace: int = 0,
-           failed: int = 2, **values):
+           failed: int = 2, pivots: int = 7, **values):
     """A result file whose end-to-end metrics all read ``wall`` except
-    those given in ``values``."""
+    those given in ``values``; a traced one reads ``pivots`` pivots and
+    ``wall`` as the DAS self time."""
     directory.mkdir(exist_ok=True)
-    metrics = ({"qp_das.pivots": {"value": 7, "unit": "count"},
+    metrics = ({"qp_das.pivots": {"value": pivots, "unit": "count"},
                 "qp_das.self_s": {"value": wall, "unit": "s"}} if trace else
                {m: {"value": values.get(m, wall), "unit": "s"} for m in _METRICS})
     record = {"correct": True, "attempted": 10, "failed": failed, "metrics": metrics,
@@ -48,6 +49,32 @@ def test_medians_quartiles_pairs_and_trace(tmp_path):
     traced = w["change"]["traced"]
     assert traced["counts"] == {"qp_das.pivots": 7}
     assert traced["self_s"] == {"qp_das.self_s": 1.5}
+    assert traced["runs"] == 1 and traced["counts_differ"] == {}
+
+
+def test_every_traced_run_is_kept_with_medians_and_differing_counts(tmp_path):
+    for seed in range(2):
+        _write(tmp_path / "p", seed, 4.0)
+        _write(tmp_path / "c", seed, 2.0)
+    for seed, (wall, pivots) in enumerate([(1.0, 7), (3.0, 7), (2.5, 7)]):
+        _write(tmp_path / "p", seed, wall, trace=1, pivots=pivots)
+    for seed, (wall, pivots) in enumerate([(1.0, 7), (2.0, 9)]):
+        _write(tmp_path / "c", seed, wall, trace=1, pivots=pivots)
+    out = tmp_path / "BENCH.json"
+    bench_record.main(["--parent", str(tmp_path / "p"), "abc",
+                       "--change", str(tmp_path / "c"), "def", "--out", str(out)])
+    w = json.loads(out.read_text())["workloads"]["qp-n200"]
+    parent, change = w["parent"]["traced"], w["change"]["traced"]
+    assert parent["runs"] == 3 and change["runs"] == 2
+    assert parent["self_s"] == {"qp_das.self_s": 2.5}
+    assert parent["self_s_runs"] == {"qp_das.self_s": [1.0, 3.0, 2.5]}
+    assert parent["wall_s_per_round"] == 2.5
+    assert parent["counts"] == {"qp_das.pivots": 7}
+    assert parent["counts_differ"] == {}
+    assert change["self_s"] == {"qp_das.self_s": 1.5}
+    assert change["counts"] == {"qp_das.pivots": 8}
+    assert change["counts_differ"] == {"qp_das.pivots": [7, 9]}
+    assert change["failed"] == 4 and change["attempted"] == 20
 
 
 def test_verdict_claim_bound_and_spread(tmp_path):

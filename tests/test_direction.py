@@ -250,14 +250,15 @@ def _count_w_products(monkeypatch):
     ("das, trust region binding", 10, 0.05, "das", 1, "limited"),
     ("ipm omega-only", 30, 1e6, "ipm", 1, "full"),
     ("ipm omega-only", 30, 1e6, "ipm", 1, "limited"),
-    ("ipm full", 30, 0.05, "ipm", 2, "full"),
+    ("ipm full", 30, 0.05, "ipm", 1, "full"),
     ("ipm full", 30, 0.05, "ipm", 2, "limited"),
 ])
 def test_one_w_product_per_direction(monkeypatch, case, m, delta, solver,
                                      products, storage):
     # W-vector products per direction.  The IPM forms W (G omega + gamma)
     # once per solution, once more on its full path after the omega-only
-    # attempt.  The DAS prices with W G when the subproblem holds it, as it
+    # attempt, unless it abandoned that attempt early by reading the W G
+    # that full storage holds.  The DAS prices with W G when the subproblem holds it, as it
     # does under full storage, and then makes none.  Under limited storage
     # it makes one per unblocked pivot (3 here) until a gamma enters and
     # W G is formed (after 1 here).  Either solver's d is its last

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,17 +51,17 @@ def test_generated_qp_zero_case():
 
 def _solve_watching_objective(data):
     """``solve_das`` on ``data``, and the primal objective -dual after each
-    pivot, in order.  Each working-set solve records the iterate that the
-    previous pivot left, and the solver's iterate after it returns gives the
-    last."""
+    pivot, in order.  Each working-set solve (one per pivot) records the
+    iterate that the previous pivot left, and the solver's iterate after it
+    returns gives the last."""
     values, seen = [], []
     solve = qp_das._solve_eqp
 
-    def watched(st, S, F, pivot):
-        if pivot > 1:
+    def watched(st):
+        if seen:
             values.append(-dual_objective(data, st.omega, st.gamma))
         seen[:] = [st]
-        return solve(st, S, F, pivot)
+        return solve(st)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qp_das, "_solve_eqp", watched)
@@ -84,72 +86,135 @@ def test_solution_matches_dual_objective():
         -dual_objective(data, sol.omega, sol.gamma), rel=1e-9, abs=1e-9)
 
 
-def test_each_pivot_factors_once(monkeypatch):
-    calls = []
-    getrf = qp_das._getrf
+@pytest.mark.parametrize("rotate_from", [100, 8])
+def test_no_pivot_factors_more_than_its_trailing_block(monkeypatch,
+                                                       rotate_from):
+    # Between two working-set solves the working set gains or loses one
+    # index.  An add factors and rotates nothing.  A drop at position p of
+    # k indices touches only the t = k - 1 - p rows behind it: one
+    # factorization of size t below `_ROTATE_FROM` rows, else at most
+    # t - 1 rotation calls (the last column has nothing below its
+    # diagonal).  Full refactorizations happen only on a breakdown, and
+    # these instances have none.
+    monkeypatch.setattr(qp_das, "_ROTATE_FROM", rotate_from)
+    rotations, sizes, orders, seen, kinds = [], [], [], [], set()
+    rot, potrf, solve = qp_das._rot, qp_das._potrf, qp_das._solve_eqp
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return getrf(*args, **kwargs)
+    def counted_rot(*args, **kwargs):
+        rotations.append(1)
+        return rot(*args, **kwargs)
 
-    monkeypatch.setattr(qp_das, "_getrf", counted)
+    def counted_potrf(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return potrf(a, *args, **kwargs)
+
+    def watched(st):
+        order = st.order[:st.k].copy()
+        if orders:
+            before = orders[-1]
+            assert abs(order.size - before.size) == 1
+            if order.size > before.size:
+                assert rotations == [] and sizes == []
+            else:
+                p = int(np.flatnonzero(~np.isin(before, order))[0])
+                t = before.size - 1 - p
+                if t < rotate_from:
+                    assert rotations == [] and sizes in ([], [t])
+                    kinds.add("factor" if sizes else "none")
+                else:
+                    assert sizes == [] and len(rotations) <= t - 1
+                    kinds.add("rotate")
+        rotations.clear()
+        sizes.clear()
+        orders.append(order)
+        seen[:] = [st]
+        return solve(st)
+
+    monkeypatch.setattr(qp_das, "_rot", counted_rot)
+    monkeypatch.setattr(qp_das, "_potrf", counted_potrf)
+    monkeypatch.setattr(qp_das, "_solve_eqp", watched)
     for seed in range(3):
-        calls.clear()
+        orders.clear()
         sol = solve_das(generate_qp(40, 80, "full", seed).subproblem())
-        assert len(calls) == sol.iterations
+        assert len(orders) == sol.iterations
+        assert seen[0].full_factorizations == 0
+        assert sol.kkt_residual <= 1e-8
+    assert "factor" in kinds and ("rotate" in kinds) == (rotate_from < 100)
 
 
-def _reference_eqp(st, S, F):
-    """The bordered solve for the step from the iterate, with
-    ``np.linalg.solve`` and three refinements."""
-    s, f = len(S), F.size
+def _gathered_block(st):
+    """The Hessian block over the working set, in entry order, gathered
+    from G'WG, W G and W."""
+    m, order = st.data.m, st.order[:st.k]
     W = st.dense_W()
-    M = np.zeros((s + f + 1, s + f + 1))
-    M[:s, :s] = st.K[np.ix_(S, S)]
-    M[s:s + f, :s] = st.WG[np.ix_(F, S)]
-    M[:s, s:s + f] = M[s:s + f, :s].T
-    M[s:s + f, s:s + f] = W[np.ix_(F, F)]
-    M[:s, -1] = M[-1, :s] = 1.0
-    x0 = np.concatenate([st.omega[S], st.gamma[F], [0.0]])
-    rhs = np.concatenate([st.b[S], -st.delta * st.gamma_sign[F], [1.0]])
+    top = np.concatenate([st.K, st.WG.T], axis=1)
+    bottom = np.concatenate([st.WG, W], axis=1)
+    return np.concatenate([top, bottom])[np.ix_(order, order)]
+
+
+def _reference_eqp(st):
+    """The bordered solve for the step from the iterate, with
+    ``np.linalg.solve`` and three refinements, in entry order."""
+    m, k = st.data.m, st.k
+    order = st.order[:k]
+    omega = order < m
+    M = np.zeros((k + 1, k + 1))
+    M[:k, :k] = _gathered_block(st)
+    M[:k, -1] = M[-1, :k] = omega
+    x0 = np.concatenate([st.z[order], [0.0]])
+    rhs = np.concatenate([np.where(omega, st.b[np.minimum(order, m - 1)],
+                                   -st.delta * st.sign[order]), [1.0]])
     rhs = rhs - M @ x0
-    reg = 1e-11 * max(1.0, float(np.trace(M[:-1, :-1])) / max(1, s + f))
-    M_reg = M + reg * np.diag(np.r_[np.ones(s + f), 0.0])
+    M_reg = M + st.reg * np.diag(np.r_[np.ones(k), 0.0])
     step = np.linalg.solve(M_reg, rhs)
     for _ in range(3):
         step = step + np.linalg.solve(M_reg, rhs - M @ step)
     return x0 + step
 
 
+def _metric(n, seed, spread):
+    """A full-storage metric with eigenvalues from 1/spread to spread."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    qn = QuasiNewtonState(n)
+    qn.W = (Q * np.geomspace(1.0 / spread, spread, n)) @ Q.T
+    return qn
+
+
 def test_solve_eqp_matches_reference_on_random_working_sets():
     # With n = 10, the Gram block of a working set is singular when
-    # s + f > 10.  At s + f = 11 its null space is one vector that the
-    # simplex row does not annihilate, so the bordered matrix is still
-    # nonsingular and the two solves agree to 1e-10.  Beyond that the
-    # bordered matrix is singular too: the step is set by the proximal
-    # term, its size is about 1/reg, and two LAPACK builds agree only to
-    # about eps / 1e-11 relative.  Each state has a random iterate on its
-    # working set, drawn from a stream of its own so that the working sets
-    # do not depend on it.
+    # k > 10.  At k = 11 its null space is one vector that the simplex row
+    # does not annihilate, so the bordered matrix is still nonsingular and
+    # the two solves agree to 1e-10.  Beyond that the bordered matrix is
+    # singular too: the step is set by the proximal term, its size is about
+    # 1/reg, and two LAPACK builds agree only to about eps / 1e-11 relative.
+    # Each working set is entered in a random order, omega and gamma
+    # indices mixed, and gets a random iterate from a stream of its own so
+    # that the working sets do not depend on it.
     rng, rng_z = np.random.default_rng(11), np.random.default_rng(12)
     qp = generate_qp(10, 30, "full", 2)
-    st = qp_das._init_state(qp.subproblem())
+    data = SubproblemData(G=qp.G, b=qp.b, delta=qp.delta,
+                          qn=_metric(10, 3, 2.0))
     sizes = []
     for _ in range(60):
+        st = qp_das._init_state(data)
         total = int(rng.integers(1, 15))
         f = int(rng.integers(0, min(total, 8)))
-        s = total - f
-        sizes.append(total)
-        S = sorted(rng.choice(30, size=s, replace=False).tolist())
-        F = np.sort(rng.choice(10, size=f, replace=False))
-        st.gamma_sign[:] = 0
-        st.gamma_sign[F] = rng.choice([-1, 1], size=f)
+        others = np.setdiff1d(np.arange(30), st.order[:1])
+        entering = np.concatenate([
+            rng.choice(others, size=total - f - 1, replace=False),
+            30 + rng.choice(10, size=f, replace=False)])
+        for idx in rng.permutation(entering):
+            st.sign[idx] = 1 if idx < 30 else rng.choice([-1, 1])
+            st.add(int(idx))
+        sizes.append(st.k)
+        order = st.order[:st.k]
         st.z[:] = 0.0
-        st.omega[S] = rng_z.dirichlet(np.ones(s))
-        st.gamma[F] = st.gamma_sign[F] * rng_z.random(f)
-        t_omega, t_gamma, mult = qp_das._solve_eqp(st, S, F, 1)
-        got = np.concatenate([t_omega, t_gamma, [mult]])
-        ref = _reference_eqp(st, S, F)
+        st.z[order[order < 30]] = rng_z.dirichlet(np.ones(total - f))
+        st.z[order[order >= 30]] = st.sign[order[order >= 30]] * rng_z.random(f)
+        target, mult = qp_das._solve_eqp(st)
+        got = np.concatenate([target, [mult]])
+        ref = _reference_eqp(st)
         tol = 1e-10 if total <= 11 else 1e-4
         assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
     assert sizes.count(11) >= 3 and sum(t > 11 for t in sizes) >= 10
@@ -162,10 +227,117 @@ def test_singular_working_set_targets_the_minimizer_nearest_the_iterate():
     # centred on the origin would give (0.5, 0.5).
     data = _data([[1.0, 1.0, -1.0], [0.5, 0.5, 2.0]], [0.3, 0.3, 0.0])
     st = qp_das._init_state(data)
+    st.sign[1] = 1
+    st.add(1)
+    assert list(st.order[:st.k]) == [0, 1]
     st.z[:] = 0.0
     st.z[:2] = 0.7, 0.3
-    t_omega, _, _ = qp_das._solve_eqp(st, [0, 1], np.array([], int), 1)
-    assert np.allclose(t_omega, [0.7, 0.3], rtol=0.0, atol=1e-9)
+    target, _ = qp_das._solve_eqp(st)
+    assert np.allclose(target, [0.7, 0.3], rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed, rotate_from", [(0, 100), (1, 100), (2, 6),
+                                                (3, 6)])
+def test_held_factor_follows_random_add_drop_walks(monkeypatch, seed,
+                                                   rotate_from):
+    # Adds and drops in random order, omega and gamma indices mixed, up to
+    # 36 of the 40 indices, so that the buffers grow and the Gram block is
+    # singular for most of the walk; with `_ROTATE_FROM` at 6 most drops
+    # update by rotations.  After every step the held block is the
+    # gathered one bit for bit and L L' is H + reg I to 1e-12.
+    monkeypatch.setattr(qp_das, "_ROTATE_FROM", rotate_from)
+    rng = np.random.default_rng(seed)
+    qp = generate_qp(10, 30, "full", seed)
+    data = SubproblemData(G=qp.G, b=qp.b, delta=qp.delta,
+                          qn=_metric(10, seed, 100.0))
+    st = qp_das._init_state(data)
+    drops = 0
+    for _ in range(150):
+        inside = st.order[:st.k]
+        if st.k > 1 and (st.k >= 36 or rng.random() < 0.3):
+            st.drop(int(rng.choice(inside)))
+            drops += 1
+        else:
+            idx = int(rng.choice(np.setdiff1d(np.arange(40), inside)))
+            st.sign[idx] = 1 if idx < 30 else rng.choice([-1, 1])
+            st.add(idx)
+        k, order = st.k, st.order[:st.k]
+        assert np.array_equal(st.pos[order], np.arange(k))
+        assert np.count_nonzero(st.pos >= 0) == k
+        assert st.free == np.count_nonzero(order >= 30)
+        H = st.H[:k, :k]
+        assert np.array_equal(H, _gathered_block(st))
+        L = np.tril(st.L[:k, :k])
+        target = H + st.reg * np.eye(k)
+        assert np.linalg.norm(L @ L.T - target) <= 1e-12 * np.linalg.norm(target)
+    assert drops > 30 and st.order.size > 32
+
+
+def test_breakdown_refactors_the_whole_block_with_a_larger_reg():
+    # G'WG made indefinite by 1e-8 of its scale, far beyond reg: the
+    # appends break down, and the whole block is refactored with reg from
+    # the working set, grown by 100 until the factor exists.
+    qp = generate_qp(6, 12, "full", 0)
+    data = qp.subproblem()
+    K = data.gtwg
+    scale = float(np.trace(K)) / 12
+    u = np.random.default_rng(0).standard_normal(12)
+    data._gtwg = K - 1e-8 * scale * np.outer(u, u) / (u @ u)
+    st = qp_das._init_state(data)
+    for idx in range(12):
+        if st.pos[idx] < 0:
+            st.sign[idx] = 1
+            st.add(idx)
+    assert st.full_factorizations >= 1
+    L = np.tril(st.L[:12, :12])
+    target = st.H[:12, :12] + st.reg * np.eye(12)
+    assert np.linalg.norm(L @ L.T - target) <= 1e-12 * np.linalg.norm(target)
+    # refactored again here: reg is the working set's, times the least power
+    # of 100 that makes the factor exist
+    st._factor_all()
+    base = 1e-11 * max(1.0, float(np.trace(st.H[:12, :12])) / 12)
+    power = np.log(st.reg / base) / np.log(100.0)
+    assert 1 <= round(power) <= 4 and abs(power - round(power)) < 1e-9
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(st.H[:12, :12] + st.reg / 100.0 * np.eye(12))
+
+
+def test_breakdown_beyond_the_largest_reg_raises_das_error():
+    # G'WG with an eigenvalue of -0.2 at a unit diagonal: the largest reg,
+    # 1e-11 x 100^4 = 1e-3 of the mean diagonal, does not make it definite
+    # when column 1 enters
+    data = _data([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.5], delta=1e6)
+    data._gtwg = np.array([[1.0, 1.2], [1.2, 1.0]])
+    with pytest.raises(qp_das.DasError, match="pivot 1: .* not positive "
+                       "definite"):
+        solve_das(data)
+
+
+def test_captured_breakdown_subproblem_ends_at_its_attainable_residual(
+        monkeypatch):
+    # A cutting-plane subproblem of ChainedCB3_2 at n = 10 under full
+    # storage, captured where an append broke down.  Its G'WG has an
+    # eigenvalue of -3.9e-7 at a diagonal of 1.2e4, so the KKT residual,
+    # evaluated through W (G omega), stays near 6e-7 whatever the solver:
+    # the LU solver this one replaced ended at 5.9e-7.  It has to end there
+    # without a DasError, after one full refactorization.
+    case = np.load(Path(__file__).parent / "data" /
+                   "das_breakdown_chained_cb3_2_n10.npz")
+    qn = QuasiNewtonState(case["G"].shape[0])
+    qn.W = case["W"]
+    data = SubproblemData(G=case["G"], b=case["b"], delta=float(case["delta"]),
+                          qn=qn)
+    seen, solve = [], qp_das._solve_eqp
+
+    def watched(st):
+        seen[:] = [st]
+        return solve(st)
+
+    monkeypatch.setattr(qp_das, "_solve_eqp", watched)
+    sol = solve_das(data, tol=1e-6)
+    assert seen[0].full_factorizations == 1
+    assert sol.kkt_residual <= 1e-6
+    assert np.linalg.eigvalsh(data.gtwg)[0] < -1e-11 * 1.2e4
 
 
 def test_nan_in_gtwg_raises_das_error(capfd):
@@ -183,18 +355,17 @@ def _count_zero_length_steps(monkeypatch) -> list[int]:
     count, last = [0], []
     solve = qp_das._solve_eqp
 
-    def watched(st, S, F, pivot):
-        size = len(S) + F.size
-        if last and size < last[0] and np.array_equal(st.z, last[1]):
+    def watched(st):
+        if last and st.k < last[0] and np.array_equal(st.z, last[1]):
             count[0] += 1
-        last[:] = [size, st.z.copy()]
-        return solve(st, S, F, pivot)
+        last[:] = [st.k, st.z.copy()]
+        return solve(st)
 
     monkeypatch.setattr(qp_das, "_solve_eqp", watched)
     return count
 
 
-@pytest.mark.parametrize("dcase, pivots", [("half", 457), ("full", 631)])
+@pytest.mark.parametrize("dcase, pivots", [("half", 457), ("full", 637)])
 def test_path_through_degenerate_steps(monkeypatch, dcase, pivots):
     # Seed 0 at n = 200, m = 400 meets working sets whose minimizer is not
     # unique.  The proximal term centred on the iterate keeps the path free

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +129,87 @@ def test_factorize_shifted_retry_on_singular_block():
     assert isinstance(factor, CholeskySchurFactor)
     assert np.allclose(factor.d, 1e-17 + 1e-12, rtol=1e-12, atol=0.0)
     assert diag.factorizations == 1
+    step = _newton_step(factor, theta, v, r_d, r_p, r_c)
+    assert all(np.all(np.isfinite(part)) for part in step)
+
+
+def _full_path_q(data):
+    """The (omega, sigma, rho) matrix of the full path."""
+    wg, wd, K = data.wg, data.qn.dense_W(), data.gtwg
+    return np.block([[K, wg.T, -wg.T], [wg, wd, -wd], [-wg, -wd, wd]])
+
+
+def _exact_solve(rows, rhs):
+    """Gauss-Jordan elimination in exact rational arithmetic, rounded to
+    floats at the end."""
+    rows = [row + [Fraction(r)] for row, r in zip(rows, rhs)]
+    size = len(rows)
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return np.array([float(rows[r][-1] / rows[r][r]) for r in range(size)])
+
+
+def _exact_q_plus_d(Q, d):
+    """Q + diag(d) formed exactly from the float entries."""
+    return [[Fraction(Q[i, j]) + (Fraction(d[i]) if i == j else 0)
+             for j in range(d.size)] for i in range(d.size)]
+
+
+@pytest.mark.parametrize("sigma_at_bound, rho_at_bound", [
+    (True, True), (True, False), (False, True), (False, False)])
+def test_split_solve_matches_an_exact_solve(sigma_at_bound, rho_at_bound):
+    # The split solve against an exact one of the whole (m + 2n) system.
+    # d spans 1e-8 to 1e8 over (sigma, rho): a variable at its bound has
+    # theta -> 0 and d = v / theta large.  d_omega stays within 1e-2 to
+    # 1e2: omega is not eliminated, and a tiny d on G'WG's null space caps
+    # the accuracy of any solve, split or not.  Q + D is formed exactly in
+    # the reference, since rounding d_sigma + d_rho into Q's diagonal alone
+    # moves the solution by 1e-9 when both are small.
+    rng = np.random.default_rng(int(sigma_at_bound) + 2 * int(rho_at_bound))
+    m, n = 5, 3
+    for seed in range(4):
+        data = generate_qp(n, m, "full", seed).subproblem()
+        Q = _full_path_q(data)
+        side = [10.0 ** rng.uniform(*((4, 8) if at else (-8, -4)), n)
+                for at in (sigma_at_bound, rho_at_bound)]
+        d = np.concatenate([10.0 ** rng.uniform(-2, 2, m), *side])
+        A = np.r_[np.ones(m), np.zeros(2 * n)]
+        factor = CholeskySchurFactor(Q, d, A, split=n)
+        P = _exact_q_plus_d(Q, d)
+        rhs = rng.standard_normal(m + 2 * n + 1)
+        kkt = [[-a for a in row] + [Fraction(A[i])] for i, row in enumerate(P)]
+        kkt.append([Fraction(a) for a in A] + [Fraction(0)])
+        # (Q + D)^-1 r and the bordered solve, each block on its own, so
+        # that a small x_rho next to a large x_sigma counts
+        for got, ref in ((factor._cho_solve(rhs[:-1]), _exact_solve(P, rhs[:-1])),
+                         (factor.solve(rhs), _exact_solve(kkt, rhs))):
+            for block in (slice(0, m), slice(m, m + n), slice(m + n, None)):
+                err = np.linalg.norm(got[block] - ref[block])
+                assert err <= 1e-12 * np.linalg.norm(ref[block])
+
+
+def test_factorize_shifted_retry_on_the_reduced_matrix():
+    # One omega and one (sigma, rho) pair with G'WG = W G^2: the reduced
+    # matrix [[1 + d_omega, 1], [1, 1 + d_s d_r / (d_s + d_r)]] rounds to
+    # the singular [[1, 1], [1, 1]] at d = 1e-17, so the factorization of
+    # the reduced matrix fails and the retry with d + 1e-12 gives the step.
+    Q = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    qp = QpData(Q=Q, c=np.array([-1.0, 0.5, 0.5]), A=np.array([1.0, 0, 0]),
+                split=1)
+    theta, v = np.ones(3), np.full(3, 1e-17)
+    with pytest.raises(np.linalg.LinAlgError):
+        CholeskySchurFactor(Q, v / theta, qp.A, split=1)
+    diag = IpmDiagnostics()
+    factor = _factorize(qp, theta, v, diag)
+    assert factor.split == 1 and factor.chol.shape == (2, 2)
+    assert np.allclose(factor.d, 1e-17 + 1e-12, rtol=1e-12, atol=0.0)
+    assert diag.factorizations == 1
+    r_d, r_p, r_c = residuals(qp, theta, 0.0, v)
     step = _newton_step(factor, theta, v, r_d, r_p, r_c)
     assert all(np.all(np.isfinite(part)) for part in step)
 
@@ -326,3 +408,37 @@ def test_q_times_copies_no_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < Q.nbytes / 4
+
+
+@pytest.mark.parametrize("dcase", ["half", "full", "zero"])
+def test_abandoned_omega_only_attempt_changes_no_result(monkeypatch, dcase):
+    # The full path does not depend on the omega-only attempt, so when the
+    # attempt is abandoned at its look at the box, the solution is the one
+    # of running it to the end and failing its test: bit for bit.  On the
+    # zero case the box never binds and nothing is abandoned.
+    cores = []
+    core = qp_ipm.solve_ipm_core
+
+    def watched(qp, *args, **kwargs):
+        out = core(qp, *args, **kwargs)
+        cores.append(out)
+        return out
+
+    monkeypatch.setattr(qp_ipm, "solve_ipm_core", watched)
+    for seed in range(3):
+        qp = generate_qp(30, 60, dcase, seed)
+        cores.clear()
+        peeked = solve_ipm(qp.subproblem())
+        abandoned = cores[0] is None
+        assert abandoned == (dcase != "zero")
+        with monkeypatch.context() as mp:
+            mp.setattr(qp_ipm, "_PEEK_RESIDUAL", -1.0)  # never looks
+            cores.clear()
+            plain = solve_ipm(qp.subproblem())
+            assert cores[0] is not None
+        for name in ("omega", "gamma", "sigma", "rho", "d"):
+            assert np.array_equal(getattr(peeked, name), getattr(plain, name))
+        assert (peeked.u, peeked.iterations, peeked.omega_only) == \
+            (plain.u, plain.iterations, plain.omega_only)
+        assert peeked.diagnostics.factorizations == \
+            plain.diagnostics.factorizations

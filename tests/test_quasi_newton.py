@@ -308,3 +308,23 @@ def test_limited_matches_dense_recursions_from_scaled_base(mode):
         assert np.max(np.abs(W - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
         assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
         assert np.max(np.abs(H @ W - I)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode, limit", [("BFGS", 4), ("DFP", 4), ("BFGS", 1)])
+def test_held_basis_is_the_stacked_pairs(mode, limit):
+    # 40 updates slide the window past the end of the buffer several times.
+    # After each, Psi is bit for bit the columns stacked from the pair
+    # list, with the same column-major layout, so that every product with
+    # it sums as it would on a freshly stacked array.
+    rng = np.random.default_rng(4)
+    qn = QuasiNewtonState(7, mode=mode, storage="limited", history_limit=limit)
+    for _ in range(40):
+        s = rng.standard_normal(7)
+        qn.update(s, s + 0.1 * rng.standard_normal(7))
+        lead, trail = (0, 1) if mode == "BFGS" else (1, 0)
+        stacked = np.array([p[lead] for p in qn.pairs]
+                           + [p[trail] for p in qn.pairs]).T
+        window, psi = qn.compact_basis()
+        assert window == (qn.updates - len(qn.pairs), len(qn.pairs))
+        assert np.array_equal(psi, stacked)
+        assert psi.strides == stacked.strides and psi.flags.f_contiguous

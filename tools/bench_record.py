@@ -7,8 +7,10 @@ Each DIR holds the result files that ``perfbench/run.py`` wrote under
 or a copy of it); COMMIT names the code that side ran.  For every workload
 found on both sides the record gives, per side, the median and quartiles of
 each end-to-end metric in BENCHMARK.json over the untraced runs, the failed
-and attempted operations, the per-layer metrics of one traced run, the BLAS
-thread settings and the library versions.  Runs of the two sides with the
+and attempted operations, the per-layer metrics of every traced run with
+their medians, the BLAS thread settings and the library versions.  A traced
+run's counts should repeat from run to run; ``counts_differ`` lists every
+count that does not, with its value in each run.  Runs of the two sides with the
 same ``--seed`` form a pair, and ``change_better`` counts the pairs in which
 the change's value is better (ties count for neither side).
 
@@ -72,19 +74,34 @@ def side_summary(runs: dict[str, list[dict]], commit: str, metrics: list[dict]) 
         "cpu_model": untraced[0]["cpu_model"],
     }
     if runs["traced"]:
-        traced = runs["traced"][-1]
-        summary["traced"] = {
-            "correct": traced["correct"],
-            "failed": traced["failed"],
-            "attempted": traced["attempted"],
-            "rounds": len(traced["round_wall_s"]),
-            "wall_s_per_round": traced["traced_wall_s"],
-            "counts": {k: v["value"] for k, v in traced["metrics"].items()
-                       if v["unit"] == "count"},
-            "self_s": {k: v["value"] for k, v in traced["metrics"].items()
-                       if v["unit"] == "s"},
-        }
+        summary["traced"] = traced_summary(runs["traced"])
     return summary
+
+
+def traced_summary(traced: list[dict]) -> dict:
+    """The traced runs of a side: per-layer medians, each run's values, and
+    the counts that differ between runs."""
+    values = defaultdict(list)
+    for record in traced:
+        for name, metric in record["metrics"].items():
+            values[name].append(metric["value"])
+    unit = {name: metric["unit"] for record in traced
+            for name, metric in record["metrics"].items()}
+    counts = {k: v for k, v in values.items() if unit[k] == "count"}
+    times = {k: v for k, v in values.items() if unit[k] == "s"}
+    return {
+        "runs": len(traced),
+        "correct": all(r["correct"] for r in traced),
+        "failed": sum(r["failed"] for r in traced),
+        "attempted": sum(r["attempted"] for r in traced),
+        "rounds": [len(r["round_wall_s"]) for r in traced],
+        "wall_s_per_round": statistics.median(r["traced_wall_s"] for r in traced),
+        "wall_s_per_round_runs": [r["traced_wall_s"] for r in traced],
+        "counts": {k: statistics.median(v) for k, v in counts.items()},
+        "counts_differ": {k: v for k, v in counts.items() if len(set(v)) > 1},
+        "self_s": {k: statistics.median(v) for k, v in times.items()},
+        "self_s_runs": times,
+    }
 
 
 def pairs_won(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
