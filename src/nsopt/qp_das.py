@@ -48,17 +48,15 @@ order, omega and gamma indices alike, with H, the unregularized Hessian
 block over it (entries of G'WG, W G and W), and a lower Cholesky factor L of
 H + reg I.  An add appends one row and column to H and one row to L: with
 l = L^-1 h, the new pivot is h_kk + reg - l'l.  A drop at position p
-deletes a row and column of H and updates only the trailing block of L to
-chol(L33 L33' + l32 l32'): below 100 rows by forming that block and calling
-``dpotrf``, from 100 rows by one Givens rotation per column (LINPACK's
-``dchud``), since OpenBLAS's threaded product and factorization of large
-blocks round differently at one and at two BLAS threads, and the pivot
-path would follow.  The simplex row is taken by its 1 x 1 Schur
-complement e'(H + reg I)^-1 e, where e marks the omega indices: appended to
-L as the row (L^-1 e)', it makes an LDL' factor of the regularized bordered
-matrix, so each solve is two triangular solves (LAPACK ``dtrtrs`` from
-scipy, on the factor's buffer without a copy).  Five solves per pivot use
-that factor: the first, one refinement against the regularized matrix and
+deletes a row and column of H and refactors only the trailing block of L,
+chol(L33 L33' + l32 l32'), with LAPACK ``dpotrf``.  OpenBLAS threads that
+product and factorization from about 60 rows and then rounds differently at
+one and at two threads, so the pivot path can depend on the thread count.
+The simplex row is taken by its 1 x 1 Schur complement e'(H + reg I)^-1 e,
+where e marks the omega indices: appended to L as the row (L^-1 e)', it
+makes an LDL' factor of the regularized bordered matrix, so each solve is
+two triangular solves (LAPACK ``dtrtrs`` from scipy, on the factor's buffer
+without a copy).  Five solves per pivot use that factor: the first, one refinement against the regularized matrix and
 three against the unregularized one.  A Cholesky factor of H + reg I
 rounds by about eps / reg along H's null space, which the refinements
 against the singular unregularized matrix cannot see; the one against the
@@ -67,8 +65,7 @@ regularized matrix removes it.
 reg is 1e-11 max(1, trace(H) / k) for a working set of k indices, evaluated
 at the last full factorization: 1e-11 max(1, (G'WG)_jj) for the starting
 column j.  Rounding can leave a Gram block indefinite by more than that, and
-then an append or a drop's refactorization breaks down (rotations
-cannot).  The whole block
+then an append or a trailing refactorization breaks down.  The whole block
 is then refactored with reg from the current working set, and if that fails
 too, reg grows by a factor of 100, at most four times, before ``DasError``
 is raised.  A non-finite solution raises ``DasError`` as well.
@@ -76,11 +73,9 @@ is raised.  A non-finite solution raises ``DasError`` as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import drot as _rot
 from scipy.linalg.lapack import dpotrf as _potrf, dtrtrs as _trtrs
 
 from .subproblem import SubproblemData, compute_kkt_residual
@@ -97,8 +92,6 @@ _PRICING = 0.05
 _REG = 1e-11
 _REG_GROWTH, _REG_RETRIES = 100.0, 4
 _MIN_CAPACITY = 16
-# Trailing blocks of at least this many rows are updated by rotations.
-_ROTATE_FROM = 100
 
 
 class DasError(RuntimeError):
@@ -205,7 +198,7 @@ class DasState:
             self._factor_all()
 
     def drop(self, idx: int) -> None:
-        """Remove index idx from the working set and update the trailing
+        """Remove index idx from the working set and refactor the trailing
         block of L behind its position."""
         p, k = int(self.pos[idx]), self.k
         H, L, order = self.H, self.L, self.order
@@ -219,31 +212,15 @@ class DasState:
         if p == k - 1:
             return
         # The trailing block's factor becomes chol(L33 L33' + l32 l32').
-        # Below _ROTATE_FROM rows it is refactored with LAPACK; from there
-        # on one Givens rotation per column folds l32 in (LINPACK's dchud),
-        # since OpenBLAS's blocked product and factorization of larger
-        # blocks round differently at one and at two threads.
-        if k - 1 - p < _ROTATE_FROM:
-            X = L[p + 1:k, p:k]  # [l32 L33]
-            T = X @ X.T
-            L[p:k - 1, :p] = L[p + 1:k, :p]
-            # T is symmetric, so its transpose is T in LAPACK's layout
-            c, info = _potrf(T.T, lower=1, overwrite_a=1)
-            if info == 0:
-                L[p:k - 1, p:k - 1] = c
-            else:
-                self._factor_all()
-            return
-        x = L[p + 1:k, p].copy()  # l32
-        for j in range(p + 1, k):
-            a, b = L[j, j], x[j - p - 1]
-            r = math.hypot(a, b)
-            L[j, j] = r
-            if j + 1 < k:
-                _rot(L[j + 1:k, j], x[j - p:], a / r, b / r,
-                     overwrite_x=1, overwrite_y=1)
+        X = L[p + 1:k, p:k]  # [l32 L33]
+        T = X @ X.T
         L[p:k - 1, :p] = L[p + 1:k, :p]
-        L[p:k - 1, p:k - 1] = L[p + 1:k, p + 1:k]
+        # T is symmetric, so its transpose is T in LAPACK's layout
+        c, info = _potrf(T.T, lower=1, overwrite_a=1)
+        if info == 0:
+            L[p:k - 1, p:k - 1] = c
+        else:
+            self._factor_all()
 
     def _factor_all(self) -> None:
         """Factor the whole block after a breakdown, with reg from the
@@ -316,7 +293,7 @@ def _solve_eqp(st: DasState):
         rhs[:k][is_omega] = st.b[order[is_omega]]
     else:
         e = np.ones(k)
-        rhs[:k] = st.b[order]
+        st.b.take(order, out=rhs[:k])
     rhs[k] = 1.0
     # The Hessian block is a Gram matrix and can be singular when k > n.
     # The factor's proximal term reg I makes the minimizer unique: the solve
@@ -328,13 +305,13 @@ def _solve_eqp(st: DasState):
     # proximal bias from the returned solution.  Row k of L and of H is the
     # simplex border: L_b = [L 0; c' 1] with c = L^-1 e gives the
     # regularized bordered matrix as L_b diag(I, -c'c) L_b'.
-    c = _trtrs(st.L[:, :k], e, lower=1)[0]
-    schur = float(c @ c)
-    st.L[k, :k], st.L[k, k] = c, 1.0
-    st.H[k, :k], st.H[:k, k], st.H[k, k] = e, e, 0.0
     L, M = st.L[:, :k + 1], st.H[:k + 1, :k + 1]
+    c = _trtrs(L[:, :k], e, lower=1)[0]
+    schur = float(c @ c)
+    L[k, :k], L[k, k] = c, 1.0
+    M[k, :k], M[:k, k], M[k, k] = e, e, 0.0
     x0 = np.zeros(k + 1)
-    x0[:k] = st.z[order]
+    st.z.take(order, out=x0[:k])
     rhs -= M @ x0
 
     def solve(r):
@@ -349,7 +326,7 @@ def _solve_eqp(st: DasState):
     for _ in range(3):
         step += solve(rhs - M @ step)
     sol = x0 + step
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise np.linalg.LinAlgError(
             f"the KKT matrix of a working set of {k - st.free} omega and "
             f"{st.free} gamma indices is singular or gives a non-finite "

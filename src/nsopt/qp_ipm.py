@@ -33,17 +33,19 @@ variable: what is left to factor is Q's leading (m + n) block, over
 
 Neither is recovered from the other through gamma: when one side sits at its
 bound, x_sigma - gamma cancels and the core stalls above its tolerance.  The
-(m + 2n) matrix Q is still what the residuals, the step sizes and the
-refinement multiply by.  When rounding leaves the factored matrix
+residuals, the step sizes and the refinement multiply by the whole Q, but
+through its leading block: Q's sigma and rho rows and columns are its gamma
+rows and columns and their negatives.  The leading block is held
+contiguous, once per instance, for the products and for the copy each
+factorization starts from.  When rounding leaves the factored matrix
 numerically indefinite, the factorization is retried once with d shifted by
 1e-12 max(1, max diag Q), which shifts the factored diagonal by between
 half that and that; if it fails again, ``IpmError`` is raised.  The
 factorization (``dpotrf``), the triangular solves (``dtrsv``) and every
-product with Q (``dsymv``, which reads one triangle of the symmetric Q) use
-scipy's BLAS and LAPACK: numpy loads an OpenBLAS of its own, and an
-iteration that switched between the two would keep both libraries' thread
-pools spinning.  Step sizes follow a two-segment merit-function
-search bounded by the fraction-to-the-boundary rule: a common primal/dual
+product with Q (``dgemv``) use scipy's BLAS and LAPACK: numpy loads an
+OpenBLAS of its own, and an iteration that switched between the two would
+keep both libraries' thread pools spinning.  Step sizes follow a
+two-segment merit-function search bounded by the fraction-to-the-boundary rule: a common primal/dual
 step is optimized first, then the remaining slack in whichever bound is
 looser.
 
@@ -57,9 +59,10 @@ residual of a Newton step, for checks made from outside the iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dsymv as _symv, dtrsv as _trsv
+from scipy.linalg.blas import dgemv as _gemv, dtrsv as _trsv
 from scipy.linalg.lapack import dpotrf as _potrf
 
 from .subproblem import SubproblemData, compute_kkt_residual
@@ -92,6 +95,27 @@ class QpData:
     @property
     def size(self) -> int:
         return self.c.size
+
+    @cached_property
+    def lead(self) -> np.ndarray:
+        """Q's leading block over (omega, gamma), contiguous; all of Q when
+        there is no split."""
+        k = self.size - self.split
+        return np.ascontiguousarray(self.Q[:k, :k])
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """Q x.  With a split, Q's sigma and rho columns are its gamma
+        columns and their negatives, and so are its rows, so Q x is the
+        leading block times (x_omega, x_sigma - x_rho), its gamma rows
+        repeated with the opposite sign."""
+        if not self.split:
+            return _q_times(self.Q, x)
+        k = self.size - self.split
+        m = k - self.split
+        y = x[:k].copy()
+        y[m:] -= x[k:]
+        top = _q_times(self.lead, y)
+        return np.concatenate((top, -top[m:]))
 
 
 @dataclass
@@ -129,20 +153,21 @@ class IpmSolution:
 
 
 class CholeskySchurFactor:
-    """Solves with K = [-P, A; A', 0] for positive definite P = Q + diag(d).
+    """Solves with K = [-P, A; A', 0] for positive definite P = Q + diag(d),
+    Q and A those of ``qp``.
 
     With z = P^-1 A and the Schur complement A'z, the solution of
     K (x, y) = (r1, r2) is y = (r2 + A'P^-1 r1) / A'z, x = z y - P^-1 r1.
-    ``split`` n > 0 applies P^-1 by eliminating the trailing (sigma, rho)
+    A split n > 0 applies P^-1 by eliminating the trailing (sigma, rho)
     pairs and factoring only Q's leading block (see the module docstring);
     n = 0 factors all of Q + diag(d).  Raises ``LinAlgError`` when the
     factored matrix is not numerically positive definite.
     """
 
-    def __init__(self, Q: np.ndarray, d: np.ndarray, A: np.ndarray,
-                 split: int = 0):
-        k = Q.shape[0] - split  # order of the factored block
-        P = Q[:k, :k].copy()
+    def __init__(self, qp: QpData, d: np.ndarray):
+        split, A = qp.split, qp.A
+        P = qp.lead.copy()
+        k = P.shape[0]  # order of the factored block
         diag = P.ravel()[::k + 1]
         if split:
             m = k - split
@@ -156,7 +181,7 @@ class CholeskySchurFactor:
         self.chol, info = _potrf(P.T, lower=1, clean=0, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError("Q + D is not positive definite")
-        self.Q, self.d, self.A, self.split = Q, d, A, split
+        self.qp, self.d, self.A, self.split = qp, d, A, split
         self.z = self._cho_solve(A)
         self.schur = float(A @ self.z)
         if not (np.isfinite(self.schur) and self.schur > 0.0):
@@ -199,7 +224,7 @@ class CholeskySchurFactor:
     def _matvec(self, sol: np.ndarray) -> np.ndarray:
         x = sol[:-1]
         out = np.empty(sol.size)
-        out[:-1] = self.A * sol[-1] - _q_times(self.Q, x) - self.d * x
+        out[:-1] = self.A * sol[-1] - self.qp.times(x) - self.d * x
         out[-1] = self.A @ x
         return out
 
@@ -216,14 +241,14 @@ def _merit_of(theta: np.ndarray, v: np.ndarray, r_d: np.ndarray,
 
 
 def _q_times(Q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q x for symmetric Q by scipy's ``dsymv``, which reads one triangle
-    and so moves half the memory of a general product.  A C-ordered Q is
-    its transpose in BLAS's column-major layout, so nothing is copied."""
-    return _symv(1.0, Q.T, x)
+    """Q x by scipy's ``dgemv``.  A C-ordered Q is its transpose in BLAS's
+    column-major layout, so nothing is copied, and the transposed product
+    sums in the same order as numpy's ``Q @ x``."""
+    return _gemv(1.0, Q.T, x, trans=1)
 
 
 def residuals(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray):
-    r_d = _q_times(qp.Q, theta) + qp.c - qp.A * u - v
+    r_d = qp.times(theta) + qp.c - qp.A * u - v
     r_p = qp.b - float(qp.A @ theta)
     r_c = -theta * v
     return r_d, r_p, r_c
@@ -264,7 +289,7 @@ def _box_free_qp(P: np.ndarray, q: np.ndarray, lo: float, hi: float):
 
 def step_sizes(qp: QpData, theta, u, v, r_p, r_d, dtheta, du, dv):
     """Two-segment merit search bounded by fraction-to-the-boundary."""
-    q_dtheta = _q_times(qp.Q, dtheta)
+    q_dtheta = qp.times(dtheta)
     a_theta = _fraction_to_boundary(theta, dtheta)
     a_v = _fraction_to_boundary(v, dv)
     a_bar = min(a_theta, a_v)
@@ -316,13 +341,13 @@ def _factorize(qp: QpData, theta: np.ndarray, v: np.ndarray,
     d = v / theta
     diagnostics.factorizations += 1
     try:
-        return CholeskySchurFactor(qp.Q, d, qp.A, qp.split)
+        return CholeskySchurFactor(qp, d)
     except np.linalg.LinAlgError:
         pass
     # one-shot diagonal shift; refinement then works against the shifted matrix
     tau = 1e-12 * max(1.0, float(np.diag(qp.Q).max()))
     try:
-        return CholeskySchurFactor(qp.Q, d + tau, qp.A, qp.split)
+        return CholeskySchurFactor(qp, d + tau)
     except np.linalg.LinAlgError as exc:
         raise IpmError(f"reduced KKT system not factorizable: {exc}") from None
 
@@ -350,11 +375,13 @@ def _plugback_residual(qp, theta, v, dtheta, du, dv, r_d, r_p, r_c) -> float:
 
 def solve_ipm_core(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray,
                    tol: float = 1e-8, max_iterations: int = 200,
-                   soft_tol: float | None = None,
-                   stop=None) -> IpmCoreResult | None:
-    """The core iteration from (theta, u, v).  ``stop(theta, residual)``,
-    when given, is asked at every iterate that has not converged, and the
-    core returns None once it answers True."""
+                   soft_tol: float | None = None, wg: np.ndarray | None = None,
+                   delta: float = 0.0) -> IpmCoreResult | None:
+    """The core iteration from (theta, u, v).  Given ``wg``, the W G of an
+    omega-only instance, the core looks at the box once, at its first
+    iterate with a residual at most _PEEK_RESIDUAL, and returns None there
+    when W G omega, omega the iterate scaled onto the simplex, leaves the
+    box |.| <= ``delta`` by more than _PEEK_MARGIN relative."""
     theta = np.asarray(theta, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
     if np.any(theta <= 0.0) or np.any(v <= 0.0):
@@ -372,8 +399,11 @@ def solve_ipm_core(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray,
             return IpmCoreResult(theta, u, v, float(res), it, diag)
         if it == max_iterations:
             break
-        if stop is not None and stop(theta, res):
-            return None
+        if wg is not None and res <= _PEEK_RESIDUAL:
+            step = wg @ (theta / theta.sum())
+            if float(np.max(np.abs(step))) > (1.0 + _PEEK_MARGIN) * delta:
+                return None
+            wg = None  # one look only
 
         factor = _factorize(qp, theta, v, diag)
         dtheta_p, du_p, dv_p = _newton_step(factor, theta, v, r_d, r_p, r_c)
@@ -421,19 +451,10 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8,
     omega0 = np.full(m, 1.0 / m)
     v0 = np.full(m, _MU0 * m)
     qp_small = QpData(Q=data.gtwg, c=-data.b, A=np.ones(m))
-    looked = False
-
-    def box_binds(theta: np.ndarray, residual: float) -> bool:
-        nonlocal looked
-        if looked or residual > _PEEK_RESIDUAL:
-            return False
-        looked = True
-        step = data.wg @ (theta / theta.sum())
-        return float(np.max(np.abs(step))) > (1.0 + _PEEK_MARGIN) * data.delta
-
     core = solve_ipm_core(qp_small, omega0, 0.0, v0, tol=core_tol,
                           max_iterations=max_iterations, soft_tol=tol,
-                          stop=box_binds if data.has_wg else None)
+                          wg=data.wg if data.has_wg else None,
+                          delta=data.delta)
     if core is not None:
         omega = core.theta
         g_omega = data.G @ omega

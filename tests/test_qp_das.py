@@ -86,23 +86,14 @@ def test_solution_matches_dual_objective():
         -dual_objective(data, sol.omega, sol.gamma), rel=1e-9, abs=1e-9)
 
 
-@pytest.mark.parametrize("rotate_from", [100, 8])
-def test_no_pivot_factors_more_than_its_trailing_block(monkeypatch,
-                                                       rotate_from):
+def test_no_pivot_factors_more_than_its_trailing_block(monkeypatch):
     # Between two working-set solves the working set gains or loses one
-    # index.  An add factors and rotates nothing.  A drop at position p of
-    # k indices touches only the t = k - 1 - p rows behind it: one
-    # factorization of size t below `_ROTATE_FROM` rows, else at most
-    # t - 1 rotation calls (the last column has nothing below its
-    # diagonal).  Full refactorizations happen only on a breakdown, and
-    # these instances have none.
-    monkeypatch.setattr(qp_das, "_ROTATE_FROM", rotate_from)
-    rotations, sizes, orders, seen, kinds = [], [], [], [], set()
-    rot, potrf, solve = qp_das._rot, qp_das._potrf, qp_das._solve_eqp
-
-    def counted_rot(*args, **kwargs):
-        rotations.append(1)
-        return rot(*args, **kwargs)
+    # index.  An add factors nothing.  A drop at position p of k indices
+    # refactors only the t = k - 1 - p rows behind it: one factorization of
+    # size t, none when it drops the last index.  Full refactorizations
+    # happen only on a breakdown, and these instances have none.
+    sizes, orders, seen, drops = [], [], [], []
+    potrf, solve = qp_das._potrf, qp_das._solve_eqp
 
     def counted_potrf(a, *args, **kwargs):
         sizes.append(a.shape[0])
@@ -114,23 +105,17 @@ def test_no_pivot_factors_more_than_its_trailing_block(monkeypatch,
             before = orders[-1]
             assert abs(order.size - before.size) == 1
             if order.size > before.size:
-                assert rotations == [] and sizes == []
+                assert sizes == []
             else:
                 p = int(np.flatnonzero(~np.isin(before, order))[0])
                 t = before.size - 1 - p
-                if t < rotate_from:
-                    assert rotations == [] and sizes in ([], [t])
-                    kinds.add("factor" if sizes else "none")
-                else:
-                    assert sizes == [] and len(rotations) <= t - 1
-                    kinds.add("rotate")
-        rotations.clear()
+                assert sizes == ([t] if t else [])
+                drops.append(t)
         sizes.clear()
         orders.append(order)
         seen[:] = [st]
         return solve(st)
 
-    monkeypatch.setattr(qp_das, "_rot", counted_rot)
     monkeypatch.setattr(qp_das, "_potrf", counted_potrf)
     monkeypatch.setattr(qp_das, "_solve_eqp", watched)
     for seed in range(3):
@@ -139,7 +124,7 @@ def test_no_pivot_factors_more_than_its_trailing_block(monkeypatch,
         assert len(orders) == sol.iterations
         assert seen[0].full_factorizations == 0
         assert sol.kkt_residual <= 1e-8
-    assert "factor" in kinds and ("rotate" in kinds) == (rotate_from < 100)
+    assert drops and max(drops) > 0
 
 
 def _gathered_block(st):
@@ -236,16 +221,12 @@ def test_singular_working_set_targets_the_minimizer_nearest_the_iterate():
     assert np.allclose(target, [0.7, 0.3], rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("seed, rotate_from", [(0, 100), (1, 100), (2, 6),
-                                                (3, 6)])
-def test_held_factor_follows_random_add_drop_walks(monkeypatch, seed,
-                                                   rotate_from):
+@pytest.mark.parametrize("seed", range(4))
+def test_held_factor_follows_random_add_drop_walks(seed):
     # Adds and drops in random order, omega and gamma indices mixed, up to
     # 36 of the 40 indices, so that the buffers grow and the Gram block is
-    # singular for most of the walk; with `_ROTATE_FROM` at 6 most drops
-    # update by rotations.  After every step the held block is the
-    # gathered one bit for bit and L L' is H + reg I to 1e-12.
-    monkeypatch.setattr(qp_das, "_ROTATE_FROM", rotate_from)
+    # singular for most of the walk.  After every step the held block is
+    # the gathered one bit for bit and L L' is H + reg I to 1e-12.
     rng = np.random.default_rng(seed)
     qp = generate_qp(10, 30, "full", seed)
     data = SubproblemData(G=qp.G, b=qp.b, delta=qp.delta,
@@ -365,14 +346,17 @@ def _count_zero_length_steps(monkeypatch) -> list[int]:
     return count
 
 
-@pytest.mark.parametrize("dcase, pivots", [("half", 457), ("full", 637)])
+@pytest.mark.parametrize("dcase, pivots", [("half", 457), ("full", None)])
 def test_path_through_degenerate_steps(monkeypatch, dcase, pivots):
     # Seed 0 at n = 200, m = 400 meets working sets whose minimizer is not
     # unique.  The proximal term centred on the iterate keeps the path free
-    # of zero-length blocking steps.
+    # of zero-length blocking steps.  The full case's pivot count depends on
+    # the BLAS thread count (637 at one thread, 638 at two): its drops
+    # refactor trailing blocks large enough for OpenBLAS to thread.
     zero_steps = _count_zero_length_steps(monkeypatch)
     sol = solve_das(generate_qp(200, 400, dcase, 0).subproblem())
-    assert sol.iterations == pivots
+    if pivots is not None:
+        assert sol.iterations == pivots
     assert zero_steps[0] == 0
     assert sol.kkt_residual <= 1e-8
 

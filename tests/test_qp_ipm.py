@@ -179,7 +179,8 @@ def test_split_solve_matches_an_exact_solve(sigma_at_bound, rho_at_bound):
                 for at in (sigma_at_bound, rho_at_bound)]
         d = np.concatenate([10.0 ** rng.uniform(-2, 2, m), *side])
         A = np.r_[np.ones(m), np.zeros(2 * n)]
-        factor = CholeskySchurFactor(Q, d, A, split=n)
+        factor = CholeskySchurFactor(
+            QpData(Q=Q, c=np.zeros(m + 2 * n), A=A, split=n), d)
         P = _exact_q_plus_d(Q, d)
         rhs = rng.standard_normal(m + 2 * n + 1)
         kkt = [[-a for a in row] + [Fraction(A[i])] for i, row in enumerate(P)]
@@ -193,6 +194,26 @@ def test_split_solve_matches_an_exact_solve(sigma_at_bound, rho_at_bound):
                 assert err <= 1e-12 * np.linalg.norm(ref[block])
 
 
+@pytest.mark.parametrize("dcase", ["half", "full"])
+def test_split_product_matches_the_whole_q(dcase):
+    # With a split, Q x goes through Q's leading block: the same product as
+    # the whole (m + 2n) Q to rounding, sigma and rho rows exactly opposite.
+    m, n = 40, 20
+    rng = np.random.default_rng(3)
+    for seed in range(3):
+        data = generate_qp(n, m, dcase, seed).subproblem()
+        Q = _full_path_q(data)
+        A = np.r_[np.ones(m), np.zeros(2 * n)]
+        qp = QpData(Q=Q, c=np.zeros(m + 2 * n), A=A, split=n)
+        assert qp.lead.flags.c_contiguous and qp.lead.shape == (m + n, m + n)
+        for _ in range(3):
+            x = rng.standard_normal(m + 2 * n)
+            got = qp.times(x)
+            assert np.linalg.norm(got - Q @ x) <= \
+                1e-13 * np.linalg.norm(Q) * np.linalg.norm(x)
+            assert np.array_equal(got[m + n:], -got[m:m + n])
+
+
 def test_factorize_shifted_retry_on_the_reduced_matrix():
     # One omega and one (sigma, rho) pair with G'WG = W G^2: the reduced
     # matrix [[1 + d_omega, 1], [1, 1 + d_s d_r / (d_s + d_r)]] rounds to
@@ -203,7 +224,7 @@ def test_factorize_shifted_retry_on_the_reduced_matrix():
                 split=1)
     theta, v = np.ones(3), np.full(3, 1e-17)
     with pytest.raises(np.linalg.LinAlgError):
-        CholeskySchurFactor(Q, v / theta, qp.A, split=1)
+        CholeskySchurFactor(qp, v / theta)
     diag = IpmDiagnostics()
     factor = _factorize(qp, theta, v, diag)
     assert factor.split == 1 and factor.chol.shape == (2, 2)
