@@ -1,8 +1,8 @@
 """Search-direction computation from the bundle and quasi-Newton metric.
 
 Builds the dual subproblem data for one of three strategies and recovers the
-primal direction d = -W (G omega + gamma) from the chosen QP solver, or from
-the other one when the chosen one fails:
+primal direction d = -W (G omega + gamma) from the active-set QP solver, or
+from the interior-point solver when the active-set solver fails:
 
 - "gradient": current gradient only (m = 1);
 - "gradient_combination": all bundle gradients with a common intercept f_k;
@@ -44,7 +44,7 @@ class DirectionResult:
     solver: str  # "gradient", "das", or "ipm"
     model_norm_sq: float  # d'Hd = (G w + gamma)' W (G w + gamma)
     inf_norms: tuple[float, float, float]  # ||d||, ||Gw||, ||Gw + gamma||
-    fallback: bool = False  # the chosen QP solver failed and the other one solved
+    fallback: bool = False  # the active-set solver failed and the IPM solved
 
 
 def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
@@ -92,11 +92,8 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
                              "gradient")
 
     data = build_subproblem(point_set, qn, delta, strategy)
-    solvers = [("das", solve_das), ("ipm", solve_ipm)]
-    if data.m > options.qp_size_threshold:
-        solvers.reverse()
     failures = []
-    for solver, solve in solvers:
+    for solver, solve in (("das", solve_das), ("ipm", solve_ipm)):
         try:
             sol = solve(data, tol=options.qp_tolerance)
         except _QP_FAILURES as exc:

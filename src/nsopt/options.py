@@ -26,7 +26,6 @@ class SolverOptions:
     ls_initial: float = 1.0
     ls_decrease: float = 1e-10
     ls_curvature: float = 0.9
-    qp_size_threshold: int = 256
     eps_min: float = 1e-5
     iteration_limit: int = 100_000
     try_gradient_step: bool = True
@@ -58,8 +57,10 @@ class SolverOptions:
             raise ValueError("qp_tolerance must be positive")
         if self.iteration_limit < 1:
             raise ValueError("iteration_limit must be at least 1")
-        if self.qp_size_threshold < 0:
-            raise ValueError("qp_size_threshold must be nonnegative")
+        if not self.ls_initial > 0:
+            raise ValueError("ls_initial must be positive")
+        if self.n_f < 1:
+            raise ValueError("n_f must be at least 1")
 
     def samples_per_iteration(self, n: int) -> int:
         if self.p is not None:

@@ -85,6 +85,9 @@ from .subproblem import SubproblemData, compute_kkt_residual
 # than this fraction of the requested tolerance.
 _PRICING = 0.05
 
+# pivots per index of (omega, sigma, rho) before DasError: 100 (m + 2n)
+_PIVOTS_PER_INDEX = 100
+
 
 # Proximal weight relative to the mean diagonal of the Hessian block, and how
 # a factorization that breaks down is retried: reg grows by _REG_GROWTH at
@@ -334,11 +337,10 @@ def _solve_eqp(st: DasState):
     return sol[:k], float(sol[k])
 
 
-def solve_das(data: SubproblemData, tol: float = 1e-8,
-              max_iterations: int | None = None) -> DasSolution:
+def solve_das(data: SubproblemData, tol: float = 1e-8) -> DasSolution:
     st = _init_state(data)
     m, n = data.m, data.n
-    cap = max_iterations if max_iterations is not None else 100 * (m + 2 * n)
+    cap = _PIVOTS_PER_INDEX * (m + 2 * n)
     no_gamma = np.zeros(0, dtype=np.intp)
 
     try:

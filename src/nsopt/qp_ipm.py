@@ -33,14 +33,14 @@ variable: what is left to factor is Q's leading (m + n) block, over
 
 Neither is recovered from the other through gamma: when one side sits at its
 bound, x_sigma - gamma cancels and the core stalls above its tolerance.  The
-residuals, the step sizes and the refinement multiply by the whole Q, but
-through its leading block: Q's sigma and rho rows and columns are its gamma
-rows and columns and their negatives.  The leading block is held
-contiguous, once per instance, for the products and for the copy each
-factorization starts from.  When rounding leaves the factored matrix
-numerically indefinite, the factorization is retried once with d shifted by
-1e-12 max(1, max diag Q), which shifts the factored diagonal by between
-half that and that; if it fails again, ``IpmError`` is raised.  The
+full instance holds only that block, once and C-ordered: no (m + 2n) Q is
+formed.  The residuals, the step sizes and the refinement multiply by Q
+through the block, since Q's sigma and rho rows and columns are its gamma
+rows and columns and their negatives, and each factorization starts from a
+copy of it.  When rounding leaves the factored matrix numerically
+indefinite, the factorization is retried once with d shifted by 1e-12 max(1,
+max diag Q), read off the block, which shifts the factored diagonal by
+between half that and that; if it fails again, ``IpmError`` is raised.  The
 factorization (``dpotrf``), the triangular solves (``dtrsv``) and every
 product with Q (``dgemv``) use scipy's BLAS and LAPACK: numpy loads an
 OpenBLAS of its own, and an iteration that switched between the two would
@@ -59,7 +59,6 @@ residual of a Newton step, for checks made from outside the iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dgemv as _gemv, dtrsv as _trsv
@@ -70,6 +69,8 @@ from .subproblem import SubproblemData, compute_kkt_residual
 _BETA_FTB = 0.995
 _MU0 = 0.5
 _ZETA_MU_FLOOR = 1e-12
+# Core iterations before the soft tolerance is tried and IpmError raised.
+_MAX_ITERATIONS = 200
 # The omega-only attempt looks at the box once, at its first iterate with a
 # residual at most _PEEK_RESIDUAL, and is abandoned if the iterate's
 # W G omega already leaves the box by more than _PEEK_MARGIN relative.
@@ -84,7 +85,7 @@ class IpmError(RuntimeError):
 
 @dataclass
 class QpData:
-    Q: np.ndarray
+    Q: np.ndarray  # with a split, only its C-ordered (omega, gamma) block
     c: np.ndarray
     A: np.ndarray  # single constraint row, stored as a vector
     b: float = 1.0
@@ -96,25 +97,18 @@ class QpData:
     def size(self) -> int:
         return self.c.size
 
-    @cached_property
-    def lead(self) -> np.ndarray:
-        """Q's leading block over (omega, gamma), contiguous; all of Q when
-        there is no split."""
-        k = self.size - self.split
-        return np.ascontiguousarray(self.Q[:k, :k])
-
     def times(self, x: np.ndarray) -> np.ndarray:
         """Q x.  With a split, Q's sigma and rho columns are its gamma
         columns and their negatives, and so are its rows, so Q x is the
-        leading block times (x_omega, x_sigma - x_rho), its gamma rows
-        repeated with the opposite sign."""
+        block times (x_omega, x_sigma - x_rho), its gamma rows repeated
+        with the opposite sign."""
         if not self.split:
             return _q_times(self.Q, x)
         k = self.size - self.split
         m = k - self.split
         y = x[:k].copy()
         y[m:] -= x[k:]
-        top = _q_times(self.lead, y)
+        top = _q_times(self.Q, y)
         return np.concatenate((top, -top[m:]))
 
 
@@ -159,14 +153,14 @@ class CholeskySchurFactor:
     With z = P^-1 A and the Schur complement A'z, the solution of
     K (x, y) = (r1, r2) is y = (r2 + A'P^-1 r1) / A'z, x = z y - P^-1 r1.
     A split n > 0 applies P^-1 by eliminating the trailing (sigma, rho)
-    pairs and factoring only Q's leading block (see the module docstring);
-    n = 0 factors all of Q + diag(d).  Raises ``LinAlgError`` when the
-    factored matrix is not numerically positive definite.
+    pairs and factoring only the block ``qp`` holds (see the module
+    docstring); n = 0 factors all of Q + diag(d).  Raises ``LinAlgError``
+    when the factored matrix is not numerically positive definite.
     """
 
     def __init__(self, qp: QpData, d: np.ndarray):
         split, A = qp.split, qp.A
-        P = qp.lead.copy()
+        P = qp.Q.copy()
         k = P.shape[0]  # order of the factored block
         diag = P.ravel()[::k + 1]
         if split:
@@ -361,9 +355,20 @@ def _newton_step(factor: CholeskySchurFactor, theta, v, r_d, r_p, r_c):
     return dtheta, du, dv
 
 
+def _whole_q(qp: QpData) -> np.ndarray:
+    """All of Q, expanded from the block when there is a split: Q's sigma
+    and rho rows and columns are its gamma ones and their negatives."""
+    B = qp.Q
+    if not qp.split:
+        return B
+    m = B.shape[0] - qp.split
+    return np.block([[B, -B[:, m:]], [-B[m:], B[m:, m:]]])
+
+
 def _plugback_residual(qp, theta, v, dtheta, du, dv, r_d, r_p, r_c) -> float:
-    """Relative residual of the full unreduced Newton system."""
-    row1 = -(qp.Q @ dtheta) + qp.A * du + dv - r_d
+    """Relative residual of the full unreduced Newton system, multiplied
+    out with all of Q rather than through ``QpData.times``."""
+    row1 = -(_whole_q(qp) @ dtheta) + qp.A * du + dv - r_d
     row2 = float(qp.A @ dtheta) - r_p
     row3 = v * dtheta + theta * dv - r_c
     num = max(np.abs(row1).max(initial=0.0), abs(row2),
@@ -374,8 +379,8 @@ def _plugback_residual(qp, theta, v, dtheta, du, dv, r_d, r_p, r_c) -> float:
 
 
 def solve_ipm_core(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray,
-                   tol: float = 1e-8, max_iterations: int = 200,
-                   soft_tol: float | None = None, wg: np.ndarray | None = None,
+                   tol: float = 1e-8, soft_tol: float | None = None,
+                   wg: np.ndarray | None = None,
                    delta: float = 0.0) -> IpmCoreResult | None:
     """The core iteration from (theta, u, v).  Given ``wg``, the W G of an
     omega-only instance, the core looks at the box once, at its first
@@ -390,14 +395,14 @@ def solve_ipm_core(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray,
     diag = IpmDiagnostics()
     best = None  # (residual, theta, u, v, iteration)
 
-    for it in range(max_iterations + 1):
+    for it in range(_MAX_ITERATIONS + 1):
         r_d, r_p, r_c = residuals(qp, theta, u, v)
         res = max(np.abs(r_d).max(), abs(r_p), np.abs(r_c).max())
         if best is None or res < best[0]:
             best = (res, theta, u, v, it)  # iterates are never modified in place
         if res <= tol:
             return IpmCoreResult(theta, u, v, float(res), it, diag)
-        if it == max_iterations:
+        if it == _MAX_ITERATIONS:
             break
         if wg is not None and res <= _PEEK_RESIDUAL:
             step = wg @ (theta / theta.sum())
@@ -423,7 +428,7 @@ def solve_ipm_core(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray,
     if soft_tol is not None and best[0] <= soft_tol:
         res, theta, u, v, it = best
         return IpmCoreResult(theta, u, v, float(res), it, diag)
-    raise IpmError(f"no convergence in {max_iterations} iterations "
+    raise IpmError(f"no convergence in {_MAX_ITERATIONS} iterations "
                    f"(best residual {best[0]:.3e})")
 
 
@@ -437,8 +442,7 @@ def _initial_sigma_rho(w: np.ndarray, delta: float):
     return sigma, rho
 
 
-def solve_ipm(data: SubproblemData, tol: float = 1e-8,
-              max_iterations: int = 200) -> IpmSolution:
+def solve_ipm(data: SubproblemData, tol: float = 1e-8) -> IpmSolution:
     """Trust-region-aware driver around the core iteration.
 
     The core runs at a tolerance one decade tighter than requested so that
@@ -452,8 +456,7 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8,
     v0 = np.full(m, _MU0 * m)
     qp_small = QpData(Q=data.gtwg, c=-data.b, A=np.ones(m))
     core = solve_ipm_core(qp_small, omega0, 0.0, v0, tol=core_tol,
-                          max_iterations=max_iterations, soft_tol=tol,
-                          wg=data.wg if data.has_wg else None,
+                          soft_tol=tol, wg=data.wg if data.has_wg else None,
                           delta=data.delta)
     if core is not None:
         omega = core.theta
@@ -468,11 +471,7 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8,
                                core.diagnostics)
 
     wg = data.wg
-    wd = data.qn.dense_W()
-    K = data.gtwg
-    Q = np.block([[K, wg.T, -wg.T],
-                  [wg, wd, -wd],
-                  [-wg, -wd, wd]])
+    Q = np.block([[data.gtwg, wg.T], [wg, data.qn.dense_W()]])
     c = np.concatenate([-data.b, np.full(n, data.delta), np.full(n, data.delta)])
     A = np.concatenate([np.ones(m), np.zeros(2 * n)])
     qp_full = QpData(Q=Q, c=c, A=A, split=n)
@@ -482,7 +481,7 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8,
     theta0 = np.concatenate([omega0, sigma0, rho0])
     v_full0 = np.concatenate([v0, _MU0 / sigma0, _MU0 / rho0])
     core = solve_ipm_core(qp_full, theta0, 0.0, v_full0, tol=core_tol,
-                          max_iterations=max_iterations, soft_tol=tol)
+                          soft_tol=tol)
     omega = core.theta[:m]
     sigma = core.theta[m:m + n]
     rho = core.theta[m + n:]

@@ -41,7 +41,7 @@ class SolverReport:
     eps_final: float
     delta_final: float
     f_history: list[float] = field(default_factory=list)  # unscaled, accepted iterates
-    qp_fallbacks: int = 0  # QPs handed to the other solver after the chosen one failed
+    qp_fallbacks: int = 0  # QPs handed to the IPM after the active-set solver failed
 
 
 def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,

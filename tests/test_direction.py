@@ -9,7 +9,7 @@ from nsopt.direction import (DirectionResult, SubproblemData, SubproblemFailure,
 from nsopt.options import SolverOptions
 from nsopt.point_set import BundleElement, PointSet
 from nsopt.qp_das import DasError, solve_das
-from nsopt.qp_ipm import IpmError, solve_ipm
+from nsopt.qp_ipm import solve_ipm
 from nsopt.quasi_newton import QuasiNewtonState, damp
 from nsopt.subproblem import compute_kkt_residual
 
@@ -72,41 +72,39 @@ def test_direction_two_opposed_gradients_cancel():
 
 
 def test_direction_routing_by_bundle_size():
+    # every subproblem goes to the DAS, whatever its bundle size
     rng = np.random.default_rng(0)
     n = 4
     opts = SolverOptions(strategy="gradient_combination")
-    for m, expected in ((256, "das"), (257, "ipm")):
+    for m in (256, 257, 400):
         entries = [([0.0] * n, 1.0, rng.standard_normal(n)) for _ in range(m)]
         ps = _bundle(entries)
         res = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
-        assert res.solver == expected
+        assert res.solver == "das" and not res.fallback
 
 
-@pytest.mark.parametrize("m, chosen, other", [(10, "das", "ipm"), (30, "ipm", "das")])
-def test_failed_solver_hands_the_subproblem_to_the_other(monkeypatch, m, chosen,
-                                                         other):
-    # routing at threshold 25 keeps the bundles small; the default's
-    # boundary is pinned by test_direction_routing_by_bundle_size
+def _failing_solve(error):
+    def solve(data, tol):
+        raise error(f"{error.__name__} injected")
+    return solve
+
+
+@pytest.mark.parametrize("m", [10, 30], ids=lambda m: f"{m}-das-ipm")
+def test_failed_solver_hands_the_subproblem_to_the_other(monkeypatch, m):
     rng = np.random.default_rng(3)
     n = 5
     ps = _bundle([(rng.standard_normal(n), 1.0, 2.0 + rng.standard_normal(n))
                   for _ in range(m)])
-    opts = SolverOptions(strategy="cutting_plane", qp_size_threshold=25)
+    opts = SolverOptions(strategy="cutting_plane")
     clean = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
-    assert clean.solver == chosen and not clean.fallback
-
-    def fail(error):
-        def solve(data, tol):
-            raise error(f"{error.__name__} injected")
-        return solve
-
-    monkeypatch.setattr(direction, "solve_" + chosen,
-                        fail(DasError if chosen == "das" else IpmError))
+    assert clean.solver == "das" and not clean.fallback
+    monkeypatch.setattr(direction, "solve_das", _failing_solve(DasError))
     res = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
-    assert res.solver == other and res.fallback
+    assert res.solver == "ipm" and res.fallback
     assert np.allclose(res.d, clean.d, atol=1e-6)
-    monkeypatch.setattr(direction, "solve_" + other, fail(np.linalg.LinAlgError))
-    with pytest.raises(SubproblemFailure, match=f"{chosen}: .*injected; {other}: "
+    monkeypatch.setattr(direction, "solve_ipm",
+                        _failing_solve(np.linalg.LinAlgError))
+    with pytest.raises(SubproblemFailure, match="das: .*injected; ipm: "
                        "LinAlgError: LinAlgError injected"):
         compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
 
@@ -262,8 +260,8 @@ def test_one_w_product_per_direction(monkeypatch, case, m, delta, solver,
     # does under full storage, and then makes none.  Under limited storage
     # it makes one per unblocked pivot (3 here) until a gamma enters and
     # W G is formed (after 1 here).  Either solver's d is its last
-    # W (G omega + gamma), only read after that.  Routing at threshold 25
-    # keeps the IPM bundles small.
+    # W (G omega + gamma), only read after that.  The IPM cases reach the
+    # IPM through a DAS that fails at once, making no product.
     rng = np.random.default_rng(7)
     n = 6
     qn = QuasiNewtonState(n, storage=storage, history_limit=4)
@@ -275,7 +273,9 @@ def test_one_w_product_per_direction(monkeypatch, case, m, delta, solver,
     ps = _bundle([(rng.standard_normal(n), 1.0, 2.0 + rng.standard_normal(n))
                   for _ in range(m)])
     strategy = "gradient" if m == 1 else "cutting_plane"
-    opts = SolverOptions(strategy=strategy, qp_size_threshold=25)
+    opts = SolverOptions(strategy=strategy)
+    if solver == "ipm":
+        monkeypatch.setattr(direction, "solve_das", _failing_solve(DasError))
     calls = _count_w_products(monkeypatch)
     res = compute_direction(ps, qn, delta, opts)
     assert res.solver == solver

@@ -139,6 +139,13 @@ def _full_path_q(data):
     return np.block([[K, wg.T, -wg.T], [wg, wd, -wd], [-wg, -wd, wd]])
 
 
+def _full_path_block(data):
+    """The (omega, gamma) block of the full path's matrix, all that the
+    split instance holds."""
+    wg = data.wg
+    return np.block([[data.gtwg, wg.T], [wg, data.qn.dense_W()]])
+
+
 def _exact_solve(rows, rhs):
     """Gauss-Jordan elimination in exact rational arithmetic, rounded to
     floats at the end."""
@@ -179,8 +186,9 @@ def test_split_solve_matches_an_exact_solve(sigma_at_bound, rho_at_bound):
                 for at in (sigma_at_bound, rho_at_bound)]
         d = np.concatenate([10.0 ** rng.uniform(-2, 2, m), *side])
         A = np.r_[np.ones(m), np.zeros(2 * n)]
-        factor = CholeskySchurFactor(
-            QpData(Q=Q, c=np.zeros(m + 2 * n), A=A, split=n), d)
+        factor = CholeskySchurFactor(QpData(Q=_full_path_block(data),
+                                            c=np.zeros(m + 2 * n), A=A,
+                                            split=n), d)
         P = _exact_q_plus_d(Q, d)
         rhs = rng.standard_normal(m + 2 * n + 1)
         kkt = [[-a for a in row] + [Fraction(A[i])] for i, row in enumerate(P)]
@@ -196,16 +204,17 @@ def test_split_solve_matches_an_exact_solve(sigma_at_bound, rho_at_bound):
 
 @pytest.mark.parametrize("dcase", ["half", "full"])
 def test_split_product_matches_the_whole_q(dcase):
-    # With a split, Q x goes through Q's leading block: the same product as
-    # the whole (m + 2n) Q to rounding, sigma and rho rows exactly opposite.
+    # With a split, Q x goes through the (omega, gamma) block: the same
+    # product as the whole (m + 2n) Q to rounding, sigma and rho rows
+    # exactly opposite.
     m, n = 40, 20
     rng = np.random.default_rng(3)
     for seed in range(3):
         data = generate_qp(n, m, dcase, seed).subproblem()
         Q = _full_path_q(data)
         A = np.r_[np.ones(m), np.zeros(2 * n)]
-        qp = QpData(Q=Q, c=np.zeros(m + 2 * n), A=A, split=n)
-        assert qp.lead.flags.c_contiguous and qp.lead.shape == (m + n, m + n)
+        qp = QpData(Q=_full_path_block(data), c=np.zeros(m + 2 * n), A=A,
+                    split=n)
         for _ in range(3):
             x = rng.standard_normal(m + 2 * n)
             got = qp.times(x)
@@ -219,9 +228,8 @@ def test_factorize_shifted_retry_on_the_reduced_matrix():
     # matrix [[1 + d_omega, 1], [1, 1 + d_s d_r / (d_s + d_r)]] rounds to
     # the singular [[1, 1], [1, 1]] at d = 1e-17, so the factorization of
     # the reduced matrix fails and the retry with d + 1e-12 gives the step.
-    Q = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-    qp = QpData(Q=Q, c=np.array([-1.0, 0.5, 0.5]), A=np.array([1.0, 0, 0]),
-                split=1)
+    qp = QpData(Q=np.ones((2, 2)), c=np.array([-1.0, 0.5, 0.5]),
+                A=np.array([1.0, 0, 0]), split=1)
     theta, v = np.ones(3), np.full(3, 1e-17)
     with pytest.raises(np.linalg.LinAlgError):
         CholeskySchurFactor(qp, v / theta)
@@ -403,24 +411,26 @@ def _core_qps(monkeypatch, data) -> list[QpData]:
 
 
 def test_q_times_matches_matmul_on_both_paths(monkeypatch):
-    # G'WG on the omega-only path and the np.block Q of the full path.
+    # G'WG on the omega-only path and the (omega, gamma) block of the full
+    # path.
     qp = generate_qp(30, 60, "full", 1)
     qps = _core_qps(monkeypatch, qp.subproblem())
-    assert [q.size for q in qps] == [60, 120]
+    assert [(q.size, q.Q.shape[0]) for q in qps] == [(60, 60), (120, 90)]
     rng = np.random.default_rng(2)
     for q in qps:
         for _ in range(3):
-            x = rng.standard_normal(q.size)
+            x = rng.standard_normal(q.Q.shape[0])
             err = np.linalg.norm(qp_ipm._q_times(q.Q, x) - q.Q @ x)
             assert err <= 1e-13 * np.linalg.norm(q.Q) * np.linalg.norm(x)
 
 
 def test_q_times_copies_no_matrix(monkeypatch):
-    # f2py would silently copy a C-ordered Q into Fortran order: 5 MB here.
+    # f2py would silently copy a C-ordered Q into Fortran order: 2.9 MB for
+    # the full path's (omega, gamma) block here.
     qps = _core_qps(monkeypatch, generate_qp(200, 400, "full", 0).subproblem())
     Q = qps[-1].Q
-    assert Q.shape == (800, 800)
-    x = np.ones(800)
+    assert Q.shape == (600, 600)
+    x = np.ones(600)
     qp_ipm._q_times(Q, x)  # load the wrapper before measuring
     tracemalloc.start()
     try:

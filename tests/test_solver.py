@@ -110,20 +110,15 @@ def _failing(error, calls):
     return solve
 
 
-@pytest.mark.parametrize("name, error", [("solve_das", DasError),
-                                         ("solve_das", np.linalg.LinAlgError),
-                                         ("solve_ipm", IpmError)])
-def test_failed_qp_falls_back_to_the_other_solver(monkeypatch, name, error):
-    # a threshold of 0 sends every subproblem to the IPM, so the IPM
-    # failures are injected on its path
+@pytest.mark.parametrize("error", [DasError, np.linalg.LinAlgError],
+                         ids=lambda error: f"solve_das-{error.__name__}")
+def test_failed_qp_falls_back_to_the_other_solver(monkeypatch, error):
     prob = make_problem("ChainedLQ", 10)
-    threshold = 0 if name == "solve_ipm" else 25
-    opts = SolverOptions(qp_size_threshold=threshold)
-    clean = run_solver(prob.oracle, prob.x0, opts)
+    clean = run_solver(prob.oracle, prob.x0, SolverOptions())
     assert clean.qp_fallbacks == 0
     calls = []
-    monkeypatch.setattr(direction, name, _failing(error, calls))
-    report = run_solver(prob.oracle, prob.x0, opts)
+    monkeypatch.setattr(direction, "solve_das", _failing(error, calls))
+    report = run_solver(prob.oracle, prob.x0, SolverOptions())
     assert report.termination_reason == "stationary"
     assert report.qp_fallbacks == len(calls) > 0
     assert report.final_f_unscaled == pytest.approx(clean.final_f_unscaled, abs=1e-5)
@@ -205,7 +200,8 @@ def test_options_validation(tmp_path):
     ("eps_min", 0.0, 1e-12),
     ("qp_tolerance", 0.0, 1e-12),
     ("iteration_limit", 0, 1),
-    ("qp_size_threshold", -1, 0),
+    ("ls_initial", 0.0, 1e-12),
+    ("n_f", 0, 1),
 ])
 def test_options_bounds(field, bad, good):
     with pytest.raises(ValueError, match=field):
