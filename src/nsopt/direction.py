@@ -45,6 +45,9 @@ class DirectionResult:
     model_norm_sq: float  # d'Hd = (G w + gamma)' W (G w + gamma)
     inf_norms: tuple[float, float, float]  # ||d||, ||Gw||, ||Gw + gamma||
     fallback: bool = False  # the active-set solver failed and the IPM solved
+    # J'(G w + gamma) for the full-storage factor J, so that the metric
+    # update after a step along d makes no solve with J; None when limited
+    jt_model: np.ndarray | None = None
 
 
 def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
@@ -53,7 +56,7 @@ def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
     if strategy == "gradient":
         return SubproblemData(G=cur.g.reshape(-1, 1),
                               b=np.array([cur.f]), delta=delta, qn=qn)
-    G, gtg, psi_g = point_set.gradient_products(qn)
+    G, gtg, psi_g, jtg = point_set.gradient_products(qn)
     if strategy == "gradient_combination":
         b = np.full(len(point_set), cur.f)
     elif strategy == "cutting_plane":
@@ -61,11 +64,12 @@ def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
         b = np.minimum(point_set.f + r, cur.f - _DOWNSHIFT * q)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return SubproblemData(G=G, b=b, delta=delta, qn=qn, gtg=gtg, psi_g=psi_g)
+    return SubproblemData(G=G, b=b, delta=delta, qn=qn, gtg=gtg, psi_g=psi_g,
+                          jtg=jtg)
 
 
-def _finalize(omega, gamma, u, d, g_omega, res, solver,
-              fallback=False) -> DirectionResult:
+def _finalize(omega, gamma, u, d, g_omega, res, solver, fallback=False,
+              jt_model=None) -> DirectionResult:
     """``d`` is -W (G omega + gamma) and ``g_omega`` is G omega, both
     already formed by the caller."""
     model = g_omega + gamma
@@ -74,7 +78,7 @@ def _finalize(omega, gamma, u, d, g_omega, res, solver,
                  float(np.max(np.abs(g_omega), initial=0.0)),
                  float(np.max(np.abs(model), initial=0.0)))
     return DirectionResult(d, np.asarray(omega, dtype=float), gamma, u, res,
-                           solver, model_norm_sq, inf_norms, fallback)
+                           solver, model_norm_sq, inf_norms, fallback, jt_model)
 
 
 def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
@@ -84,12 +88,13 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
 
     if strategy == "gradient" and options.try_gradient_step:
         g = point_set.current.g
-        wg = qn.apply_W(g)
+        jtg = qn.apply_Jt(g) if qn.storage == "full" else None
+        wg = qn.apply_W(g) if jtg is None else qn.apply_J(jtg)
         if np.max(np.abs(wg), initial=0.0) <= delta:
             # makes the single-point KKT system exact
             u = float(g @ wg) - point_set.current.f
             return _finalize(np.ones(1), np.zeros(n), u, -wg, g, 0.0,
-                             "gradient")
+                             "gradient", jt_model=jtg)
 
     data = build_subproblem(point_set, qn, delta, strategy)
     failures = []
@@ -100,5 +105,5 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
             failures.append(f"{solver}: {type(exc).__name__}: {exc}")
             continue
         return _finalize(sol.omega, sol.gamma, sol.u, sol.d, sol.g_omega,
-                         sol.kkt_residual, solver, bool(failures))
+                         sol.kkt_residual, solver, bool(failures), sol.jt_model)
     raise SubproblemFailure("; ".join(failures))

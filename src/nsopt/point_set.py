@@ -3,8 +3,12 @@ distance pruning, and age pruning.
 
 The bundle is columns 0..m-1 of Fortran-ordered point and gradient blocks,
 with value and birth vectors.  Columns are appended and pruning keeps their
-order, so G'G and Psi'G follow positions: new columns are a suffix, pruning
-slices the held products, and Psi'G's rows follow the metric's pair window.
+order, so the products that the subproblem's G'WG is formed from follow
+positions: new columns are a suffix, pruning slices the held products.
+Under limited storage these are G'G and Psi'G, whose rows follow the
+metric's pair window.  Under full storage, W = J J', it is K = J'G, a block
+like G's: a metric update J += a b' adds b (a'G) to it, O(n m), and a new
+column costs one J'g.
 
 The offsets of the columns from the current iterate x, q_j = |x - x_j|^2 and
 r_j = g_j'(x - x_j), are held the same way.  Distance pruning reads q and the
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .quasi_newton import window_shift
 
@@ -53,6 +58,9 @@ class PointSet:
         # G'G and Psi'G over the leading columns, Psi'G for (state, window)
         self._gtg = self._psi_g = np.zeros((0, 0))
         self._psi_of = (None, None)
+        # J'G over the first _jtg_m columns of a block as wide as G's, for
+        # (state, its factor_changes); allocated on first use
+        self._jtg, self._jtg_m, self._jtg_of = None, 0, (None, None)
         # q and r of the leading columns for the current iterate
         self._q = self._r = np.zeros(0)
         self.set_current(current)
@@ -64,7 +72,7 @@ class PointSet:
         """Append ``element`` as the last column; full blocks double."""
         m = self._m
         if m == self._f.size:
-            for name in self._BLOCKS:
+            for name in self._BLOCKS + (("_jtg",) if self._jtg is not None else ()):
                 block = getattr(self, name)
                 wider = np.empty(block.shape[:-1] + (2 * m,), block.dtype, order="F")
                 wider[..., :m] = block
@@ -94,17 +102,19 @@ class PointSet:
         return self._view("_G")
 
     def gradient_products(self, qn):
-        """G and, under limited storage, where G'WG is formed from them, G'G
-        and Psi'G for ``qn``'s compact basis Psi (None without one).
+        """G and what the subproblem forms G'WG from: G'G and Psi'G for
+        ``qn``'s compact basis Psi (None without one) under limited storage,
+        J'G for its factor J under full storage; the others are None.
 
         Gradients never change once added, so only products with columns
-        added and pairs that entered the window since the previous call are
-        computed: O(n m (k + r)) for k new columns and r new pairs instead of
-        O(n m^2 + n m h).  Another state than last time gets all its rows.
+        added, pairs that entered the window and the factor's newest change
+        since the previous call are computed: O(n m (k + r)) for k new columns
+        and r new pairs instead of O(n m^2 + n m h), and O(n^2 k + n m) instead
+        of O(n^2 m) for J'G.  Another state than last time gets all its rows.
         """
         G = self.gradients()
         if qn.storage != "limited":
-            return G, None, None
+            return G, None, None, self._factor_products(qn, G)
         m, k = G.shape[1], len(self._gtg)
         if k < m:
             new = np.arange(k, m)
@@ -115,7 +125,7 @@ class PointSet:
             self._gtg = gtg
         basis = qn.compact_basis()
         if basis is None:
-            return G, self._gtg, None
+            return G, self._gtg, None, None
         window, psi = basis
         owner, was = self._psi_of
         k = self._psi_g.shape[1]
@@ -127,7 +137,32 @@ class PointSet:
             new = np.arange(k, m)
             P[:, new] = psi.T @ G[:, new]
             self._psi_g, self._psi_of = P, (qn, window)
-        return G, self._gtg, self._psi_g
+        return G, self._gtg, self._psi_g, None
+
+    def _factor_products(self, qn, G: np.ndarray) -> np.ndarray:
+        """K = J'G, a read-only view of the held block that is valid until
+        the next add, prune or call.  The held columns take the factor's
+        change J += a b' since the previous call as K += b (a'G) in place;
+        after more than one change, or for another state, every column is
+        formed again."""
+        m = G.shape[1]
+        if self._jtg is None:  # then ``add`` widens it with G's block
+            self._jtg = np.empty(self._G.shape, order="F")
+        owner, seen = self._jtg_of
+        k = self._jtg_m if qn is owner else 0
+        if k and seen != qn.factor_changes:
+            change = qn.factor_change(seen)
+            if change is None:
+                k = 0
+            else:
+                a, b = change
+                dger(1.0, b, a @ G[:, :k], a=self._jtg[:, :k], overwrite_a=1)
+        if k < m:
+            self._jtg[:, k:m] = qn.apply_Jt(G[:, k:m])
+        self._jtg_m, self._jtg_of = m, (qn, qn.factor_changes)
+        view = self._jtg[:, :m]
+        view.flags.writeable = False
+        return view
 
     def offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """q_j = (x - x_j)'(x - x_j) and r_j = g_j'(x - x_j) for the current
@@ -164,7 +199,8 @@ class PointSet:
         # 1-D range in place, so no n x m temporary is made, and a run reads
         # no column that an earlier run wrote.
         n = self._X.shape[0]
-        flats = [block.reshape(-1, order="F") for block in (self._X, self._G)]
+        blocks = (self._X, self._G) + ((self._jtg,) if self._jtg is not None else ())
+        flats = [block.reshape(-1, order="F") for block in blocks]
         starts = (np.flatnonzero(np.diff(keep) != 1) + 1).tolist()
         for lo, hi in zip([0, *starts], [*starts, keep.size]):
             src = int(keep[lo])
@@ -177,6 +213,7 @@ class PointSet:
             self._gtg = self._gtg[np.ix_(held, held)]
         if self._psi_g.size:
             self._psi_g = self._psi_g[:, keep[keep < self._psi_g.shape[1]]]
+        self._jtg_m = int(np.count_nonzero(keep < self._jtg_m))
         held = keep[keep < self._q.size]
         self._q, self._r = self._q[held], self._r[held]
 

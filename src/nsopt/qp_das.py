@@ -22,14 +22,22 @@ eps |G|'|W G| omega: 2e-8 on a bundle under a metric with eigenvalues from
 5e-9 to 9e6, above the tolerance, and the solver added an index whose
 working-set target was negative, dropped it at once and cycled to its pivot
 cap.  The gammas' condition delta - |W (G omega + gamma)| reads the
-subproblem's W G when it already holds one (full storage forms it for G'WG)
-or once a gamma enters the working set, whose bordered solve needs its rows.
-Until then, under limited storage, W G is not formed: each unblocked pivot
-makes one W-vector product W (G omega), as the interior-point solver's
-omega-only path does.  The step d = -W (G omega + gamma) is the last of
+subproblem's W G once it holds one, which it does once a gamma enters the
+working set, whose bordered solve needs its rows.  Under limited storage
+W G is not formed until then: each unblocked pivot makes one W-vector
+product W (G omega), as the interior-point solver's omega-only path does.
+Under full storage, W = J J', the omega indices are priced first when no
+gamma can violate: |(W m)_i| <= |J_i| sqrt(m'Wm) for the rows J_i of J
+(Cauchy-Schwarz), m'Wm = omega'G'WG omega, so a bound on the row norms that
+keeps this at most delta shows that pricing everything would add the same
+omega index.  A pivot at which an omega index violates then makes no
+product with J, and one at which none does makes one, J (K omega) with
+K = J'G.  When the bound does not hold, W G is formed and priced from, as
+when a gamma is free.  Inside the outer solver delta is at least 1e10 |g|,
+so the bound holds there.  The step d = -W (G omega + gamma) is the last of
 these products, not another product with W, and the solution keeps the
-G omega that product was made from; a solve that read W G instead forms
-G omega once, at the end.
+G omega that product was made from, and J'(G omega) for the metric update; a
+solve that read W G instead forms them once, at the end.
 
 Anti-cycling: each working-set solve carries a tiny proximal term centred on
 the current iterate, so when the working-set minimizer is not unique the
@@ -262,24 +270,33 @@ class DasSolution:
     g_omega: np.ndarray  # G omega
     kkt_residual: float
     iterations: int
+    jt_model: np.ndarray | None = None  # J'(G omega + gamma), full storage
 
 
 def _init_state(data: SubproblemData) -> DasState:
     return DasState(data, int(np.argmin(np.diag(data.gtwg))))
 
 
-def _w_model(st: DasState, F: np.ndarray):
-    """W (G omega + gamma), F the free gammas, and G omega if it was formed.
-    Reads W G when the subproblem holds it, else makes one W-vector
-    product."""
-    if st.data.has_wg:
+def _w_model(st: DasState, F: np.ndarray, via_wg: bool):
+    """W (G omega + gamma), F the free gammas, with G omega and J'(G omega)
+    when they were formed.  Reads W G when ``via_wg``, forming it if need be,
+    else makes one W-vector product."""
+    if via_wg:
         wm = st.WG @ st.omega
         if F.size:
             wm += st.dense_W()[:, F] @ st.gamma[F]
-        return wm, None
+        return wm, None, None
     # gamma = 0 here: the bordered solve reads W G once a gamma is free
-    g_omega = st.G @ st.omega
-    return st.qn.apply_W(g_omega), g_omega
+    return st.data.model_step(st.omega)
+
+
+def _no_gamma_violates(st: DasState, mwm: float) -> bool:
+    """Whether |W m| <= delta is certain under full storage for the model
+    m = G omega with m'Wm = ``mwm``: first from the metric's running bound
+    on the row norms of J, then from their exact values."""
+    qn, limit, mwm = st.qn, st.delta ** 2, max(mwm, 0.0)
+    return (qn.row_norm_bound() ** 2 * mwm <= limit
+            or qn.row_norm_bound(exact=True) ** 2 * mwm <= limit)
 
 
 def _solve_eqp(st: DasState):
@@ -370,14 +387,27 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> DasSolution:
             st.z[work] = target
 
             # optimality test at the working-set solution over every index
-            # outside the working set
-            wm, g_omega = _w_model(st, F)
+            # outside the working set, the omega indices first while W G is
+            # not formed
             u = -u_eqp
-            v_omega = st.K @ st.omega - st.b - u
+            k_omega = st.K @ st.omega
+            v_omega = k_omega - st.b - u
             if F.size:
                 v_omega += st.WG[F].T @ st.gamma[F]
+            v_omega[st.sign[:m] != 0] = np.inf
+            via_wg = data.has_wg
+            if data.full and not via_wg:
+                if _no_gamma_violates(st, float(st.omega @ k_omega)):
+                    k = int(v_omega.argmin())
+                    if v_omega[k] < -_PRICING * tol:
+                        st.sign[k] = 1
+                        st.add(k)
+                        continue
+                else:
+                    via_wg = True  # the gammas may violate: price from W G
+            wm, g_omega, jtm = _w_model(st, F, via_wg)
             violation = np.concatenate((v_omega, st.delta - np.abs(wm)))
-            violation[st.sign != 0] = np.inf
+            violation[m:][st.gamma_sign != 0] = np.inf
             k = int(violation.argmin())
             if violation[k] >= -_PRICING * tol:
                 sigma = np.maximum(st.gamma, 0.0)
@@ -385,9 +415,11 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> DasSolution:
                 d = -wm
                 if g_omega is None:
                     g_omega = st.G @ st.omega
+                    if data.full:
+                        jtm = data.jt_model(st.omega, st.gamma)
                 res = compute_kkt_residual(data, st.omega, sigma, rho, u, d)
                 return DasSolution(st.omega.copy(), st.gamma.copy(), sigma,
-                                   rho, u, d, g_omega, res, iterations)
+                                   rho, u, d, g_omega, res, iterations, jtm)
             st.sign[k] = 1 if k < m else -int(np.sign(wm[k - m]))
             st.add(k)
     except np.linalg.LinAlgError as exc:

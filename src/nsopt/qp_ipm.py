@@ -8,10 +8,11 @@ omega-only instance (trust region ignored) and falls back to the full
 instance with theta = (omega, sigma, rho) when the trust region is active.
 The full instance is solved from its own starting point, whatever the
 omega-only attempt found, so an attempt that is going to fail can be cut
-short without changing the solution.  When the subproblem holds W G, the
-attempt looks at the box once, at its first iterate with a residual at most
-1: if W G omega (omega the iterate scaled onto the simplex) leaves the box
-by more than 1% of delta, the attempt is abandoned there.  On 330
+short without changing the solution.  Under full storage, where W G is
+formed for it, or when the subproblem holds W G, the attempt looks at the
+box once, at its first iterate with a residual at most 1: if W G omega
+(omega the iterate scaled onto the simplex) leaves the box by more than 1%
+of delta, the attempt is abandoned there.  On 330
 generator instances (n = 20 to 200, m = n + 1 to 2n) the box test at the
 end never disagreed with that look, and the look saved 76% of the
 attempt's iterations where the box binds.
@@ -51,7 +52,8 @@ looser.
 
 The solve records no per-iteration history: its solution carries the
 iterate, the step d = -W (G omega + gamma) of the subproblem, the G omega
-that step was formed from, and a count of factorizations.  ``merit`` and
+that step was formed from (and, under full storage, J'(G omega + gamma) for
+the metric update), and a count of factorizations.  ``merit`` and
 ``_plugback_residual`` evaluate the merit function at an iterate and the
 residual of a Newton step, for checks made from outside the iteration.
 """
@@ -144,6 +146,7 @@ class IpmSolution:
     iterations: int
     omega_only: bool
     diagnostics: IpmDiagnostics
+    jt_model: np.ndarray | None = None  # J'(G omega + gamma), full storage
 
 
 class CholeskySchurFactor:
@@ -455,20 +458,19 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8) -> IpmSolution:
     omega0 = np.full(m, 1.0 / m)
     v0 = np.full(m, _MU0 * m)
     qp_small = QpData(Q=data.gtwg, c=-data.b, A=np.ones(m))
-    core = solve_ipm_core(qp_small, omega0, 0.0, v0, tol=core_tol,
-                          soft_tol=tol, wg=data.wg if data.has_wg else None,
+    core = solve_ipm_core(qp_small, omega0, 0.0, v0, tol=core_tol, soft_tol=tol,
+                          wg=data.wg if data.full or data.has_wg else None,
                           delta=data.delta)
     if core is not None:
         omega = core.theta
-        g_omega = data.G @ omega
-        wg_omega = data.qn.apply_W(g_omega)
+        wg_omega, g_omega, jtm = data.model_step(omega)
         if np.max(np.abs(wg_omega)) <= data.delta:
             zeros = np.zeros(n)
             d = -wg_omega
             res = compute_kkt_residual(data, omega, zeros, zeros, core.u, d)
             return IpmSolution(omega, zeros.copy(), zeros.copy(), zeros.copy(),
                                core.u, d, g_omega, res, core.iterations, True,
-                               core.diagnostics)
+                               core.diagnostics, jtm)
 
     wg = data.wg
     Q = np.block([[data.gtwg, wg.T], [wg, data.qn.dense_W()]])
@@ -486,8 +488,8 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8) -> IpmSolution:
     sigma = core.theta[m:m + n]
     rho = core.theta[m + n:]
     gamma = sigma - rho
-    g_omega = data.G @ omega
-    d = -data.qn.apply_W(g_omega + gamma)
+    wm, g_omega, jtm = data.model_step(omega, gamma)
+    d = -wm
     res = compute_kkt_residual(data, omega, sigma, rho, core.u, d)
     return IpmSolution(omega, gamma, sigma, rho, core.u, d, g_omega, res,
-                       core.iterations, False, core.diagnostics)
+                       core.iterations, False, core.diagnostics, jtm)

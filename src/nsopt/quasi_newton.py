@@ -1,9 +1,12 @@
 """Damped BFGS/DFP maintenance of the metric W = H^{-1}.
 
-Full storage keeps only W: the upper triangle of one Fortran-ordered n x n
-array, updated in place by the BLAS rank-1 and rank-2 kernels ``dsyr`` and
-``dsyr2`` and applied by ``dsymv``/``dsymm``.  A dense mirrored copy of W and
-H are formed from that triangle on request.
+Full storage keeps W as a factor, W = J J', one Fortran-ordered n x n array.
+Each update is one rank-1 change J += a b' made in place by the BLAS
+kernel ``dger`` (the product form of Brodlie, Gourlay & Greenstadt 1973 for
+BFGS; Goldfarb 1976), so W stays positive semidefinite whatever the
+rounding, and the bundle carries K = J'G across it as K += b (a'G).  W is
+applied as J (J' r); a dense W, exactly symmetric, and H are formed on
+request.  Every product with J goes through scipy's BLAS.
 Limited storage keeps a FIFO window of damped pairs (s, v) and applies
 H and W through the compact representation tau I + Psi M Psi' (Byrd,
 Nocedal & Schnabel 1994).  The base scale comes from the newest pair (Liu &
@@ -17,7 +20,8 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
-from scipy.linalg.blas import dsymm, dsymv, dsyr, dsyr2
+from scipy.linalg import solve
+from scipy.linalg.blas import dgemm, dgemv, dger, dsyrk
 
 
 class DegenerateStepError(ValueError):
@@ -202,12 +206,16 @@ class QuasiNewtonState:
         self.storage = storage
         self.history_limit = history_limit
         if storage == "full":
-            # upper triangle of W; the strict lower part is never read
-            self._w = np.eye(n, order="F")
+            self._j = np.eye(n, order="F")  # the factor J of W = J J'
             self.pairs = None
         else:
             self.pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=history_limit)
         self.updates = 0  # serial number of the next pair
+        # changes made to J so far, and the newest one as (a, b) for
+        # J += a b' (None when it was an assignment to W)
+        self.factor_changes = 0
+        self._newest_change: tuple[np.ndarray, np.ndarray] | None = None
+        self._row_bound = 1.0  # at least the largest row norm of J
         # compact W/H, rebuilt after each update
         self._forms: dict[str, _CompactForm] = {}
         # Psi' = [A B]': rows _psi_start to _psi_start + 2h of a buffer with
@@ -218,13 +226,22 @@ class QuasiNewtonState:
 
     # -- updates ----------------------------------------------------------
 
-    def update(self, s: np.ndarray, v: np.ndarray) -> None:
+    def update(self, s: np.ndarray, v: np.ndarray,
+               jt_model: np.ndarray | None = None) -> None:
+        """Take the damped pair (s, v).
+
+        Under full storage, ``jt_model`` is J'm for a step s along
+        d = -J J'm, m = G omega + gamma, as the subproblem solvers return
+        it.  J^-1 s is then parallel to J'm, and the BFGS update makes no
+        solve with J.  Without it BFGS solves J u = s, which costs O(n^3)
+        and a copy of J.  Limited storage ignores it.
+        """
         s = np.asarray(s, dtype=float)
         v = np.asarray(v, dtype=float)
-        rho = float(s @ v)
+        sv = float(s @ v)
         if float(s @ s) == 0.0:
             raise DegenerateStepError("update requires a nonzero step")
-        if rho <= 0.0:
+        if sv <= 0.0:
             raise ValueError("update rejected: s'v must be positive (damp first)")
         if self.storage == "limited":
             self._push_basis(*((s, v) if self.mode == "BFGS" else (v, s)))
@@ -232,17 +249,42 @@ class QuasiNewtonState:
             self.updates += 1
             self._forms = {}
             return
-        W = self._w
-        w = dsymv(1.0, W, v)
-        vwv = float(v @ w)
+        J = self._j
+        jtv = dgemv(1.0, J, v, trans=1)
         if self.mode == "BFGS":
-            # W - (s w' + w s')/rho + (v'w/rho^2 + 1/rho) s s'
-            W = dsyr2(-1.0 / rho, s, w, a=W, overwrite_a=1)
-            W = dsyr(vwv / rho**2 + 1.0 / rho, s, a=W, overwrite_a=1)
-        else:  # DFP: W - w w'/v'w + s s'/rho
-            W = dsyr(-1.0 / vwv, w, a=W, overwrite_a=1)
-            W = dsyr(1.0 / rho, s, a=W, overwrite_a=1)
-        self._w = W
+            # W+ = P W P' + s s'/s'v with P = I - s v'/s'v.  P J, that is
+            # J - s (J'v)'/s'v, maps u, the unit vector along J^-1 s, to
+            # zero, so J+ = P J + s u'/sqrt(s'v) gives J+ J+' = W+.  For
+            # s = t d, t > 0, J^-1 s = -t J'm.
+            u = (solve(J, s) if jt_model is None
+                 else -np.asarray(jt_model, dtype=float))
+            a, b = s, u / (np.linalg.norm(u) * np.sqrt(sv)) - jtv / sv
+        else:
+            # DFP: W+ = J (I - q q') J' + s s'/s'v for the unit vector q
+            # along J'v, so J+ = J (I - q q') + s q'/sqrt(s'v).
+            q = jtv / np.linalg.norm(jtv)
+            a, b = s / np.sqrt(sv) - dgemv(1.0, J, q), q
+        self._j = dger(1.0, a, b, a=J, overwrite_a=1)
+        self.updates += 1
+        self.factor_changes += 1
+        self._newest_change = (a, b)
+        self._row_bound += float(np.max(np.abs(a))) * float(np.linalg.norm(b))
+
+    def row_norm_bound(self, exact: bool = False) -> float:
+        """An upper bound on the largest row norm of J, sqrt(max_i W_ii).
+        Each update raises the held bound by max|a| |b|, O(n); ``exact``
+        replaces it by the value itself, one pass over J."""
+        if exact:
+            J = self._j
+            self._row_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", J, J))))
+        return self._row_bound
+
+    def factor_change(self, since: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """(a, b) of the update J += a b' that took the factor from
+        ``since`` changes to the current count, when exactly one update
+        did; None otherwise.  A holder of J'X brings it up to date as
+        J'X + b (a'X)."""
+        return self._newest_change if since == self.factor_changes - 1 else None
 
     # -- limited storage: compact representation ---------------------------
 
@@ -305,24 +347,37 @@ class QuasiNewtonState:
         form = self._form("H")
         return r.copy() if form is None else form.apply(r)
 
+    def apply_Jt(self, A: np.ndarray) -> np.ndarray:
+        """J'A for the full-storage factor J (a vector, or each column of a
+        matrix)."""
+        A = np.asarray(A, dtype=float)
+        if A.ndim == 1:
+            return dgemv(1.0, self._j, A, trans=1)
+        return dgemm(1.0, self._j, A, trans_a=1)
+
+    def apply_J(self, X: np.ndarray) -> np.ndarray:
+        """J X for the full-storage factor J."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            return dgemv(1.0, self._j, X)
+        return dgemm(1.0, self._j, X)
+
     def apply_W_matrix(self, A: np.ndarray,
                        psi_a: np.ndarray | None = None) -> np.ndarray:
-        """W applied to A (a vector, or each column of a matrix).  Limited
-        storage forms it as tau A + Psi M (Psi'A); ``psi_a`` supplies Psi'A
-        when the caller already has it."""
+        """W applied to A (a vector, or each column of a matrix).  Full
+        storage forms it as J (J'A), limited storage as tau A + Psi M (Psi'A);
+        ``psi_a`` supplies Psi'A when the caller already has it."""
         A = np.asarray(A, dtype=float)
         if self.storage == "full":
-            if A.ndim == 1:
-                return dsymv(1.0, self._w, A)
-            return dsymm(1.0, self._w, A)
+            return self.apply_J(self.apply_Jt(A))
         form = self._form("W")
         return A.copy() if form is None else form.apply(A, psi_a)
 
     def dense_W(self) -> np.ndarray:
-        """W as a new, exactly symmetric dense array.  Full storage mirrors
-        its upper triangle."""
+        """W as a new, exactly symmetric dense array.  Full storage forms
+        one triangle of J J' and mirrors it."""
         if self.storage == "full":
-            D = np.triu(self._w)
+            D = np.triu(dsyrk(1.0, self._j))
             D += np.triu(D, 1).T
             return D
         D = self.apply_W_matrix(np.eye(self.n))
@@ -331,14 +386,27 @@ class QuasiNewtonState:
     @property
     def W(self) -> np.ndarray:
         """``dense_W()``.  Assigning a symmetric matrix sets the full-storage
-        metric (only its upper triangle is read)."""
+        metric, of which only the lower triangle is read: J is its Cholesky
+        factor when it is positive definite, and otherwise V sqrt(max(L, 0))
+        from its eigendecomposition V L V', which projects it onto the
+        positive semidefinite matrices by clipping negative eigenvalues to
+        zero."""
         return self.dense_W()
 
     @W.setter
     def W(self, value: np.ndarray) -> None:
         if self.storage != "full":
             raise ValueError("only full storage holds W")
-        self._w = np.array(value, dtype=float, order="F")
+        W = np.array(value, dtype=float)
+        try:
+            J = np.linalg.cholesky(W)
+        except np.linalg.LinAlgError:
+            lam, V = np.linalg.eigh(W)
+            J = V * np.sqrt(np.maximum(lam, 0.0))
+        self._j = np.asfortranarray(J)
+        self.factor_changes += 1
+        self._newest_change = None
+        self.row_norm_bound(exact=True)
 
     @property
     def H(self) -> np.ndarray:
@@ -361,12 +429,13 @@ class QuasiNewtonState:
 
     def gram_W(self, A: np.ndarray, ata: np.ndarray | None = None,
                psi_a: np.ndarray | None = None) -> np.ndarray:
-        """A' W A.  Limited storage forms it as tau A'A + (Psi'A)' M (Psi'A)
-        without W A; ``ata`` and ``psi_a`` supply A'A and Psi'A when the
-        caller already has them."""
+        """A' W A.  Full storage forms it as (J'A)'(J'A), limited storage as
+        tau A'A + (Psi'A)' M (Psi'A), both without W A; ``ata`` and
+        ``psi_a`` supply A'A and Psi'A when the caller already has them."""
         A = np.asarray(A, dtype=float)
         if self.storage == "full":
-            return A.T @ self.apply_W_matrix(A)
+            K = self.apply_Jt(A)
+            return K.T @ K
         if ata is None:
             ata = A.T @ A
         form = self._form("W")

@@ -225,24 +225,32 @@ def test_limited_build_subproblem_copies_no_gradient_block():
 
 
 def _count_w_products(monkeypatch):
-    """Counts W applied to a vector: ``apply_W`` goes through
-    ``apply_W_matrix``, so wrapping the latter sees both."""
+    """Counts W applied to a vector: under limited storage ``apply_W``
+    goes through ``apply_W_matrix``, so wrapping the latter sees both;
+    under full storage every such product, W r = J (J'r) or J (K omega),
+    ends in one ``apply_J`` of a vector."""
     calls = []
-    apply = QuasiNewtonState.apply_W_matrix
+    apply, apply_j = QuasiNewtonState.apply_W_matrix, QuasiNewtonState.apply_J
 
     def counted(self, A, psi_a=None):
-        if np.ndim(A) == 1:
+        if np.ndim(A) == 1 and self.storage == "limited":
             calls.append(1)
         return apply(self, A, psi_a)
 
+    def counted_j(self, X):
+        if np.ndim(X) == 1:
+            calls.append(1)
+        return apply_j(self, X)
+
     monkeypatch.setattr(QuasiNewtonState, "apply_W_matrix", counted)
+    monkeypatch.setattr(QuasiNewtonState, "apply_J", counted_j)
     return calls
 
 
 @pytest.mark.parametrize("case, m, delta, solver, products, storage", [
     ("gradient", 1, 1e6, "gradient", 1, "full"),
     ("gradient", 1, 1e6, "gradient", 1, "limited"),
-    ("das", 10, 1e6, "das", 0, "full"),
+    ("das", 10, 1e6, "das", 1, "full"),
     ("das", 10, 1e6, "das", 3, "limited"),
     ("das, trust region binding", 10, 0.05, "das", 0, "full"),
     ("das, trust region binding", 10, 0.05, "das", 1, "limited"),
@@ -256,12 +264,14 @@ def test_one_w_product_per_direction(monkeypatch, case, m, delta, solver,
     # W-vector products per direction.  The IPM forms W (G omega + gamma)
     # once per solution, once more on its full path after the omega-only
     # attempt, unless it abandoned that attempt early by reading the W G
-    # that full storage holds.  The DAS prices with W G when the subproblem holds it, as it
-    # does under full storage, and then makes none.  Under limited storage
-    # it makes one per unblocked pivot (3 here) until a gamma enters and
-    # W G is formed (after 1 here).  Either solver's d is its last
-    # W (G omega + gamma), only read after that.  The IPM cases reach the
-    # IPM through a DAS that fails at once, making no product.
+    # that it forms under full storage.  Under full storage the DAS prices
+    # the omega indices from G'WG alone while no gamma can violate, and
+    # makes one product, J (K omega), at the pivot where none of them
+    # violates; when a gamma may violate it prices from W G and makes none.
+    # Under limited storage it makes one per unblocked pivot (3 here) until
+    # a gamma enters and W G is formed (after 1 here).  Either solver's d is
+    # its last W (G omega + gamma), only read after that.  The IPM cases
+    # reach the IPM through a DAS that fails at once, making no product.
     rng = np.random.default_rng(7)
     n = 6
     qn = QuasiNewtonState(n, storage=storage, history_limit=4)
@@ -317,11 +327,14 @@ def test_limited_das_without_gamma_forms_no_w_g(monkeypatch):
 
 
 def _concatenated_kkt_residual(data, omega, sigma, rho, u, d):
-    """The residual over theta = (omega, sigma, rho) and v concatenated."""
+    """The residual over theta = (omega, sigma, rho) and v concatenated,
+    omega's conditions taken from G'WG and (W G)'gamma."""
     wm = -d
     theta = np.concatenate([omega, sigma, rho])
-    v = np.concatenate([data.G.T @ wm - data.b - u, wm + data.delta,
-                        -wm + data.delta])
+    v_omega = data.gtwg @ omega - data.b - u
+    if np.any(sigma - rho):
+        v_omega += data.wg.T @ (sigma - rho)
+    v = np.concatenate([v_omega, wm + data.delta, -wm + data.delta])
     return max(abs(float(np.sum(omega)) - 1.0),
                float(max(0.0, -np.min(theta, initial=0.0))),
                float(max(0.0, -np.min(v, initial=0.0))),

@@ -282,7 +282,8 @@ def test_products_follow_columns_and_pair_window(mode):
             q, r = ps.offsets()
             assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
         ref = np.column_stack([e.g for e in model])
-        G, gram, psi_g = ps.gradient_products(qn)
+        G, gram, psi_g, jtg = ps.gradient_products(qn)
+        assert jtg is None
         assert np.array_equal(G, ref)
         assert np.allclose(gram, ref.T @ ref, rtol=1e-13, atol=1e-13)
         if not qn.pairs:
@@ -379,3 +380,74 @@ def test_prune_by_distance_copies_no_block(far):
     assert np.array_equal(ps.X, kept[0]) and np.array_equal(ps.gradients(), kept[1])
     assert np.array_equal(ps.birth, kept[2])
     assert peak < n * m * 8 / 2
+
+
+def test_carried_factor_products_follow_a_cutting_plane_run(monkeypatch):
+    # Over one full-storage cutting-plane run at n = 200, the J'G that the
+    # bundle carries across metric updates, additions and prunes matches a
+    # fresh J'G to 1e-12 of its largest entry at every subproblem, and no
+    # subproblem forms it afresh.
+    from nsopt.problems import make_problem
+    from nsopt.solver import run_solver
+
+    products, carried = PointSet.gradient_products, []
+    change = QuasiNewtonState.factor_change
+
+    def checked(self, qn):
+        G, gtg, psi_g, jtg = products(self, qn)
+        fresh = qn.apply_Jt(np.array(G))
+        assert gtg is None and psi_g is None
+        assert np.max(np.abs(jtg - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+        return G, gtg, psi_g, jtg
+
+    def counted(self, since):
+        out = change(self, since)
+        carried.append(out is not None)
+        return out
+
+    monkeypatch.setattr(PointSet, "gradient_products", checked)
+    monkeypatch.setattr(QuasiNewtonState, "factor_change", counted)
+    prob = make_problem("ChainedLQ", 200)
+    report = run_solver(prob.oracle, prob.x0,
+                        SolverOptions(strategy="cutting_plane", delta_f=1e-5, n_f=10))
+    assert report.termination_reason == "stationary"
+    # one update at most between two subproblems: every one is carried
+    assert all(carried) and len(carried) > 30
+
+
+def test_factor_products_follow_columns_updates_and_states():
+    # A seeded random walk of adds, prunes, zero to two metric updates
+    # between reads and switches between two full-storage states: after
+    # each step J'G matches a fresh J'G, whether it was carried across one
+    # update or formed again after two or for the other state.
+    rng = np.random.default_rng(8)
+    n = 7
+    states = [QuasiNewtonState(n), QuasiNewtonState(n, mode="DFP")]
+
+    def elem(birth):
+        return BundleElement(x=rng.standard_normal(n), f=0.0,
+                             g=rng.standard_normal(n), birth=birth)
+
+    ps = PointSet(elem(0))
+    qn, widest = states[0], 1
+    for k in range(1, 150):
+        step = rng.choice(["add", "current", "age", "update", "switch"])
+        if step == "add":
+            for _ in range(rng.integers(1, 5)):
+                ps.add(elem(k))
+        elif step == "current":
+            ps.set_current(elem(k))
+        elif step == "age":
+            prune_by_age(ps, int(rng.integers(1, len(ps) + 1)))
+        elif step == "update":
+            for _ in range(rng.integers(1, 3)):
+                s = rng.standard_normal(n)
+                qn.update(s, damp(s, rng.standard_normal(n), 0.5, 2.0)[1])
+        else:
+            qn = states[1] if qn is states[0] else states[0]
+        G, _, _, jtg = ps.gradient_products(qn)
+        fresh = qn.apply_Jt(np.array(G))
+        assert np.allclose(jtg, fresh, rtol=0.0, atol=1e-12 * np.max(np.abs(fresh)))
+        assert not jtg.flags.writeable
+        widest = max(widest, len(ps))
+    assert widest > 8 and all(state.updates > 3 for state in states)

@@ -328,3 +328,49 @@ def test_held_basis_is_the_stacked_pairs(mode, limit):
         assert window == (qn.updates - len(qn.pairs), len(qn.pairs))
         assert np.array_equal(psi, stacked)
         assert psi.strides == stacked.strides and psi.flags.f_contiguous
+
+
+@pytest.mark.parametrize("step", ["direction", "general"])
+def test_factored_updates_match_dense_reference_over_alternating_modes(step):
+    # 200 updates at n = 30 that alternate BFGS and DFP on one factor J.
+    # "direction" steps lie along d = -J J'm and pass J'm, so the BFGS
+    # update makes no solve with J; "general" steps are random and BFGS
+    # solves J u = s.  After every update J J' matches the dense recursion
+    # to 1e-12 relative, and the dense W is exactly symmetric.
+    rng = np.random.default_rng(30)
+    n = 30
+    qn = QuasiNewtonState(n)
+    H_ref, W_ref = np.eye(n), np.eye(n)
+    for k in range(200):
+        qn.mode = ("BFGS", "DFP")[k % 2]
+        if step == "direction":
+            jt_model = qn.apply_Jt(rng.standard_normal(n))
+            s = -rng.uniform(0.1, 2.0) * qn.apply_J(jt_model)
+        else:
+            jt_model, s = None, rng.standard_normal(n)
+        _, v = damp(s, rng.standard_normal(n), ETA_TIGHT, PSI_TIGHT)
+        qn.update(s, v, jt_model)
+        H_ref, W_ref = _reference_update(H_ref, W_ref, s, v, qn.mode)
+        D = qn.dense_W()
+        assert np.array_equal(D, D.T)
+        assert np.max(np.abs(D - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
+    assert qn.factor_changes == 200
+
+
+def test_w_setter_factors_or_projects():
+    # A positive definite W gets its Cholesky factor; an indefinite one is
+    # projected onto the positive semidefinite matrices, its negative
+    # eigenvalues clipped to zero.
+    rng = np.random.default_rng(2)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    lam = np.array([-3.0, -1e-9, 0.0, 1e-6, 2.0, 5.0])
+    qn = QuasiNewtonState(6)
+    definite = (Q * np.abs(lam + 4.0)) @ Q.T
+    qn.W = definite
+    assert np.allclose(qn.dense_W(), definite, rtol=0.0, atol=1e-14)
+    qn.W = (Q * lam) @ Q.T
+    projected = (Q * np.maximum(lam, 0.0)) @ Q.T
+    assert np.allclose(qn.dense_W(), projected, rtol=0.0, atol=1e-14)
+    assert np.linalg.eigvalsh(qn.dense_W())[0] >= -1e-15
+    # an assignment is a change of J that a holder of J'X cannot carry over
+    assert qn.factor_change(qn.factor_changes - 1) is None
