@@ -45,9 +45,9 @@ class DirectionResult:
     model_norm_sq: float  # d'Hd = (G w + gamma)' W (G w + gamma)
     inf_norms: tuple[float, float, float]  # ||d||, ||Gw||, ||Gw + gamma||
     fallback: bool = False  # the active-set solver failed and the IPM solved
-    # J'(G w + gamma) for the full-storage factor J, so that the metric
-    # update after a step along d makes no solve with J; None when limited
-    jt_model: np.ndarray | None = None
+    # what the metric returned with W (G w + gamma), for its update after a
+    # step along d (``QuasiNewtonState.model``)
+    hint: np.ndarray | None = None
 
 
 def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
@@ -56,7 +56,7 @@ def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
     if strategy == "gradient":
         return SubproblemData(G=cur.g.reshape(-1, 1),
                               b=np.array([cur.f]), delta=delta, qn=qn)
-    G, gtg, psi_g, jtg = point_set.gradient_products(qn)
+    G, gtg, bt_g = point_set.gradient_products(qn)
     if strategy == "gradient_combination":
         b = np.full(len(point_set), cur.f)
     elif strategy == "cutting_plane":
@@ -64,12 +64,11 @@ def build_subproblem(point_set: PointSet, qn: QuasiNewtonState, delta: float,
         b = np.minimum(point_set.f + r, cur.f - _DOWNSHIFT * q)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return SubproblemData(G=G, b=b, delta=delta, qn=qn, gtg=gtg, psi_g=psi_g,
-                          jtg=jtg)
+    return SubproblemData(G=G, b=b, delta=delta, qn=qn, gtg=gtg, bt_g=bt_g)
 
 
 def _finalize(omega, gamma, u, d, g_omega, res, solver, fallback=False,
-              jt_model=None) -> DirectionResult:
+              hint=None) -> DirectionResult:
     """``d`` is -W (G omega + gamma) and ``g_omega`` is G omega, both
     already formed by the caller."""
     model = g_omega + gamma
@@ -78,7 +77,7 @@ def _finalize(omega, gamma, u, d, g_omega, res, solver, fallback=False,
                  float(np.max(np.abs(g_omega), initial=0.0)),
                  float(np.max(np.abs(model), initial=0.0)))
     return DirectionResult(d, np.asarray(omega, dtype=float), gamma, u, res,
-                           solver, model_norm_sq, inf_norms, fallback, jt_model)
+                           solver, model_norm_sq, inf_norms, fallback, hint)
 
 
 def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
@@ -88,13 +87,12 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
 
     if strategy == "gradient" and options.try_gradient_step:
         g = point_set.current.g
-        jtg = qn.apply_Jt(g) if qn.storage == "full" else None
-        wg = qn.apply_W(g) if jtg is None else qn.apply_J(jtg)
+        wg, hint = qn.model(g)
         if np.max(np.abs(wg), initial=0.0) <= delta:
             # makes the single-point KKT system exact
             u = float(g @ wg) - point_set.current.f
             return _finalize(np.ones(1), np.zeros(n), u, -wg, g, 0.0,
-                             "gradient", jt_model=jtg)
+                             "gradient", hint=hint)
 
     data = build_subproblem(point_set, qn, delta, strategy)
     failures = []
@@ -105,5 +103,5 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
             failures.append(f"{solver}: {type(exc).__name__}: {exc}")
             continue
         return _finalize(sol.omega, sol.gamma, sol.u, sol.d, sol.g_omega,
-                         sol.kkt_residual, solver, bool(failures), sol.jt_model)
+                         sol.kkt_residual, solver, bool(failures), sol.hint)
     raise SubproblemFailure("; ".join(failures))

@@ -4,11 +4,11 @@ distance pruning, and age pruning.
 The bundle is columns 0..m-1 of Fortran-ordered point and gradient blocks,
 with value and birth vectors.  Columns are appended and pruning keeps their
 order, so the products that the subproblem's G'WG is formed from follow
-positions: new columns are a suffix, pruning slices the held products.
-Under limited storage these are G'G and Psi'G, whose rows follow the
-metric's pair window.  Under full storage, W = J J', it is K = J'G, a block
-like G's: a metric update J += a b' adds b (a'G) to it, O(n m), and a new
-column costs one J'g.
+positions: new columns are a suffix, pruning slices the held products.  For
+the metric W = c I + B M B' these are G'G and P = B'G, carried by one rule:
+the metric brings P up to date after its updates (``follow``), a new column
+costs one B'g, and G'G, formed only when c is not 0, never changes for a
+column once formed.
 
 The offsets of the columns from the current iterate x, q_j = |x - x_j|^2 and
 r_j = g_j'(x - x_j), are held the same way.  Distance pruning reads q and the
@@ -23,9 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
-
-from .quasi_newton import window_shift
 
 # The offsets are formed in column blocks of at most this many bytes, so no
 # n x m temporary is made.
@@ -55,12 +52,9 @@ class PointSet:
         self._X, self._G = np.empty((n, 1), order="F"), np.empty((n, 1), order="F")
         self._f, self._birth = np.empty(1), np.empty(1, dtype=int)
         self._m = 0
-        # G'G and Psi'G over the leading columns, Psi'G for (state, window)
-        self._gtg = self._psi_g = np.zeros((0, 0))
-        self._psi_of = (None, None)
-        # J'G over the first _jtg_m columns of a block as wide as G's, for
-        # (state, its factor_changes); allocated on first use
-        self._jtg, self._jtg_m, self._jtg_of = None, 0, (None, None)
+        # G'G and P = B'G over the leading columns, P for (state, version)
+        self._gtg = self._p = np.zeros((0, 0))
+        self._p_of = (None, None)
         # q and r of the leading columns for the current iterate
         self._q = self._r = np.zeros(0)
         self.set_current(current)
@@ -72,7 +66,7 @@ class PointSet:
         """Append ``element`` as the last column; full blocks double."""
         m = self._m
         if m == self._f.size:
-            for name in self._BLOCKS + (("_jtg",) if self._jtg is not None else ()):
+            for name in self._BLOCKS:
                 block = getattr(self, name)
                 wider = np.empty(block.shape[:-1] + (2 * m,), block.dtype, order="F")
                 wider[..., :m] = block
@@ -102,67 +96,32 @@ class PointSet:
         return self._view("_G")
 
     def gradient_products(self, qn):
-        """G and what the subproblem forms G'WG from: G'G and Psi'G for
-        ``qn``'s compact basis Psi (None without one) under limited storage,
-        J'G for its factor J under full storage; the others are None.
+        """G, G'G and P = B'G for ``qn``'s metric W = c I + B M B'.  G'G is
+        None when c is 0, as under full storage, since G'WG does not read it
+        then.  P is a read-only view that is valid until the next add, prune
+        or call.
 
-        Gradients never change once added, so only products with columns
-        added, pairs that entered the window and the factor's newest change
-        since the previous call are computed: O(n m (k + r)) for k new columns
-        and r new pairs instead of O(n m^2 + n m h), and O(n^2 k + n m) instead
-        of O(n^2 m) for J'G.  Another state than last time gets all its rows.
+        Gradients never change once added, so G'G gets only the products
+        with the k columns added since the previous call, O(n m k) instead
+        of O(n m^2).  The metric brings the held P up to date after its
+        updates and forms its new columns (``QuasiNewtonState.follow``);
+        another state than last time gets all of P formed again.
         """
-        G = self.gradients()
-        if qn.storage != "limited":
-            return G, None, None, self._factor_products(qn, G)
+        G, c = self.gradients(), qn.scale
         m, k = G.shape[1], len(self._gtg)
-        if k < m:
+        if c and k < m:  # G'WG reads G'G only when c is not 0
             new = np.arange(k, m)
             gtg = np.empty((m, m))
             gtg[:k, :k] = self._gtg
             gtg[new] = G[:, new].T @ G
             gtg[:, new] = gtg[new].T
             self._gtg = gtg
-        basis = qn.compact_basis()
-        if basis is None:
-            return G, self._gtg, None, None
-        window, psi = basis
-        owner, was = self._psi_of
-        k = self._psi_g.shape[1]
-        if qn is not owner or window != was or k < m:
-            src, dst, fresh = window_shift(was if qn is owner else None, window)
-            P = np.empty((psi.shape[1], m))
-            P[dst, :k] = self._psi_g[src]
-            P[fresh] = psi[:, fresh].T @ G
-            new = np.arange(k, m)
-            P[:, new] = psi.T @ G[:, new]
-            self._psi_g, self._psi_of = P, (qn, window)
-        return G, self._gtg, self._psi_g, None
-
-    def _factor_products(self, qn, G: np.ndarray) -> np.ndarray:
-        """K = J'G, a read-only view of the held block that is valid until
-        the next add, prune or call.  The held columns take the factor's
-        change J += a b' since the previous call as K += b (a'G) in place;
-        after more than one change, or for another state, every column is
-        formed again."""
-        m = G.shape[1]
-        if self._jtg is None:  # then ``add`` widens it with G's block
-            self._jtg = np.empty(self._G.shape, order="F")
-        owner, seen = self._jtg_of
-        k = self._jtg_m if qn is owner else 0
-        if k and seen != qn.factor_changes:
-            change = qn.factor_change(seen)
-            if change is None:
-                k = 0
-            else:
-                a, b = change
-                dger(1.0, b, a @ G[:, :k], a=self._jtg[:, :k], overwrite_a=1)
-        if k < m:
-            self._jtg[:, k:m] = qn.apply_Jt(G[:, k:m])
-        self._jtg_m, self._jtg_of = m, (qn, qn.factor_changes)
-        view = self._jtg[:, :m]
+        owner, since = self._p_of
+        P = self._p = qn.follow(self._p if qn is owner else None, since, G)
+        self._p_of = (qn, qn.version)
+        view = P.view()
         view.flags.writeable = False
-        return view
+        return G, self._gtg if c else None, view
 
     def offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """q_j = (x - x_j)'(x - x_j) and r_j = g_j'(x - x_j) for the current
@@ -199,8 +158,7 @@ class PointSet:
         # 1-D range in place, so no n x m temporary is made, and a run reads
         # no column that an earlier run wrote.
         n = self._X.shape[0]
-        blocks = (self._X, self._G) + ((self._jtg,) if self._jtg is not None else ())
-        flats = [block.reshape(-1, order="F") for block in blocks]
+        flats = [block.reshape(-1, order="F") for block in (self._X, self._G)]
         starts = (np.flatnonzero(np.diff(keep) != 1) + 1).tolist()
         for lo, hi in zip([0, *starts], [*starts, keep.size]):
             src = int(keep[lo])
@@ -211,9 +169,7 @@ class PointSet:
         if self._gtg.size:
             held = keep[keep < len(self._gtg)]
             self._gtg = self._gtg[np.ix_(held, held)]
-        if self._psi_g.size:
-            self._psi_g = self._psi_g[:, keep[keep < self._psi_g.shape[1]]]
-        self._jtg_m = int(np.count_nonzero(keep < self._jtg_m))
+        self._p = self._p[:, keep[keep < self._p.shape[1]]]
         held = keep[keep < self._q.size]
         self._q, self._r = self._q[held], self._r[held]
 

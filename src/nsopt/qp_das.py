@@ -23,21 +23,22 @@ eps |G|'|W G| omega: 2e-8 on a bundle under a metric with eigenvalues from
 working-set target was negative, dropped it at once and cycled to its pivot
 cap.  The gammas' condition delta - |W (G omega + gamma)| reads the
 subproblem's W G once it holds one, which it does once a gamma enters the
-working set, whose bordered solve needs its rows.  Under limited storage
-W G is not formed until then: each unblocked pivot makes one W-vector
-product W (G omega), as the interior-point solver's omega-only path does.
-Under full storage, W = J J', the omega indices are priced first when no
-gamma can violate: |(W m)_i| <= |J_i| sqrt(m'Wm) for the rows J_i of J
-(Cauchy-Schwarz), m'Wm = omega'G'WG omega, so a bound on the row norms that
-keeps this at most delta shows that pricing everything would add the same
-omega index.  A pivot at which an omega index violates then makes no
-product with J, and one at which none does makes one, J (K omega) with
-K = J'G.  When the bound does not hold, W G is formed and priced from, as
-when a gamma is free.  Inside the outer solver delta is at least 1e10 |g|,
-so the bound holds there.  The step d = -W (G omega + gamma) is the last of
+working set, whose bordered solve needs its rows.  Until then the omega
+indices are priced first when no gamma can violate: |(W m)_i| <=
+|F_i| sqrt(m'Wm) for the rows F_i of a factor W = F F' (Cauchy-Schwarz; J
+under full storage), m'Wm = omega'G'WG omega, so a bound on the row norms
+(the metric's ``row_norm_bound``) under which this is at most delta shows
+that pricing everything would add the same omega index.  A
+pivot at which an omega index violates then makes no W-vector product,
+and one at which none does makes one, W (G omega).  When the bound does
+not hold, W G is formed and priced from, as when a gamma is free; a metric
+without such a bound (limited storage) makes one W-vector product at each
+unblocked pivot.  Inside the outer solver delta is at least 1e10 |g|, so
+the bound holds there.  The step d = -W (G omega + gamma) is the last of
 these products, not another product with W, and the solution keeps the
-G omega that product was made from, and J'(G omega) for the metric update; a
-solve that read W G instead forms them once, at the end.
+G omega that product was made from and the hint that the metric update
+takes; a solve that read W G instead forms all three with one W-vector
+product at the end.
 
 Anti-cycling: each working-set solve carries a tiny proximal term centred on
 the current iterate, so when the working-set minimizer is not unique the
@@ -270,32 +271,22 @@ class DasSolution:
     g_omega: np.ndarray  # G omega
     kkt_residual: float
     iterations: int
-    jt_model: np.ndarray | None = None  # J'(G omega + gamma), full storage
+    hint: np.ndarray | None = None  # for the metric update, from the step
 
 
 def _init_state(data: SubproblemData) -> DasState:
     return DasState(data, int(np.argmin(np.diag(data.gtwg))))
 
 
-def _w_model(st: DasState, F: np.ndarray, via_wg: bool):
-    """W (G omega + gamma), F the free gammas, with G omega and J'(G omega)
-    when they were formed.  Reads W G when ``via_wg``, forming it if need be,
-    else makes one W-vector product."""
-    if via_wg:
-        wm = st.WG @ st.omega
-        if F.size:
-            wm += st.dense_W()[:, F] @ st.gamma[F]
-        return wm, None, None
-    # gamma = 0 here: the bordered solve reads W G once a gamma is free
-    return st.data.model_step(st.omega)
-
-
-def _no_gamma_violates(st: DasState, mwm: float) -> bool:
-    """Whether |W m| <= delta is certain under full storage for the model
-    m = G omega with m'Wm = ``mwm``: first from the metric's running bound
-    on the row norms of J, then from their exact values."""
+def _no_gamma_violates(st: DasState, mwm: float) -> bool | None:
+    """Whether |W m| <= delta is certain for the model m = G omega with
+    m'Wm = ``mwm``: first from the metric's running bound on its row norms,
+    then from their exact values.  None when the metric has no such bound."""
     qn, limit, mwm = st.qn, st.delta ** 2, max(mwm, 0.0)
-    return (qn.row_norm_bound() ** 2 * mwm <= limit
+    bound = qn.row_norm_bound()
+    if bound is None:
+        return None
+    return (bound ** 2 * mwm <= limit
             or qn.row_norm_bound(exact=True) ** 2 * mwm <= limit)
 
 
@@ -328,6 +319,11 @@ def _solve_eqp(st: DasState):
     L, M = st.L[:, :k + 1], st.H[:k + 1, :k + 1]
     c = _trtrs(L[:, :k], e, lower=1)[0]
     schur = float(c @ c)
+    if not 0.0 < schur < np.inf:
+        raise np.linalg.LinAlgError(
+            f"the simplex row's Schur complement is {schur:.1e} on a working "
+            f"set of {k - st.free} omega and {st.free} gamma indices"
+            + (": it holds no omega index" if k == st.free else ""))
     L[k, :k], L[k, k] = c, 1.0
     M[k, :k], M[:k, k], M[k, k] = e, e, 0.0
     x0 = np.zeros(k + 1)
@@ -396,30 +392,35 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> DasSolution:
                 v_omega += st.WG[F].T @ st.gamma[F]
             v_omega[st.sign[:m] != 0] = np.inf
             via_wg = data.has_wg
-            if data.full and not via_wg:
-                if _no_gamma_violates(st, float(st.omega @ k_omega)):
+            if not via_wg:
+                certain = _no_gamma_violates(st, float(st.omega @ k_omega))
+                if certain:
                     k = int(v_omega.argmin())
                     if v_omega[k] < -_PRICING * tol:
                         st.sign[k] = 1
                         st.add(k)
                         continue
-                else:
-                    via_wg = True  # the gammas may violate: price from W G
-            wm, g_omega, jtm = _w_model(st, F, via_wg)
+                via_wg = certain is False  # a gamma may violate
+            # W (G omega + gamma), with G omega and the metric update's hint
+            # when a W-vector product formed them
+            if via_wg:
+                wm, g_omega = st.WG @ st.omega, None
+                if F.size:
+                    wm += st.dense_W()[:, F] @ st.gamma[F]
+            else:  # gamma = 0: the bordered solve reads W G once one is free
+                wm, g_omega, hint = data.model_step(st.omega)
             violation = np.concatenate((v_omega, st.delta - np.abs(wm)))
             violation[m:][st.gamma_sign != 0] = np.inf
             k = int(violation.argmin())
             if violation[k] >= -_PRICING * tol:
                 sigma = np.maximum(st.gamma, 0.0)
                 rho = np.maximum(-st.gamma, 0.0)
+                if g_omega is None:  # priced from W G
+                    wm, g_omega, hint = data.model_step(st.omega, st.gamma)
                 d = -wm
-                if g_omega is None:
-                    g_omega = st.G @ st.omega
-                    if data.full:
-                        jtm = data.jt_model(st.omega, st.gamma)
                 res = compute_kkt_residual(data, st.omega, sigma, rho, u, d)
                 return DasSolution(st.omega.copy(), st.gamma.copy(), sigma,
-                                   rho, u, d, g_omega, res, iterations, jtm)
+                                   rho, u, d, g_omega, res, iterations, hint)
             st.sign[k] = 1 if k < m else -int(np.sign(wm[k - m]))
             st.add(k)
     except np.linalg.LinAlgError as exc:

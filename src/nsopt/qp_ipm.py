@@ -8,11 +8,11 @@ omega-only instance (trust region ignored) and falls back to the full
 instance with theta = (omega, sigma, rho) when the trust region is active.
 The full instance is solved from its own starting point, whatever the
 omega-only attempt found, so an attempt that is going to fail can be cut
-short without changing the solution.  Under full storage, where W G is
-formed for it, or when the subproblem holds W G, the attempt looks at the
-box once, at its first iterate with a residual at most 1: if W G omega
-(omega the iterate scaled onto the simplex) leaves the box by more than 1%
-of delta, the attempt is abandoned there.  On 330
+short without changing the solution.  The attempt looks at the box once, at
+its first iterate with a residual at most 1, with one W-vector product
+(``SubproblemData.model_step``, which forms no W G): if W G omega (omega the
+iterate scaled onto the simplex) leaves the box by more than 1% of delta,
+the attempt is abandoned there.  On 330
 generator instances (n = 20 to 200, m = n + 1 to 2n) the box test at the
 end never disagreed with that look, and the look saved 76% of the
 attempt's iterations where the box binds.
@@ -52,8 +52,8 @@ looser.
 
 The solve records no per-iteration history: its solution carries the
 iterate, the step d = -W (G omega + gamma) of the subproblem, the G omega
-that step was formed from (and, under full storage, J'(G omega + gamma) for
-the metric update), and a count of factorizations.  ``merit`` and
+that step was formed from and the metric update's hint that came with it,
+and a count of factorizations.  ``merit`` and
 ``_plugback_residual`` evaluate the merit function at an iterate and the
 residual of a Newton step, for checks made from outside the iteration.
 """
@@ -146,7 +146,7 @@ class IpmSolution:
     iterations: int
     omega_only: bool
     diagnostics: IpmDiagnostics
-    jt_model: np.ndarray | None = None  # J'(G omega + gamma), full storage
+    hint: np.ndarray | None = None  # for the metric update, from the step
 
 
 class CholeskySchurFactor:
@@ -383,13 +383,13 @@ def _plugback_residual(qp, theta, v, dtheta, du, dv, r_d, r_p, r_c) -> float:
 
 def solve_ipm_core(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray,
                    tol: float = 1e-8, soft_tol: float | None = None,
-                   wg: np.ndarray | None = None,
-                   delta: float = 0.0) -> IpmCoreResult | None:
-    """The core iteration from (theta, u, v).  Given ``wg``, the W G of an
-    omega-only instance, the core looks at the box once, at its first
-    iterate with a residual at most _PEEK_RESIDUAL, and returns None there
-    when W G omega, omega the iterate scaled onto the simplex, leaves the
-    box |.| <= ``delta`` by more than _PEEK_MARGIN relative."""
+                   look=None, delta: float = 0.0) -> IpmCoreResult | None:
+    """The core iteration from (theta, u, v).  Given ``look``, which maps
+    the omega of an omega-only instance to W G omega, the core looks at the
+    box once, at its first iterate with a residual at most _PEEK_RESIDUAL,
+    and returns None there when W G omega, omega the iterate scaled onto the
+    simplex, leaves the box |.| <= ``delta`` by more than _PEEK_MARGIN
+    relative."""
     theta = np.asarray(theta, dtype=float).copy()
     v = np.asarray(v, dtype=float).copy()
     if np.any(theta <= 0.0) or np.any(v <= 0.0):
@@ -407,11 +407,11 @@ def solve_ipm_core(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray,
             return IpmCoreResult(theta, u, v, float(res), it, diag)
         if it == _MAX_ITERATIONS:
             break
-        if wg is not None and res <= _PEEK_RESIDUAL:
-            step = wg @ (theta / theta.sum())
+        if look is not None and res <= _PEEK_RESIDUAL:
+            step = look(theta / theta.sum())
             if float(np.max(np.abs(step))) > (1.0 + _PEEK_MARGIN) * delta:
                 return None
-            wg = None  # one look only
+            look = None  # one look only
 
         factor = _factorize(qp, theta, v, diag)
         dtheta_p, du_p, dv_p = _newton_step(factor, theta, v, r_d, r_p, r_c)
@@ -459,18 +459,18 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8) -> IpmSolution:
     v0 = np.full(m, _MU0 * m)
     qp_small = QpData(Q=data.gtwg, c=-data.b, A=np.ones(m))
     core = solve_ipm_core(qp_small, omega0, 0.0, v0, tol=core_tol, soft_tol=tol,
-                          wg=data.wg if data.full or data.has_wg else None,
+                          look=lambda omega: data.model_step(omega)[0],
                           delta=data.delta)
     if core is not None:
         omega = core.theta
-        wg_omega, g_omega, jtm = data.model_step(omega)
+        wg_omega, g_omega, hint = data.model_step(omega)
         if np.max(np.abs(wg_omega)) <= data.delta:
             zeros = np.zeros(n)
             d = -wg_omega
             res = compute_kkt_residual(data, omega, zeros, zeros, core.u, d)
             return IpmSolution(omega, zeros.copy(), zeros.copy(), zeros.copy(),
                                core.u, d, g_omega, res, core.iterations, True,
-                               core.diagnostics, jtm)
+                               core.diagnostics, hint)
 
     wg = data.wg
     Q = np.block([[data.gtwg, wg.T], [wg, data.qn.dense_W()]])
@@ -488,8 +488,8 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8) -> IpmSolution:
     sigma = core.theta[m:m + n]
     rho = core.theta[m + n:]
     gamma = sigma - rho
-    wm, g_omega, jtm = data.model_step(omega, gamma)
+    wm, g_omega, hint = data.model_step(omega, gamma)
     d = -wm
     res = compute_kkt_residual(data, omega, sigma, rho, core.u, d)
     return IpmSolution(omega, gamma, sigma, rho, core.u, d, g_omega, res,
-                       core.iterations, False, core.diagnostics, jtm)
+                       core.iterations, False, core.diagnostics, hint)

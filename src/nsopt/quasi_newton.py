@@ -1,23 +1,27 @@
 """Damped BFGS/DFP maintenance of the metric W = H^{-1}.
 
-Full storage keeps W as a factor, W = J J', one Fortran-ordered n x n array.
-Each update is one rank-1 change J += a b' made in place by the BLAS
-kernel ``dger`` (the product form of Brodlie, Gourlay & Greenstadt 1973 for
-BFGS; Goldfarb 1976), so W stays positive semidefinite whatever the
-rounding, and the bundle carries K = J'G across it as K += b (a'G).  W is
-applied as J (J' r); a dense W, exactly symmetric, and H are formed on
-request.  Every product with J goes through scipy's BLAS.
-Limited storage keeps a FIFO window of damped pairs (s, v) and applies
-H and W through the compact representation tau I + Psi M Psi' (Byrd,
-Nocedal & Schnabel 1994).  The base scale comes from the newest pair (Liu &
-Nocedal 1989; Nocedal & Wright 2006, eq. 7.20): BFGS starts from
-W0 = (s'v / v'v) I, DFP from W0 = (s's / s'v) I, and H0 = W0^-1.  Psi'Psi here
-and Psi'G in the bundle follow the window by position (``window_shift``).
+Both storages hold W as c I + B M B', and this module alone knows which:
+
+- full storage: c = 0, M = I and B = J, one Fortran-ordered n x n factor of
+  W = J J'.  Each update is one rank-1 change J += a b' made in place by
+  the BLAS kernel ``dger`` (the product form of Brodlie, Gourlay &
+  Greenstadt 1973 for BFGS; Goldfarb 1976), so W stays positive
+  semidefinite whatever the rounding.  Every product with J goes through
+  scipy's BLAS.
+- limited storage: c = tau and B = Psi, the stacked pairs of a FIFO window
+  of damped pairs (s, v), with M the middle matrix of the compact
+  representation (Byrd, Nocedal & Schnabel 1994).  The base scale comes
+  from the newest pair (Liu & Nocedal 1989; Nocedal & Wright 2006, eq.
+  7.20): BFGS starts from W0 = (s'v / v'v) I, DFP from W0 = (s's / s'v) I,
+  and H0 = W0^-1.  An empty history is W = I: c = 1, B has no columns.
+
+A holder of P = B'G keeps it up to date with ``follow``: a full-storage
+update adds b (a'G) to it, O(n m), and its limited-storage rows follow the
+pair window by position (``window_shift``).  A dense W, exactly symmetric,
+and H are formed on request.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 from scipy.linalg import solve
@@ -178,20 +182,14 @@ class _CompactForm:
         x2 = (self.l.T @ x1 - p2) / d
         return -np.concatenate([c * x1, x2])
 
-    def apply(self, X: np.ndarray, psi_x: np.ndarray | None = None) -> np.ndarray:
-        """(c I + Psi M Psi') X, given Psi'X optionally."""
-        P = self.psi.T @ X if psi_x is None else psi_x
-        return self.scale * X + self.psi @ self.middle(P)
-
-    def gram(self, X: np.ndarray, xtx: np.ndarray,
-             psi_x: np.ndarray | None = None) -> np.ndarray:
-        """X' (c I + Psi M Psi') X given X'X and, optionally, Psi'X."""
-        P = self.psi.T @ X if psi_x is None else psi_x
-        return self.scale * xtx + P.T @ self.middle(P)
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """(c I + Psi M Psi') X."""
+        return self.scale * X + self.psi @ self.middle(self.psi.T @ X)
 
 
 class QuasiNewtonState:
-    """Metric state with BFGS or DFP updates in full or limited storage."""
+    """Metric state with BFGS or DFP updates in full or limited storage,
+    held as W = c I + B M B' (see the module docstring)."""
 
     def __init__(self, n: int, mode: str = "BFGS", storage: str = "full",
                  history_limit: int = 20):
@@ -205,36 +203,32 @@ class QuasiNewtonState:
         self.mode = mode
         self.storage = storage
         self.history_limit = history_limit
-        if storage == "full":
-            self._j = np.eye(n, order="F")  # the factor J of W = J J'
-            self.pairs = None
-        else:
-            self.pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=history_limit)
-        self.updates = 0  # serial number of the next pair
-        # changes made to J so far, and the newest one as (a, b) for
-        # J += a b' (None when it was an assignment to W)
-        self.factor_changes = 0
+        self.version = 0  # changes of W: pairs taken and assignments to W
+        # full storage: the factor J of W = J J', its newest change as (a, b)
+        # for J += a b' (None after an assignment to W), and a bound on its
+        # row norms
+        self._j = np.eye(n, order="F") if storage == "full" else None
         self._newest_change: tuple[np.ndarray, np.ndarray] | None = None
-        self._row_bound = 1.0  # at least the largest row norm of J
-        # compact W/H, rebuilt after each update
+        self._row_bound = 1.0
+        # limited storage: compact W/H, rebuilt after each update; h held
+        # pairs in Psi' = [A B]', rows _psi_start to _psi_start + 2h of a
+        # buffer with room for the window to slide (see ``_push_basis``)
         self._forms: dict[str, _CompactForm] = {}
-        # Psi' = [A B]': rows _psi_start to _psi_start + 2h of a buffer with
-        # room for the window to slide (see ``_push_basis``)
-        self._psi_rows: np.ndarray | None = None
-        self._psi_start = 0
+        self._h = self._psi_start = 0
+        self._psi_rows = (np.empty((3 * history_limit, n))
+                          if storage == "limited" else None)
         self._gram, self._gram_window = np.zeros((0, 0)), None  # Psi'Psi
 
     # -- updates ----------------------------------------------------------
 
     def update(self, s: np.ndarray, v: np.ndarray,
-               jt_model: np.ndarray | None = None) -> None:
+               hint: np.ndarray | None = None) -> None:
         """Take the damped pair (s, v).
 
-        Under full storage, ``jt_model`` is J'm for a step s along
-        d = -J J'm, m = G omega + gamma, as the subproblem solvers return
-        it.  J^-1 s is then parallel to J'm, and the BFGS update makes no
-        solve with J.  Without it BFGS solves J u = s, which costs O(n^3)
-        and a copy of J.  Limited storage ignores it.
+        ``hint`` is the one that ``model`` returned with W m, for a step s
+        along d = -W m.  Full storage reads it as J'm: J^-1 s is then
+        parallel to it, and the BFGS update makes no solve with J.  Without
+        it BFGS solves J u = s, which costs O(n^3) and a copy of J.
         """
         s = np.asarray(s, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -243,10 +237,10 @@ class QuasiNewtonState:
             raise DegenerateStepError("update requires a nonzero step")
         if sv <= 0.0:
             raise ValueError("update rejected: s'v must be positive (damp first)")
+        self.version += 1
         if self.storage == "limited":
             self._push_basis(*((s, v) if self.mode == "BFGS" else (v, s)))
-            self.pairs.append((s.copy(), v.copy()))
-            self.updates += 1
+            self._h = min(self._h + 1, self.history_limit)
             self._forms = {}
             return
         J = self._j
@@ -256,8 +250,8 @@ class QuasiNewtonState:
             # J - s (J'v)'/s'v, maps u, the unit vector along J^-1 s, to
             # zero, so J+ = P J + s u'/sqrt(s'v) gives J+ J+' = W+.  For
             # s = t d, t > 0, J^-1 s = -t J'm.
-            u = (solve(J, s) if jt_model is None
-                 else -np.asarray(jt_model, dtype=float))
+            u = (solve(J, s) if hint is None
+                 else -np.asarray(hint, dtype=float))
             a, b = s, u / (np.linalg.norm(u) * np.sqrt(sv)) - jtv / sv
         else:
             # DFP: W+ = J (I - q q') J' + s s'/s'v for the unit vector q
@@ -265,28 +259,76 @@ class QuasiNewtonState:
             q = jtv / np.linalg.norm(jtv)
             a, b = s / np.sqrt(sv) - dgemv(1.0, J, q), q
         self._j = dger(1.0, a, b, a=J, overwrite_a=1)
-        self.updates += 1
-        self.factor_changes += 1
         self._newest_change = (a, b)
         self._row_bound += float(np.max(np.abs(a))) * float(np.linalg.norm(b))
 
-    def row_norm_bound(self, exact: bool = False) -> float:
-        """An upper bound on the largest row norm of J, sqrt(max_i W_ii).
-        Each update raises the held bound by max|a| |b|, O(n); ``exact``
-        replaces it by the value itself, one pass over J."""
+    def row_norm_bound(self, exact: bool = False) -> float | None:
+        """An upper bound on the largest row norm of a factor F of
+        W = F F', sqrt(max_i W_ii).  Under full storage F = J: each update
+        raises the held bound by max|a| |b|, O(n), and ``exact`` replaces it
+        by the value itself, one pass over J.  None under limited storage."""
+        if self.storage == "limited":
+            return None
         if exact:
             J = self._j
             self._row_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", J, J))))
         return self._row_bound
 
-    def factor_change(self, since: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """(a, b) of the update J += a b' that took the factor from
-        ``since`` changes to the current count, when exactly one update
-        did; None otherwise.  A holder of J'X brings it up to date as
-        J'X + b (a'X)."""
-        return self._newest_change if since == self.factor_changes - 1 else None
+    def follow(self, P: np.ndarray | None, since: int,
+               G: np.ndarray) -> np.ndarray:
+        """B'G for every column of G, given the P = B'G of its first k
+        columns that was formed at version ``since`` (None: none held).
+
+        Full storage brings P up to date after one change J += a b' as
+        P + b (a'G), O(n k), in place; after more than one change, or an
+        assignment to W, every column is formed again.  Limited storage
+        keeps the rows of the pairs that stayed in the window
+        (``window_shift``) and forms those of entering pairs; a P of an
+        empty history is formed again.  Each later column costs one B'g.
+        """
+        m, k = G.shape[1], 0 if P is None else P.shape[1]
+        if k and since != self.version:
+            P = self._carry(P, since, G)
+            k = 0 if P is None else k
+        if k == m:
+            return P
+        if not k:
+            return self.apply_Bt(G)
+        # the layout of apply_Bt's result, so that products with P sum in
+        # one order however P was formed
+        order = "F" if self.storage == "full" else "C"
+        out = np.empty((P.shape[0], m), order=order)
+        out[:, :k] = P
+        out[:, k:] = self.apply_Bt(G[:, k:])
+        return out
+
+    def _carry(self, P: np.ndarray, since: int, G: np.ndarray) -> np.ndarray | None:
+        """``follow``'s P brought from version ``since`` to the current one,
+        or None when it cannot be."""
+        k = P.shape[1]
+        if self.storage == "full":
+            if since != self.version - 1 or self._newest_change is None:
+                return None
+            a, b = self._newest_change
+            return dger(1.0, b, a @ G[:, :k], a=P, overwrite_a=1)
+        if not since:
+            return None
+        src, dst, fresh = window_shift(self._window(since),
+                                       self._window(self.version))
+        out = np.empty((2 * self._h, k))
+        out[dst] = P[src]
+        # over every column of G in one product, not over the k held ones:
+        # a product with one column is a matrix-vector product, which sums
+        # in another order than a matrix product
+        out[fresh] = (self._basis()[:, fresh].T @ G)[:, :k]
+        return out
 
     # -- limited storage: compact representation ---------------------------
+
+    def _window(self, version: int) -> tuple[int, int]:
+        """The pair window (see ``window_shift``) at ``version``."""
+        h = min(version, self.history_limit)
+        return version - h, h
 
     def _push_basis(self, a: np.ndarray, b: np.ndarray) -> None:
         """Add the row pair (a, b) of a new pair to Psi', dropping the
@@ -299,9 +341,7 @@ class QuasiNewtonState:
         window moves back to its start, once every ``history_limit``
         updates.
         """
-        h, limit = len(self.pairs), self.history_limit
-        if self._psi_rows is None:
-            self._psi_rows = np.empty((3 * limit, self.n))
+        h, limit = self._h, self.history_limit
         rows, start = self._psi_rows, self._psi_start
         if h < limit:
             rows[start + h + 1:start + 2 * h + 1] = rows[start + h:start + 2 * h]
@@ -317,13 +357,12 @@ class QuasiNewtonState:
         """Compact W or H of the stored pairs; None while the history is empty.
 
         BFGS W and DFP H are inverse forms, BFGS H and DFP W direct forms,
-        all over the same basis from ``compact_basis``.
+        all over the same basis Psi.
         """
-        basis = self.compact_basis()
-        if basis is None:
+        if not self._h:
             return None
         if which not in self._forms:
-            window, psi = basis
+            window, psi = self._window(self.version), self._basis()
             if window != self._gram_window:
                 src, dst, fresh = window_shift(self._gram_window, window)
                 gram = np.empty((psi.shape[1], psi.shape[1]))
@@ -335,10 +374,86 @@ class QuasiNewtonState:
             self._forms[which] = _CompactForm(psi, self._gram, inverse)
         return self._forms[which]
 
-    # -- applications -----------------------------------------------------
+    def _basis(self) -> np.ndarray:
+        """Psi = [A B] under limited storage, in the compact forms of W and
+        H: A = S, B = V for BFGS and A = V, B = S for DFP.  A view of the
+        held buffer, valid until the next update; no columns for an empty
+        history."""
+        return self._psi_rows[self._psi_start:self._psi_start + 2 * self._h].T
+
+    @property
+    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """The held pairs (s, v), oldest first, as read-only copies of the
+        rows of Psi'; None under full storage."""
+        if self.storage == "full":
+            return None
+        rows = self._basis().T.copy()
+        rows.flags.writeable = False
+        lead, trail = rows[:self._h], rows[self._h:]
+        return list(zip(lead, trail) if self.mode == "BFGS" else zip(trail, lead))
+
+    # -- W = c I + B M B' ---------------------------------------------------
+
+    @property
+    def scale(self) -> float:
+        """c: 0 under full storage, tau under limited storage and 1 for an
+        empty history."""
+        if self.storage == "full":
+            return 0.0
+        return self._form("W").scale if self._h else 1.0
+
+    def apply_B(self, X: np.ndarray) -> np.ndarray:
+        """B X (a vector, or each column of a matrix): J X under full
+        storage, Psi X under limited storage."""
+        X = np.asarray(X, dtype=float)
+        if self.storage == "limited":
+            return self._basis() @ X
+        if X.ndim == 1:
+            return dgemv(1.0, self._j, X)
+        return dgemm(1.0, self._j, X)
+
+    def apply_Bt(self, A: np.ndarray) -> np.ndarray:
+        """B'A (a vector, or each column of a matrix): J'A under full
+        storage, Psi'A under limited storage."""
+        A = np.asarray(A, dtype=float)
+        if self.storage == "limited":
+            return self._basis().T @ A
+        if A.ndim == 1:
+            return dgemv(1.0, self._j, A, trans=1)
+        return dgemm(1.0, self._j, A, trans_a=1)
+
+    def apply_M(self, P: np.ndarray) -> np.ndarray:
+        """M P for a block P = B'X: P itself under full storage and for an
+        empty history."""
+        form = self._form("W") if self.storage == "limited" else None
+        return P if form is None else form.middle(P)
+
+    def model(self, r: np.ndarray, bt_r: np.ndarray | None = None):
+        """W r for a model vector r, and the hint that ``update`` takes for
+        a step along -W r.
+
+        Full storage forms W r as J (J'r), one product with J when the
+        caller gives J'r as ``bt_r``, and the hint is J'r.  Limited storage
+        applies its compact form to r, through Psi'r, and gives no hint.
+        """
+        r = np.asarray(r, dtype=float)
+        if self.storage == "limited":
+            form = self._form("W")
+            return (r.copy() if form is None else form.apply(r)), None
+        if bt_r is None:
+            bt_r = self.apply_Bt(r)
+        return self.apply_B(bt_r), bt_r
 
     def apply_W(self, r: np.ndarray) -> np.ndarray:
-        return self.apply_W_matrix(r)
+        return self.model(r)[0]
+
+    def apply_W_matrix(self, A: np.ndarray) -> np.ndarray:
+        """W A = c A + B M (B'A), for a vector or each column of a matrix."""
+        A = np.asarray(A, dtype=float)
+        WA, c = self.apply_B(self.apply_M(self.apply_Bt(A))), self.scale
+        if c:
+            WA += c * A
+        return WA
 
     def apply_H(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -346,32 +461,6 @@ class QuasiNewtonState:
             return self.H @ r  # H is formed on request, so this costs O(n^3)
         form = self._form("H")
         return r.copy() if form is None else form.apply(r)
-
-    def apply_Jt(self, A: np.ndarray) -> np.ndarray:
-        """J'A for the full-storage factor J (a vector, or each column of a
-        matrix)."""
-        A = np.asarray(A, dtype=float)
-        if A.ndim == 1:
-            return dgemv(1.0, self._j, A, trans=1)
-        return dgemm(1.0, self._j, A, trans_a=1)
-
-    def apply_J(self, X: np.ndarray) -> np.ndarray:
-        """J X for the full-storage factor J."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return dgemv(1.0, self._j, X)
-        return dgemm(1.0, self._j, X)
-
-    def apply_W_matrix(self, A: np.ndarray,
-                       psi_a: np.ndarray | None = None) -> np.ndarray:
-        """W applied to A (a vector, or each column of a matrix).  Full
-        storage forms it as J (J'A), limited storage as tau A + Psi M (Psi'A);
-        ``psi_a`` supplies Psi'A when the caller already has it."""
-        A = np.asarray(A, dtype=float)
-        if self.storage == "full":
-            return self.apply_J(self.apply_Jt(A))
-        form = self._form("W")
-        return A.copy() if form is None else form.apply(A, psi_a)
 
     def dense_W(self) -> np.ndarray:
         """W as a new, exactly symmetric dense array.  Full storage forms
@@ -404,7 +493,7 @@ class QuasiNewtonState:
             lam, V = np.linalg.eigh(W)
             J = V * np.sqrt(np.maximum(lam, 0.0))
         self._j = np.asfortranarray(J)
-        self.factor_changes += 1
+        self.version += 1
         self._newest_change = None
         self.row_norm_bound(exact=True)
 
@@ -412,31 +501,3 @@ class QuasiNewtonState:
     def H(self) -> np.ndarray:
         """H = W^{-1} as a dense array, formed on request."""
         return np.linalg.inv(self.dense_W())
-
-    def compact_basis(self) -> tuple[tuple[int, int], np.ndarray] | None:
-        """The pair window (see ``window_shift``) and the columns of
-        Psi = [A B] in the compact forms of W and H.
-
-        A = S, B = V for BFGS and A = V, B = S for DFP.  None for full
-        storage or an empty history.  Psi is a view of the held buffer,
-        valid until the next update.
-        """
-        if self.storage != "limited" or not self.pairs:
-            return None
-        h = len(self.pairs)
-        start = self._psi_start
-        return (self.updates - h, h), self._psi_rows[start:start + 2 * h].T
-
-    def gram_W(self, A: np.ndarray, ata: np.ndarray | None = None,
-               psi_a: np.ndarray | None = None) -> np.ndarray:
-        """A' W A.  Full storage forms it as (J'A)'(J'A), limited storage as
-        tau A'A + (Psi'A)' M (Psi'A), both without W A; ``ata`` and
-        ``psi_a`` supply A'A and Psi'A when the caller already has them."""
-        A = np.asarray(A, dtype=float)
-        if self.storage == "full":
-            K = self.apply_Jt(A)
-            return K.T @ K
-        if ata is None:
-            ata = A.T @ A
-        form = self._form("W")
-        return ata.copy() if form is None else form.gram(A, ata, psi_a)

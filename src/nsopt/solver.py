@@ -152,14 +152,14 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
 
         s = ls.x_next - current.x
         if float(s @ s) > 0.0:
-            if result.jt_model is not None:
-                # The full-storage update reads J^-1 s off the direction,
+            if result.hint is not None:
+                # An update given a hint reads the step's direction off it,
                 # so it takes the step as alpha d, of which x_next - x is
                 # the rounding.  On a step of the order of that rounding,
                 # x_next - x points elsewhere and that reading is wrong.
                 s = ls.alpha * result.d
             _, v = damp(s, ls.g_next - current.g, opts.eta, opts.psi)
-            qn.update(s, v, result.jt_model)
+            qn.update(s, v, result.hint)
         current = nxt
         f_history.append(current.f / scale)
 

@@ -9,13 +9,13 @@ rho), gamma = sigma - rho.  Both QP solvers return the step
 d = -W (G w + gamma) with their solution; the residual and the search
 direction read it instead of applying W again.
 
-G'WG is formed without W G.  Under full storage, W = J J', it is K'K for
-K = J'G, which the bundle carries across metric updates; it is a Gram
-matrix, so it cannot be indefinite beyond the rounding of K'K.  A step is
-J (K omega + J'gamma), one product with J.  Under limited storage G'WG is
-formed from G'G and Psi'G, which the bundle keeps by column position and by
-the metric's pair window.  W G itself is formed only on request: by a gamma
-entering the active set, the interior-point full path, or a test.
+For the metric W = c I + B M B' (``QuasiNewtonState``) both products are
+formed from G'G and P = B'G, which the bundle carries across metric updates:
+G'WG = c G'G + P'MP and W G = c G + B M P.  Under full storage, W = J J', c
+is 0 and G'WG = P'P is a Gram matrix, which cannot be indefinite beyond its
+rounding.  A step is W m for m = G omega + gamma, from B'm = P omega + B'gamma
+(``model_step``).  W G itself is formed only on request: by a gamma entering
+the active set, the interior-point full path, or a test.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ class SubproblemData:
     b: np.ndarray
     delta: float
     qn: QuasiNewtonState
-    # G'G and Psi'G (Psi of the compact metric) or, under full storage, J'G
-    # when the caller has them; Psi'G and J'G must match the metric at
-    # construction
+    # G'G and P = B'G for the metric's B when the caller has them; P must
+    # match the metric at construction and is formed when not given
     gtg: np.ndarray | None = field(default=None, repr=False)
-    psi_g: np.ndarray | None = field(default=None, repr=False)
-    jtg: np.ndarray | None = field(default=None, repr=False)
+    bt_g: np.ndarray | None = field(default=None, repr=False)
     _wg: np.ndarray | None = field(default=None, repr=False)
     _gtwg: np.ndarray | None = field(default=None, repr=False)
 
@@ -47,6 +45,8 @@ class SubproblemData:
         self.b = np.asarray(self.b, dtype=float).ravel()
         if self.G.shape[1] != self.b.size or self.G.shape[1] < 1:
             raise ValueError("G columns and b entries must align, with m >= 1")
+        if self.bt_g is None:
+            self.bt_g = self.qn.apply_Bt(self.G)
 
     @property
     def n(self) -> int:
@@ -57,16 +57,6 @@ class SubproblemData:
         return self.G.shape[1]
 
     @property
-    def full(self) -> bool:
-        return self.qn.storage == "full"
-
-    def _factor_g(self) -> np.ndarray:
-        """J'G under full storage, formed on first use when not supplied."""
-        if self.jtg is None:
-            self.jtg = self.qn.apply_Jt(self.G)
-        return self.jtg
-
-    @property
     def has_wg(self) -> bool:
         """Whether W G is already formed, which it is only once ``wg`` is
         read."""
@@ -74,15 +64,17 @@ class SubproblemData:
 
     @property
     def wg(self) -> np.ndarray:
+        """W G = c G + B M P."""
         if self._wg is None:
-            self._wg = (self.qn.apply_J(self._factor_g()) if self.full
-                        else self.qn.apply_W_matrix(self.G, self.psi_g))
+            qn, c = self.qn, self.qn.scale
+            self._wg = qn.apply_B(qn.apply_M(self.bt_g))
+            if c:
+                self._wg += c * self.G
         return self._wg
 
     @property
     def gtwg(self) -> np.ndarray:
-        """G'WG: K'K under full storage, from G'G and Psi'G under limited
-        storage unless W G is already formed.
+        """G'WG = c G'G + P'MP, G'G formed on first use when c is not 0.
 
         Rounding leaves the limited-storage product slightly asymmetric, by
         up to about 1e-10 relative when G'WG is nearly singular; the QP
@@ -90,37 +82,27 @@ class SubproblemData:
         matrix, so the product is symmetrized to keep the two consistent.
         """
         if self._gtwg is None:
-            if self.full:
-                K = self._factor_g()
-                K = K.T @ K
-            elif self._wg is None:
-                K = self.qn.gram_W(self.G, self.gtg, self.psi_g)
-            else:
-                K = self.G.T @ self._wg
+            qn, c, P = self.qn, self.qn.scale, self.bt_g
+            K = P.T @ qn.apply_M(P)
+            if c:
+                if self.gtg is None:
+                    self.gtg = self.G.T @ self.G
+                K += c * self.gtg
             self._gtwg = 0.5 * (K + K.T)
         return self._gtwg
 
     def model_step(self, omega: np.ndarray, gamma: np.ndarray | None = None):
-        """W m for the model vector m = G omega + gamma, with G omega and,
-        under full storage, J'm (None under limited storage).
-
-        Full storage forms J'm = (J'G) omega + J'gamma and W m = J (J'm): one
-        product with J, or two with a nonzero gamma, and none with W G.
-        Limited storage applies W to m as one vector.
-        """
+        """W m for the model vector m = G omega + gamma, with G omega and the
+        hint that the metric update takes (see ``QuasiNewtonState.model``).
+        B'm is formed as P omega + B'gamma, with no product with W G."""
         g_omega = self.G @ omega
-        if not self.full:
-            return (self.qn.apply_W(g_omega if gamma is None else g_omega + gamma),
-                    g_omega, None)
-        jtm = self.jt_model(omega, gamma)
-        return self.qn.apply_J(jtm), g_omega, jtm
-
-    def jt_model(self, omega: np.ndarray, gamma: np.ndarray | None = None):
-        """J'(G omega + gamma) under full storage, from J'G."""
-        jtm = self._factor_g() @ omega
-        if gamma is not None and gamma.any():
-            jtm += self.qn.apply_Jt(gamma)
-        return jtm
+        model, bt_m = g_omega, self.bt_g @ omega
+        if gamma is not None:
+            model = g_omega + gamma
+            if gamma.any():
+                bt_m += self.qn.apply_Bt(gamma)
+        wm, hint = self.qn.model(model, bt_m)
+        return wm, g_omega, hint
 
 
 def dual_objective(data: SubproblemData, omega: np.ndarray, gamma: np.ndarray) -> float:

@@ -48,3 +48,54 @@ def test_digest_tells_one_count_or_one_bit_apart(make, array, counts):
                  for name in counts]
     digests = {bitwise_digest.digest(v) for v in variants}
     assert digest not in digests and len(digests) == len(variants)
+
+
+_FAKE_WORKLOADS = '''\
+from types import SimpleNamespace
+
+import numpy as np
+
+
+def _op(name, d):
+    out = SimpleNamespace(omega=np.ones(2), gamma=np.zeros(2),
+                          d=np.array([d, 0.0]), u=0.0, iterations=3)
+    return SimpleNamespace(name=name, run=lambda: out)
+
+
+WORKLOADS = {{"cp-full-n1000": lambda: [_op("a", 1.0), _op("b", {b})],
+              "gs-n200": lambda: [], "denoise-lm-64": lambda: [],
+              "qp-n200": lambda: [_op("c", 2.0)]}}
+'''
+
+
+def _fake_tree(root, b=1.0):
+    """A source tree whose workloads return fixed QP solutions."""
+    (root / "src" / "nsopt").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "workloads.py").write_text(
+        _FAKE_WORKLOADS.format(b=b))
+    return str(root)
+
+
+def test_against_prints_only_differing_operations(tmp_path, capsys):
+    one = _fake_tree(tmp_path / "one")
+    same = _fake_tree(tmp_path / "same")
+    moved = _fake_tree(tmp_path / "moved", b=np.nextafter(1.0, 2.0))
+    assert bitwise_digest.main(["--src", one, "--against", same]) == 0
+    assert capsys.readouterr().out == ""
+    assert bitwise_digest.main(["--src", one, "--against", moved,
+                                "--threads", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cp-full-n1000: b  ")
+    name, ours, theirs = lines[0].split("  ")
+    assert ours != theirs and len(ours) == len(theirs) == 64
+    digests = bitwise_digest.run_tree(one, None, ["cp-full-n1000"])
+    assert list(digests) == ["cp-full-n1000: a", "cp-full-n1000: b"]
+    assert digests[name] == ours
+
+
+def test_differing_names_operations_one_side_lacks():
+    ours = {"w: a": "1", "w: b": "2"}
+    theirs = {"w: b": "2", "w: c": "3"}
+    assert bitwise_digest.differing(ours, theirs) == ["w: a  1  -", "w: c  -  3"]
+    assert bitwise_digest.differing(ours, dict(ours)) == []

@@ -172,9 +172,9 @@ def test_subproblem_gtwg_matches_columnwise_metric_limited(mode, full_from_base)
 
 @pytest.mark.parametrize("mode", ["BFGS", "DFP"])
 def test_limited_wg_reads_the_bundle_psi_g(mode):
-    # Under limited storage W G = tau G + Psi M (Psi'G) takes Psi'G from the
-    # bundle.  A copy of the subproblem whose Psi'G is zeroed gets only the
-    # base term, so W G reads the held product instead of forming it again.
+    # Under limited storage W G = tau G + Psi M P takes P = Psi'G from the
+    # bundle.  A copy of the subproblem whose P is zeroed gets only the base
+    # term, so W G reads the held product instead of forming it again.
     rng = np.random.default_rng(12)
     n = 12
     qn = QuasiNewtonState(n, mode=mode, storage="limited", history_limit=4)
@@ -190,7 +190,7 @@ def test_limited_wg_reads_the_bundle_psi_g(mode):
     tau = float(s @ v) / float(v @ v) if mode == "BFGS" else \
         float(s @ s) / float(s @ v)
     blind = SubproblemData(G=data.G, b=data.b, delta=1.0, qn=qn, gtg=data.gtg,
-                           psi_g=np.zeros_like(data.psi_g))
+                           bt_g=np.zeros_like(data.bt_g))
     assert np.allclose(blind.wg, tau * data.G, rtol=1e-13, atol=0.0)
 
 
@@ -225,25 +225,16 @@ def test_limited_build_subproblem_copies_no_gradient_block():
 
 
 def _count_w_products(monkeypatch):
-    """Counts W applied to a vector: under limited storage ``apply_W``
-    goes through ``apply_W_matrix``, so wrapping the latter sees both;
-    under full storage every such product, W r = J (J'r) or J (K omega),
-    ends in one ``apply_J`` of a vector."""
+    """Counts W applied to a vector: in either storage every such product,
+    a step W m or ``apply_W``, is one call of ``QuasiNewtonState.model``."""
     calls = []
-    apply, apply_j = QuasiNewtonState.apply_W_matrix, QuasiNewtonState.apply_J
+    model = QuasiNewtonState.model
 
-    def counted(self, A, psi_a=None):
-        if np.ndim(A) == 1 and self.storage == "limited":
-            calls.append(1)
-        return apply(self, A, psi_a)
+    def counted(self, r, bt_r=None):
+        calls.append(1)
+        return model(self, r, bt_r)
 
-    def counted_j(self, X):
-        if np.ndim(X) == 1:
-            calls.append(1)
-        return apply_j(self, X)
-
-    monkeypatch.setattr(QuasiNewtonState, "apply_W_matrix", counted)
-    monkeypatch.setattr(QuasiNewtonState, "apply_J", counted_j)
+    monkeypatch.setattr(QuasiNewtonState, "model", counted)
     return calls
 
 
@@ -252,26 +243,27 @@ def _count_w_products(monkeypatch):
     ("gradient", 1, 1e6, "gradient", 1, "limited"),
     ("das", 10, 1e6, "das", 1, "full"),
     ("das", 10, 1e6, "das", 3, "limited"),
-    ("das, trust region binding", 10, 0.05, "das", 0, "full"),
-    ("das, trust region binding", 10, 0.05, "das", 1, "limited"),
-    ("ipm omega-only", 30, 1e6, "ipm", 1, "full"),
-    ("ipm omega-only", 30, 1e6, "ipm", 1, "limited"),
-    ("ipm full", 30, 0.05, "ipm", 1, "full"),
+    ("das, trust region binding", 10, 0.05, "das", 1, "full"),
+    ("das, trust region binding", 10, 0.05, "das", 2, "limited"),
+    ("ipm omega-only", 30, 1e6, "ipm", 2, "full"),
+    ("ipm omega-only", 30, 1e6, "ipm", 2, "limited"),
+    ("ipm full", 30, 0.05, "ipm", 2, "full"),
     ("ipm full", 30, 0.05, "ipm", 2, "limited"),
 ])
 def test_one_w_product_per_direction(monkeypatch, case, m, delta, solver,
                                      products, storage):
-    # W-vector products per direction.  The IPM forms W (G omega + gamma)
-    # once per solution, once more on its full path after the omega-only
-    # attempt, unless it abandoned that attempt early by reading the W G
-    # that it forms under full storage.  Under full storage the DAS prices
-    # the omega indices from G'WG alone while no gamma can violate, and
-    # makes one product, J (K omega), at the pivot where none of them
-    # violates; when a gamma may violate it prices from W G and makes none.
-    # Under limited storage it makes one per unblocked pivot (3 here) until
-    # a gamma enters and W G is formed (after 1 here).  Either solver's d is
-    # its last W (G omega + gamma), only read after that.  The IPM cases
-    # reach the IPM through a DAS that fails at once, making no product.
+    # W-vector products per direction.  The IPM makes one for its look at
+    # the box, where it abandons the omega-only attempt when the trust
+    # region binds, and one for its solution's step.  The DAS prices the
+    # omega indices from G'WG alone while the metric's row-norm bound shows
+    # that no gamma can violate (full storage), and makes one product,
+    # J (P omega), at the pivot where none of them violates; under limited
+    # storage, which has no such bound, it makes one per unblocked pivot (3
+    # here).  Once a gamma may violate, or enters (after 1 pivot here under
+    # limited storage), it prices from W G, making none, and forms d with
+    # one product at its exit.  Either solver's d is its last W (G omega +
+    # gamma), only read after that.  The IPM cases reach the IPM through a
+    # DAS that fails at once, making no product.
     rng = np.random.default_rng(7)
     n = 6
     qn = QuasiNewtonState(n, storage=storage, history_limit=4)
@@ -309,14 +301,19 @@ def test_limited_das_without_gamma_forms_no_w_g(monkeypatch):
                   for _ in range(m)])
     data = build_subproblem(ps, qn, 1e6, "cutting_plane")
     matrices = []
-    apply = QuasiNewtonState.apply_W_matrix
 
-    def counted(self, A, psi_a=None):
-        if np.ndim(A) == 2:
-            matrices.append(np.shape(A))
-        return apply(self, A, psi_a)
+    def watch(name):
+        apply = getattr(QuasiNewtonState, name)
 
-    monkeypatch.setattr(QuasiNewtonState, "apply_W_matrix", counted)
+        def counted(self, A):
+            if np.ndim(A) == 2:
+                matrices.append((name, np.shape(A)))
+            return apply(self, A)
+
+        monkeypatch.setattr(QuasiNewtonState, name, counted)
+
+    watch("apply_W_matrix")
+    watch("apply_B")  # W G = c G + B M P
     sol = solve_das(data)
     assert matrices == []
     assert data._wg is None

@@ -282,25 +282,26 @@ def test_products_follow_columns_and_pair_window(mode):
             q, r = ps.offsets()
             assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
         ref = np.column_stack([e.g for e in model])
-        G, gram, psi_g, jtg = ps.gradient_products(qn)
-        assert jtg is None
+        G, gram, psi_g = ps.gradient_products(qn)
         assert np.array_equal(G, ref)
         assert np.allclose(gram, ref.T @ ref, rtol=1e-13, atol=1e-13)
         if not qn.pairs:
-            assert psi_g is None
+            assert psi_g.shape == (0, len(model))
             continue
         psi = _reference_basis(qn)
-        assert np.array_equal(qn.compact_basis()[1], psi)
+        assert np.array_equal(qn._basis(), psi)
         assert np.allclose(psi_g, psi.T @ ref, rtol=1e-13, atol=1e-13)
-        # Psi'Psi: the state's G'WG against a state that forms it afresh
+        # Psi'Psi: the state's G'WG = c G'G + P'MP from the held products
+        # against a state that forms it afresh
         fresh = QuasiNewtonState(n, mode=mode, storage="limited",
                                  history_limit=qn.history_limit)
         for s, v in qn.pairs:
             fresh.update(s, v)
-        want = fresh.gram_W(ref)
-        assert np.allclose(qn.gram_W(G, gram, psi_g), want,
+        want = ref.T @ fresh.apply_W_matrix(ref)
+        got = qn.scale * gram + psi_g.T @ qn.apply_M(psi_g)
+        assert np.allclose(got, want,
                            rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
-    assert all(state.updates > 3 * state.history_limit for state in states)
+    assert all(state.version > 3 * state.history_limit for state in states)
 
 
 @pytest.mark.parametrize("width", [1, 8, 16, 70, None])
@@ -391,22 +392,22 @@ def test_carried_factor_products_follow_a_cutting_plane_run(monkeypatch):
     from nsopt.solver import run_solver
 
     products, carried = PointSet.gradient_products, []
-    change = QuasiNewtonState.factor_change
+    carry = QuasiNewtonState._carry
 
     def checked(self, qn):
-        G, gtg, psi_g, jtg = products(self, qn)
-        fresh = qn.apply_Jt(np.array(G))
-        assert gtg is None and psi_g is None
+        G, gtg, jtg = products(self, qn)
+        fresh = qn.apply_Bt(np.array(G))
+        assert gtg is None  # c = 0: G'WG does not read G'G
         assert np.max(np.abs(jtg - fresh)) <= 1e-12 * np.max(np.abs(fresh))
-        return G, gtg, psi_g, jtg
+        return G, gtg, jtg
 
-    def counted(self, since):
-        out = change(self, since)
+    def counted(self, P, since, G):
+        out = carry(self, P, since, G)
         carried.append(out is not None)
         return out
 
     monkeypatch.setattr(PointSet, "gradient_products", checked)
-    monkeypatch.setattr(QuasiNewtonState, "factor_change", counted)
+    monkeypatch.setattr(QuasiNewtonState, "_carry", counted)
     prob = make_problem("ChainedLQ", 200)
     report = run_solver(prob.oracle, prob.x0,
                         SolverOptions(strategy="cutting_plane", delta_f=1e-5, n_f=10))
@@ -445,9 +446,9 @@ def test_factor_products_follow_columns_updates_and_states():
                 qn.update(s, damp(s, rng.standard_normal(n), 0.5, 2.0)[1])
         else:
             qn = states[1] if qn is states[0] else states[0]
-        G, _, _, jtg = ps.gradient_products(qn)
-        fresh = qn.apply_Jt(np.array(G))
+        G, _, jtg = ps.gradient_products(qn)
+        fresh = qn.apply_Bt(np.array(G))
         assert np.allclose(jtg, fresh, rtol=0.0, atol=1e-12 * np.max(np.abs(fresh)))
         assert not jtg.flags.writeable
         widest = max(widest, len(ps))
-    assert widest > 8 and all(state.updates > 3 for state in states)
+    assert widest > 8 and all(state.version > 3 for state in states)

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,25 @@ def test_breakdown_beyond_the_largest_reg_raises_das_error():
     with pytest.raises(qp_das.DasError, match="pivot 1: .* not positive "
                        "definite"):
         solve_das(data)
+
+
+def test_working_set_without_omega_raises_linalg_error():
+    # A working set of one gamma index and no omega index: the simplex row
+    # e'(H + reg I)^-1 e has e = 0, so its Schur complement is 0.  The solve
+    # raises LinAlgError, which the solver turns into DasError, instead of
+    # dividing by zero.
+    data = generate_qp(20, 40, "half", 0).subproblem()
+    m = data.m
+    st = qp_das.DasState(data, 0)
+    st.sign[m] = 1
+    st.add(m)
+    st.z[0], st.sign[0] = 0.0, 0
+    st.drop(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="0 omega and 1 gamma .* no omega index"):
+            qp_das._solve_eqp(st)
 
 
 def test_captured_breakdown_subproblem_ends_at_its_attainable_residual(

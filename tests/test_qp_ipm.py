@@ -11,7 +11,7 @@ from nsopt.qp_ipm import (CholeskySchurFactor, IpmDiagnostics, IpmError,
                           _fraction_to_boundary, _initial_sigma_rho,
                           _newton_step, _plugback_residual, merit,
                           residuals, solve_ipm, solve_ipm_core, step_sizes)
-from nsopt.quasi_newton import QuasiNewtonState
+from nsopt.quasi_newton import QuasiNewtonState, damp
 from nsopt.subproblem import SubproblemData
 
 
@@ -473,3 +473,43 @@ def test_abandoned_omega_only_attempt_changes_no_result(monkeypatch, dcase):
             (plain.u, plain.iterations, plain.omega_only)
         assert peeked.diagnostics.factorizations == \
             plain.diagnostics.factorizations
+
+
+def _updated_subproblem(qp, storage, delta):
+    """``qp`` under a metric of three damped updates instead of W = I."""
+    rng = np.random.default_rng(3)
+    qn = QuasiNewtonState(qp.n, storage=storage, history_limit=4)
+    for _ in range(3):
+        s = rng.standard_normal(qp.n)
+        qn.update(s, damp(s, rng.standard_normal(qp.n), 0.5, 2.0)[1])
+    return SubproblemData(G=qp.G, b=qp.b, delta=delta, qn=qn)
+
+
+def test_omega_only_look_forms_no_w_g_under_full_storage():
+    # The omega-only attempt looks at the box through one W-vector product,
+    # so a solve that ends on the omega-only path leaves W G unformed.
+    data = _updated_subproblem(generate_qp(30, 60, "zero", 0), "full", 1e6)
+    sol = solve_ipm(data)
+    assert sol.omega_only and not data.has_wg
+    assert sol.kkt_residual <= 1e-8
+    assert np.allclose(sol.d, -data.qn.apply_W(data.G @ sol.omega),
+                       rtol=1e-12, atol=1e-14)
+
+
+def test_limited_storage_abandons_the_omega_only_attempt_at_its_look(
+        monkeypatch):
+    # Under limited storage too the omega-only attempt looks at the box, and
+    # with the box binding it is abandoned there; the full path solves.
+    cores, core = [], qp_ipm.solve_ipm_core
+
+    def watched(qp, *args, **kwargs):
+        cores.append(core(qp, *args, **kwargs))
+        return cores[-1]
+
+    monkeypatch.setattr(qp_ipm, "solve_ipm_core", watched)
+    qp = generate_qp(30, 60, "half", 0)
+    data = _updated_subproblem(qp, "limited", qp.delta)
+    sol = solve_ipm(data)
+    assert len(cores) == 2 and cores[0] is None
+    assert not sol.omega_only and np.any(sol.gamma)
+    assert sol.kkt_residual <= 1e-8

@@ -108,6 +108,8 @@ def test_limited_history_fifo():
     assert len(kept) == 2
     assert np.allclose(kept[0][0], pairs[1][0])
     assert np.allclose(kept[1][0], pairs[2][0])
+    # each pair is held once, as rows of Psi', and read back as copies
+    assert not any(a.flags.writeable for pair in kept for a in pair)
 
 
 def test_history_limit_must_be_positive():
@@ -245,7 +247,9 @@ def test_full_update_matches_dense_reference(mode):
         assert np.allclose(qn.apply_W(r), D @ r, rtol=1e-12, atol=1e-12 * scale)
         WA = qn.apply_W_matrix(A)
         assert np.allclose(WA, D @ A, rtol=1e-12, atol=1e-12 * scale)
-        assert np.allclose(qn.gram_W(A), A.T @ D @ A, rtol=1e-12,
+        P = qn.apply_Bt(A)  # A'WA = c A'A + P'MP, with c = 0 and M = I here
+        assert qn.scale == 0.0 and qn.apply_M(P) is P
+        assert np.allclose(P.T @ P, A.T @ D @ A, rtol=1e-12,
                            atol=1e-11 * scale)
         assert np.max(np.abs(qn.H @ qn.W - np.eye(n))) <= 1e-9
     assert np.max(np.abs(qn.H - H_ref)) <= 1e-9 * np.max(np.abs(H_ref))
@@ -324,8 +328,8 @@ def test_held_basis_is_the_stacked_pairs(mode, limit):
         lead, trail = (0, 1) if mode == "BFGS" else (1, 0)
         stacked = np.array([p[lead] for p in qn.pairs]
                            + [p[trail] for p in qn.pairs]).T
-        window, psi = qn.compact_basis()
-        assert window == (qn.updates - len(qn.pairs), len(qn.pairs))
+        window, psi = qn._window(qn.version), qn._basis()
+        assert window == (qn.version - len(qn.pairs), len(qn.pairs))
         assert np.array_equal(psi, stacked)
         assert psi.strides == stacked.strides and psi.flags.f_contiguous
 
@@ -344,8 +348,8 @@ def test_factored_updates_match_dense_reference_over_alternating_modes(step):
     for k in range(200):
         qn.mode = ("BFGS", "DFP")[k % 2]
         if step == "direction":
-            jt_model = qn.apply_Jt(rng.standard_normal(n))
-            s = -rng.uniform(0.1, 2.0) * qn.apply_J(jt_model)
+            jt_model = qn.apply_Bt(rng.standard_normal(n))
+            s = -rng.uniform(0.1, 2.0) * qn.apply_B(jt_model)
         else:
             jt_model, s = None, rng.standard_normal(n)
         _, v = damp(s, rng.standard_normal(n), ETA_TIGHT, PSI_TIGHT)
@@ -354,7 +358,7 @@ def test_factored_updates_match_dense_reference_over_alternating_modes(step):
         D = qn.dense_W()
         assert np.array_equal(D, D.T)
         assert np.max(np.abs(D - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
-    assert qn.factor_changes == 200
+    assert qn.version == 200
 
 
 def test_w_setter_factors_or_projects():
@@ -368,9 +372,13 @@ def test_w_setter_factors_or_projects():
     definite = (Q * np.abs(lam + 4.0)) @ Q.T
     qn.W = definite
     assert np.allclose(qn.dense_W(), definite, rtol=0.0, atol=1e-14)
+    X = rng.standard_normal((6, 3))
+    P, since = qn.apply_Bt(X), qn.version
     qn.W = (Q * lam) @ Q.T
     projected = (Q * np.maximum(lam, 0.0)) @ Q.T
     assert np.allclose(qn.dense_W(), projected, rtol=0.0, atol=1e-14)
     assert np.linalg.eigvalsh(qn.dense_W())[0] >= -1e-15
-    # an assignment is a change of J that a holder of J'X cannot carry over
-    assert qn.factor_change(qn.factor_changes - 1) is None
+    # an assignment is a change of J that a holder of J'X cannot carry over:
+    # it is formed again
+    assert qn._carry(P.copy(), since, X) is None
+    assert np.array_equal(qn.follow(P.copy(), since, X), qn.apply_Bt(X))

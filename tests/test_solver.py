@@ -274,7 +274,7 @@ def _per_column_build(point_set, qn, delta, strategy):
     if strategy == "gradient":
         return direction.SubproblemData(G=cur.g.reshape(-1, 1), b=np.array([cur.f]),
                                         delta=delta, qn=qn)
-    G, gtg, psi_g, jtg = point_set.gradient_products(qn)
+    G, gtg, bt_g = point_set.gradient_products(qn)
     if strategy == "gradient_combination":
         b = np.full(len(point_set), cur.f)
     else:
@@ -285,7 +285,7 @@ def _per_column_build(point_set, qn, delta, strategy):
             raw = f[j] + float(G[:, j] @ dx)
             b[j] = min(raw, cur.f - 1e-8 * float(dx @ dx))
     return direction.SubproblemData(G=G, b=b, delta=delta, qn=qn, gtg=gtg,
-                                    psi_g=psi_g, jtg=jtg)
+                                    bt_g=bt_g)
 
 
 def _per_column_prune(point_set, eps_next, envelope_factor):
