@@ -3,7 +3,8 @@ active-set vs interior-point subproblem solver comparison), and `denoise`.
 
 Results are CSV rows to stdout or --out; --table renders the same rows as a
 fixed-width table.  The NONOPT_OPTIONS environment variable names a default
-options file applied before any --options flag.
+options file applied before any --options flag; `solve` applies its --mode
+preset before either file, so that a file's settings win over the preset.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ _M_FACTORS = {
 }
 
 
-def _base_options() -> SolverOptions:
-    opts = SolverOptions()
+def _base_options(opts: SolverOptions | None = None) -> SolverOptions:
+    """``opts`` (default: the defaults) overlaid with the NONOPT_OPTIONS file."""
+    opts = opts or SolverOptions()
     env = os.environ.get("NONOPT_OPTIONS")
     if env:
         opts = load_options_file(env, opts)
@@ -86,10 +88,9 @@ def cmd_solve(args) -> int:
     for token in strategies:
         if token not in _STRATEGY_TOKENS:
             raise SystemExit(f"unknown strategy token {token!r} (use CP, GC, G)")
-    opts = _base_options()
+    opts = _base_options(_mode_options(SolverOptions(), args.mode))
     if args.options:
         opts = load_options_file(args.options, opts)
-    opts = _mode_options(opts, args.mode)
 
     from dataclasses import replace
     rows = []

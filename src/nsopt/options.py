@@ -28,19 +28,19 @@ class SolverOptions:
     ls_curvature: float = 0.9
     eps_min: float = 1e-5
     iteration_limit: int = 100_000
-    try_gradient_step: bool = True
     qp_tolerance: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
+        # every bound is written so that NaN fails it
         if not 0.0 < self.ls_decrease < self.ls_curvature < 1.0:
             raise ValueError("need 0 < ls_decrease < ls_curvature < 1")
-        if self.eta <= 0 or self.psi < self.eta:
+        if not 0.0 < self.eta <= self.psi:
             raise ValueError("need 0 < eta <= psi")
-        if self.history_limit < 1:
+        if not self.history_limit >= 1:
             raise ValueError("history_limit must be at least 1")
-        if self.envelope_factor <= 0 or self.size_factor <= 0:
-            raise ValueError("envelope and size factors must be positive")
+        if not (self.envelope_factor > 0 and self.size_factor > 0):
+            raise ValueError("envelope_factor and size_factor must be positive")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.qn_mode not in ("BFGS", "DFP"):
@@ -49,17 +49,19 @@ class SolverOptions:
             raise ValueError(f"unknown storage mode {self.qn_storage!r}")
         if self.line_search not in ("weak_wolfe", "backtracking"):
             raise ValueError(f"unknown line search {self.line_search!r}")
-        if self.p is not None and self.p < 0:
+        if self.p is not None and not self.p >= 0:
             raise ValueError("p must be nonnegative")
-        if self.eps_min <= 0:
+        if not self.delta_f >= 0:
+            raise ValueError("delta_f must be nonnegative")
+        if not self.eps_min > 0:
             raise ValueError("eps_min must be positive")
-        if self.qp_tolerance <= 0:
+        if not self.qp_tolerance > 0:
             raise ValueError("qp_tolerance must be positive")
-        if self.iteration_limit < 1:
+        if not self.iteration_limit >= 1:
             raise ValueError("iteration_limit must be at least 1")
         if not self.ls_initial > 0:
             raise ValueError("ls_initial must be positive")
-        if self.n_f < 1:
+        if not self.n_f >= 1:
             raise ValueError("n_f must be at least 1")
 
     def samples_per_iteration(self, n: int) -> int:
@@ -81,8 +83,6 @@ _OPTION_KEYS = {
     "BFGS_correction_threshold_2": ("psi", float),
     "DFP_correction_threshold_1": ("eta", float),
     "DFP_correction_threshold_2": ("psi", float),
-    "DCCP_try_gradient_step": ("try_gradient_step", bool),
-    "DCGC_try_gradient_step": ("try_gradient_step", bool),
     "LSWW_stepsize_initial": ("ls_initial", float),
     "LSWW_stepsize_sufficient_decrease_threshold": ("ls_decrease", float),
     "LSWW_stepsize_curvature_threshold": ("ls_curvature", float),
@@ -94,17 +94,6 @@ _OPTION_KEYS = {
     "TB_objective_similarity_tolerance": ("delta_f", float),
     "TS_objective_similarity_tolerance": ("delta_f", float),
 }
-
-
-def _parse_value(raw: str, kind):
-    raw = raw.strip()
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    return kind(raw)
 
 
 def load_options_file(path: str, base: SolverOptions | None = None) -> SolverOptions:
@@ -122,5 +111,5 @@ def load_options_file(path: str, base: SolverOptions | None = None) -> SolverOpt
             if key not in _OPTION_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             field_name, kind = _OPTION_KEYS[key]
-            overrides[field_name] = _parse_value(raw, kind)
+            overrides[field_name] = kind(raw)
     return replace(opts, **overrides)

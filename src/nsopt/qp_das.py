@@ -25,20 +25,19 @@ cap.  The gammas' condition delta - |W (G omega + gamma)| reads the
 subproblem's W G once it holds one, which it does once a gamma enters the
 working set, whose bordered solve needs its rows.  Until then the omega
 indices are priced first when no gamma can violate: |(W m)_i| <=
-|F_i| sqrt(m'Wm) for the rows F_i of a factor W = F F' (Cauchy-Schwarz; J
-under full storage), m'Wm = omega'G'WG omega, so a bound on the row norms
-(the metric's ``row_norm_bound``) under which this is at most delta shows
-that pricing everything would add the same omega index.  A
-pivot at which an omega index violates then makes no W-vector product,
-and one at which none does makes one, W (G omega).  When the bound does
-not hold, W G is formed and priced from, as when a gamma is free; a metric
-without such a bound (limited storage) makes one W-vector product at each
-unblocked pivot.  Inside the outer solver delta is at least 1e10 |g|, so
-the bound holds there.  The step d = -W (G omega + gamma) is the last of
-these products, not another product with W, and the solution keeps the
-G omega that product was made from and the hint that the metric update
-takes; a solve that read W G instead forms all three with one W-vector
-product at the end.
+|F_i| sqrt(m'Wm) for the rows F_i of a factor W = F F' (Cauchy-Schwarz),
+m'Wm = omega'G'WG omega, so a bound on the row norms (the metric's
+``row_norm_bound``, under either storage) under which this is at most delta
+shows that pricing everything would add the same omega index.  A pivot at
+which an omega index violates then makes no W-vector product, and one at
+which none does makes one, W (G omega).  When the bound does not hold, W G
+is formed and priced from, as when a gamma is free.  Inside the outer
+solver delta is at least 1e10 |g|, so the bound holds there.  The step
+d = -W (G omega + gamma) is the last of these products, not another product
+with W, and the solution (``SubproblemData.solution``) keeps the G omega
+that product was made from and the hint that the metric update takes; a
+solve that read W G instead forms all three with one W-vector product at
+the end.
 
 Anti-cycling: each working-set solve carries a tiny proximal term centred on
 the current iterate, so when the working-set minimizer is not unique the
@@ -82,12 +81,10 @@ is raised.  A non-finite solution raises ``DasError`` as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.lapack import dpotrf as _potrf, dtrtrs as _trtrs
 
-from .subproblem import SubproblemData, compute_kkt_residual
+from .subproblem import QpSolution, SubproblemData
 
 
 # The solver stops when no index violates its optimality condition by more
@@ -113,8 +110,8 @@ class DasError(RuntimeError):
 
 class DasState:
     """Working set, iterate and held factor of one solve.  The subproblem's
-    arrays are borrowed and never written; its W G is formed on first use of
-    ``WG``.
+    arrays are read from ``data`` and never written; its W G and dense W are
+    formed on their first use.
 
     ``order[:k]`` is the working set in entry order, ``pos`` each index's
     position in it (-1 outside), ``H[:k, :k]`` the Hessian block over it and
@@ -141,14 +138,6 @@ class DasState:
         self.k = 1
         self.free = 0  # gamma indices in the working set
         self.full_factorizations = 0
-        self._wd = None
-
-    G = property(lambda self: self.data.G)
-    WG = property(lambda self: self.data.wg)
-    K = property(lambda self: self.data.gtwg)  # G'WG
-    b = property(lambda self: self.data.b)
-    delta = property(lambda self: self.data.delta)
-    qn = property(lambda self: self.data.qn)
 
     @property
     def omega(self) -> np.ndarray:
@@ -162,21 +151,17 @@ class DasState:
     def gamma_sign(self) -> np.ndarray:
         return self.sign[self.data.m:]
 
-    def dense_W(self) -> np.ndarray:
-        if self._wd is None:
-            self._wd = self.qn.dense_W()
-        return self._wd
-
     def _row(self, idx: int):
         """The Hessian entries of index idx against the working set, and its
         diagonal entry."""
-        m = self.data.m
+        data = self.data
+        m = data.m
         if idx >= m:
-            row = np.concatenate((self.WG[idx - m], self.dense_W()[idx - m]))
+            row = np.concatenate((data.wg[idx - m], data.dense_w[idx - m]))
         elif self.free:
-            row = np.concatenate((self.K[idx], self.WG[:, idx]))
+            row = np.concatenate((data.gtwg[idx], data.wg[:, idx]))
         else:
-            row = self.K[idx]
+            row = data.gtwg[idx]
         return row[self.order[:self.k]], float(row[idx])
 
     def _grow(self) -> None:
@@ -256,37 +241,16 @@ class DasState:
             f"{reg / _REG_GROWTH:.1e}")
 
 
-@dataclass
-class DasSolution:
-    """A solve's iterate, multiplier u, step d and KKT residual.  ``g_omega``
-    is the G omega that d was formed from, or, when the solve read W G
-    instead, G omega formed once at the end; the search direction reads it
-    instead of forming another n x m product."""
-    omega: np.ndarray
-    gamma: np.ndarray
-    sigma: np.ndarray
-    rho: np.ndarray
-    u: float
-    d: np.ndarray  # -W (G omega + gamma)
-    g_omega: np.ndarray  # G omega
-    kkt_residual: float
-    iterations: int
-    hint: np.ndarray | None = None  # for the metric update, from the step
-
-
 def _init_state(data: SubproblemData) -> DasState:
     return DasState(data, int(np.argmin(np.diag(data.gtwg))))
 
 
-def _no_gamma_violates(st: DasState, mwm: float) -> bool | None:
+def _no_gamma_violates(data: SubproblemData, mwm: float) -> bool:
     """Whether |W m| <= delta is certain for the model m = G omega with
-    m'Wm = ``mwm``: first from the metric's running bound on its row norms,
-    then from their exact values.  None when the metric has no such bound."""
-    qn, limit, mwm = st.qn, st.delta ** 2, max(mwm, 0.0)
-    bound = qn.row_norm_bound()
-    if bound is None:
-        return None
-    return (bound ** 2 * mwm <= limit
+    m'Wm = ``mwm``: first from the metric's held bound on its row norms,
+    then from their exact values."""
+    qn, limit, mwm = data.qn, data.delta ** 2, max(mwm, 0.0)
+    return (qn.row_norm_bound() ** 2 * mwm <= limit
             or qn.row_norm_bound(exact=True) ** 2 * mwm <= limit)
 
 
@@ -294,17 +258,17 @@ def _solve_eqp(st: DasState):
     """Bordered KKT solve on the working set for the step from the iterate:
     the target of each working-set index, in entry order, and the
     multiplier of the simplex row."""
-    k, m = st.k, st.data.m
+    k, data = st.k, st.data
     order = st.order[:k]
     rhs = np.empty(k + 1)
     if st.free:
-        is_omega = order < m
+        is_omega = order < data.m
         e = is_omega.astype(float)
-        rhs[:k] = -st.delta * st.sign[order]
-        rhs[:k][is_omega] = st.b[order[is_omega]]
+        rhs[:k] = -data.delta * st.sign[order]
+        rhs[:k][is_omega] = data.b[order[is_omega]]
     else:
         e = np.ones(k)
-        st.b.take(order, out=rhs[:k])
+        data.b.take(order, out=rhs[:k])
     rhs[k] = 1.0
     # The Hessian block is a Gram matrix and can be singular when k > n.
     # The factor's proximal term reg I makes the minimizer unique: the solve
@@ -350,7 +314,7 @@ def _solve_eqp(st: DasState):
     return sol[:k], float(sol[k])
 
 
-def solve_das(data: SubproblemData, tol: float = 1e-8) -> DasSolution:
+def solve_das(data: SubproblemData, tol: float = 1e-8) -> QpSolution:
     st = _init_state(data)
     m, n = data.m, data.n
     cap = _PIVOTS_PER_INDEX * (m + 2 * n)
@@ -386,41 +350,37 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> DasSolution:
             # outside the working set, the omega indices first while W G is
             # not formed
             u = -u_eqp
-            k_omega = st.K @ st.omega
-            v_omega = k_omega - st.b - u
+            k_omega = data.gtwg @ st.omega
+            v_omega = k_omega - data.b - u
             if F.size:
-                v_omega += st.WG[F].T @ st.gamma[F]
+                v_omega += data.wg[F].T @ st.gamma[F]
             v_omega[st.sign[:m] != 0] = np.inf
-            via_wg = data.has_wg
+            via_wg = data.has_wg or not _no_gamma_violates(
+                data, float(st.omega @ k_omega))
             if not via_wg:
-                certain = _no_gamma_violates(st, float(st.omega @ k_omega))
-                if certain:
-                    k = int(v_omega.argmin())
-                    if v_omega[k] < -_PRICING * tol:
-                        st.sign[k] = 1
-                        st.add(k)
-                        continue
-                via_wg = certain is False  # a gamma may violate
-            # W (G omega + gamma), with G omega and the metric update's hint
-            # when a W-vector product formed them
+                k = int(v_omega.argmin())
+                if v_omega[k] < -_PRICING * tol:
+                    st.sign[k] = 1
+                    st.add(k)
+                    continue
+            # W (G omega + gamma), with what ``model_step`` returns with it
+            # when a W-vector product formed it
             if via_wg:
-                wm, g_omega = st.WG @ st.omega, None
+                wm, step = data.wg @ st.omega, None
                 if F.size:
-                    wm += st.dense_W()[:, F] @ st.gamma[F]
+                    wm += data.dense_w[:, F] @ st.gamma[F]
             else:  # gamma = 0: the bordered solve reads W G once one is free
-                wm, g_omega, hint = data.model_step(st.omega)
-            violation = np.concatenate((v_omega, st.delta - np.abs(wm)))
+                step = data.model_step(st.omega)
+                wm = step[0]
+            violation = np.concatenate((v_omega, data.delta - np.abs(wm)))
             violation[m:][st.gamma_sign != 0] = np.inf
             k = int(violation.argmin())
             if violation[k] >= -_PRICING * tol:
-                sigma = np.maximum(st.gamma, 0.0)
-                rho = np.maximum(-st.gamma, 0.0)
-                if g_omega is None:  # priced from W G
-                    wm, g_omega, hint = data.model_step(st.omega, st.gamma)
-                d = -wm
-                res = compute_kkt_residual(data, st.omega, sigma, rho, u, d)
-                return DasSolution(st.omega.copy(), st.gamma.copy(), sigma,
-                                   rho, u, d, g_omega, res, iterations, hint)
+                gamma = st.gamma.copy()
+                return data.solution("das", st.omega.copy(), gamma,
+                                     np.maximum(gamma, 0.0),
+                                     np.maximum(-gamma, 0.0), u, iterations,
+                                     step)
             st.sign[k] = 1 if k < m else -int(np.sign(wm[k - m]))
             st.add(k)
     except np.linalg.LinAlgError as exc:

@@ -38,7 +38,10 @@ full instance holds only that block, once and C-ordered: no (m + 2n) Q is
 formed.  The residuals, the step sizes and the refinement multiply by Q
 through the block, since Q's sigma and rho rows and columns are its gamma
 rows and columns and their negatives, and each factorization starts from a
-copy of it.  When rounding leaves the factored matrix numerically
+copy of it.  The omega-only instance is the one with no split: its block
+is all of Q, and the same formulas, over no (sigma, rho), do the
+arithmetic of an unsplit solve, at the cost of two O(m) copies per product
+or solve.  When rounding leaves the factored matrix numerically
 indefinite, the factorization is retried once with d shifted by 1e-12 max(1,
 max diag Q), read off the block, which shifts the factored diagonal by
 between half that and that; if it fails again, ``IpmError`` is raised.  The
@@ -46,16 +49,17 @@ factorization (``dpotrf``), the triangular solves (``dtrsv``) and every
 product with Q (``dgemv``) use scipy's BLAS and LAPACK: numpy loads an
 OpenBLAS of its own, and an iteration that switched between the two would
 keep both libraries' thread pools spinning.  Step sizes follow a
-two-segment merit-function search bounded by the fraction-to-the-boundary rule: a common primal/dual
-step is optimized first, then the remaining slack in whichever bound is
-looser.
+two-segment merit-function search bounded by the fraction-to-the-boundary
+rule: a common primal/dual step is optimized first, then the remaining
+slack in whichever bound is looser.
 
-The solve records no per-iteration history: its solution carries the
-iterate, the step d = -W (G omega + gamma) of the subproblem, the G omega
-that step was formed from and the metric update's hint that came with it,
-and a count of factorizations.  ``merit`` and
-``_plugback_residual`` evaluate the merit function at an iterate and the
-residual of a Newton step, for checks made from outside the iteration.
+The solve records no per-iteration history.  Its solution is the
+subproblem's ``QpSolution`` (``SubproblemData.solution``): the iterate, the
+step d = -W (G omega + gamma), the G omega that step was formed from, the
+metric update's hint and the KKT residual, with which path solved it and a
+count of factorizations.  ``merit`` and ``_plugback_residual`` evaluate the
+merit function at an iterate and the residual of a Newton step, for checks
+made from outside the iteration.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv as _gemv, dtrsv as _trsv
 from scipy.linalg.lapack import dpotrf as _potrf
 
-from .subproblem import SubproblemData, compute_kkt_residual
+from .subproblem import QpSolution, SubproblemData
 
 _BETA_FTB = 0.995
 _MU0 = 0.5
@@ -100,12 +104,10 @@ class QpData:
         return self.c.size
 
     def times(self, x: np.ndarray) -> np.ndarray:
-        """Q x.  With a split, Q's sigma and rho columns are its gamma
-        columns and their negatives, and so are its rows, so Q x is the
-        block times (x_omega, x_sigma - x_rho), its gamma rows repeated
-        with the opposite sign."""
-        if not self.split:
-            return _q_times(self.Q, x)
+        """Q x.  Q's sigma and rho columns are its gamma columns and their
+        negatives, and so are its rows, so Q x is the block times
+        (x_omega, x_sigma - x_rho), its gamma rows repeated with the
+        opposite sign; with no split, the block times x."""
         k = self.size - self.split
         m = k - self.split
         y = x[:k].copy()
@@ -129,24 +131,12 @@ class IpmCoreResult:
     diagnostics: IpmDiagnostics
 
 
-@dataclass
-class IpmSolution:
-    """A solve's iterate, multiplier u, step d and KKT residual.  ``g_omega``
-    is the G omega that d was formed from, on the omega-only and on the full
-    path; the search direction reads it instead of forming another n x m
-    product."""
-    omega: np.ndarray
-    gamma: np.ndarray
-    sigma: np.ndarray
-    rho: np.ndarray
-    u: float
-    d: np.ndarray  # -W (G omega + gamma)
-    g_omega: np.ndarray  # G omega
-    kkt_residual: float
-    iterations: int
+@dataclass(kw_only=True)
+class IpmSolution(QpSolution):
+    """A solve's ``QpSolution``, which path solved it and its count of
+    factorizations."""
     omega_only: bool
     diagnostics: IpmDiagnostics
-    hint: np.ndarray | None = None  # for the metric update, from the step
 
 
 class CholeskySchurFactor:
@@ -155,25 +145,22 @@ class CholeskySchurFactor:
 
     With z = P^-1 A and the Schur complement A'z, the solution of
     K (x, y) = (r1, r2) is y = (r2 + A'P^-1 r1) / A'z, x = z y - P^-1 r1.
-    A split n > 0 applies P^-1 by eliminating the trailing (sigma, rho)
-    pairs and factoring only the block ``qp`` holds (see the module
-    docstring); n = 0 factors all of Q + diag(d).  Raises ``LinAlgError``
-    when the factored matrix is not numerically positive definite.
+    P^-1 is applied by eliminating the trailing split (sigma, rho) pairs
+    and factoring only the block ``qp`` holds (see the module docstring);
+    with no split that block is all of Q.  Raises ``LinAlgError`` when the
+    factored matrix is not numerically positive definite.
     """
 
     def __init__(self, qp: QpData, d: np.ndarray):
         split, A = qp.split, qp.A
         P = qp.Q.copy()
         k = P.shape[0]  # order of the factored block
+        m = k - split
         diag = P.ravel()[::k + 1]
-        if split:
-            m = k - split
-            self._ds, self._dr = d[m:k], d[k:]
-            self._dsum = self._ds + self._dr
-            diag[:m] += d[:m]
-            diag[m:] += self._ds * self._dr / self._dsum
-        else:
-            diag += d
+        self._ds, self._dr = d[m:k], d[k:]
+        self._dsum = self._ds + self._dr
+        diag[:m] += d[:m]
+        diag[m:] += self._ds * self._dr / self._dsum
         # P' is P up to rounding and already in LAPACK's column-major layout
         self.chol, info = _potrf(P.T, lower=1, clean=0, overwrite_a=1)
         if info != 0:
@@ -185,8 +172,6 @@ class CholeskySchurFactor:
             raise np.linalg.LinAlgError("nonpositive Schur complement")
 
     def _cho_solve(self, b: np.ndarray) -> np.ndarray:
-        if not self.split:
-            return self._tri_solve(b)
         k = b.size - self.split
         m = k - self.split
         b_sigma, b_rho = b[m:k], b[k:]
@@ -359,11 +344,9 @@ def _newton_step(factor: CholeskySchurFactor, theta, v, r_d, r_p, r_c):
 
 
 def _whole_q(qp: QpData) -> np.ndarray:
-    """All of Q, expanded from the block when there is a split: Q's sigma
-    and rho rows and columns are its gamma ones and their negatives."""
+    """All of Q, expanded from the block: Q's sigma and rho rows and columns
+    are its gamma ones and their negatives."""
     B = qp.Q
-    if not qp.split:
-        return B
     m = B.shape[0] - qp.split
     return np.block([[B, -B[:, m:]], [-B[m:], B[m:, m:]]])
 
@@ -463,17 +446,15 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8) -> IpmSolution:
                           delta=data.delta)
     if core is not None:
         omega = core.theta
-        wg_omega, g_omega, hint = data.model_step(omega)
-        if np.max(np.abs(wg_omega)) <= data.delta:
+        step = data.model_step(omega)
+        if np.max(np.abs(step[0])) <= data.delta:
             zeros = np.zeros(n)
-            d = -wg_omega
-            res = compute_kkt_residual(data, omega, zeros, zeros, core.u, d)
-            return IpmSolution(omega, zeros.copy(), zeros.copy(), zeros.copy(),
-                               core.u, d, g_omega, res, core.iterations, True,
-                               core.diagnostics, hint)
+            return data.solution("ipm", omega, zeros, zeros.copy(), zeros.copy(),
+                                 core.u, core.iterations, step, IpmSolution,
+                                 omega_only=True, diagnostics=core.diagnostics)
 
     wg = data.wg
-    Q = np.block([[data.gtwg, wg.T], [wg, data.qn.dense_W()]])
+    Q = np.block([[data.gtwg, wg.T], [wg, data.dense_w]])
     c = np.concatenate([-data.b, np.full(n, data.delta), np.full(n, data.delta)])
     A = np.concatenate([np.ones(m), np.zeros(2 * n)])
     qp_full = QpData(Q=Q, c=c, A=A, split=n)
@@ -484,12 +465,7 @@ def solve_ipm(data: SubproblemData, tol: float = 1e-8) -> IpmSolution:
     v_full0 = np.concatenate([v0, _MU0 / sigma0, _MU0 / rho0])
     core = solve_ipm_core(qp_full, theta0, 0.0, v_full0, tol=core_tol,
                           soft_tol=tol)
-    omega = core.theta[:m]
-    sigma = core.theta[m:m + n]
-    rho = core.theta[m + n:]
-    gamma = sigma - rho
-    wm, g_omega, hint = data.model_step(omega, gamma)
-    d = -wm
-    res = compute_kkt_residual(data, omega, sigma, rho, core.u, d)
-    return IpmSolution(omega, gamma, sigma, rho, core.u, d, g_omega, res,
-                       core.iterations, False, core.diagnostics, hint)
+    sigma, rho = core.theta[m:m + n], core.theta[m + n:]
+    return data.solution("ipm", core.theta[:m], sigma - rho, sigma, rho,
+                         core.u, core.iterations, cls=IpmSolution,
+                         omega_only=False, diagnostics=core.diagnostics)

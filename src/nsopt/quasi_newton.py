@@ -23,6 +23,8 @@ and H are formed on request.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.linalg import solve
 from scipy.linalg.blas import dgemm, dgemv, dger, dsyrk
@@ -154,7 +156,7 @@ class _CompactForm:
     def __init__(self, psi: np.ndarray, gram: np.ndarray, inverse: bool):
         """``psi`` is [A B] and ``gram`` its Gram matrix Psi'Psi."""
         h = self.h = psi.shape[1] // 2
-        self.psi = psi
+        self.psi, self.gram = psi, gram
         self.inverse = inverse
         tau = gram[h - 1, 2 * h - 1] / gram[2 * h - 1, 2 * h - 1]
         self.scale = tau if inverse else 1.0 / tau
@@ -185,6 +187,17 @@ class _CompactForm:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """(c I + Psi M Psi') X."""
         return self.scale * X + self.psi @ self.middle(self.psi.T @ X)
+
+    @cached_property
+    def trace(self) -> float:
+        """trace(c I + Psi M Psi') = n c + trace(M Psi'Psi), O(h^3)."""
+        return (self.psi.shape[0] * self.scale
+                + float(np.trace(self.middle(self.gram))))
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of c I + Psi M Psi', O(n h^2)."""
+        psi = self.psi
+        return self.scale + np.einsum("ij,ji->i", psi, self.middle(psi.T))
 
 
 class QuasiNewtonState:
@@ -262,13 +275,20 @@ class QuasiNewtonState:
         self._newest_change = (a, b)
         self._row_bound += float(np.max(np.abs(a))) * float(np.linalg.norm(b))
 
-    def row_norm_bound(self, exact: bool = False) -> float | None:
+    def row_norm_bound(self, exact: bool = False) -> float:
         """An upper bound on the largest row norm of a factor F of
-        W = F F', sqrt(max_i W_ii).  Under full storage F = J: each update
-        raises the held bound by max|a| |b|, O(n), and ``exact`` replaces it
-        by the value itself, one pass over J.  None under limited storage."""
+        W = F F', sqrt(max_i W_ii), or with ``exact`` that value itself.
+        Under full storage F = J: each update raises the held bound by
+        max|a| |b|, O(n), and ``exact`` replaces it by the value, one pass
+        over J.  Under limited storage the bound is sqrt(trace W), formed
+        once per version from Psi'Psi, O(h^3), and ``exact`` reads W's
+        diagonal from Psi and M, O(n h^2); an empty history is W = I."""
         if self.storage == "limited":
-            return None
+            form = self._form("W")
+            if form is None:
+                return 1.0
+            square = form.diagonal().max() if exact else form.trace
+            return float(np.sqrt(max(square, 0.0)))
         if exact:
             J = self._j
             self._row_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", J, J))))

@@ -5,26 +5,62 @@
         s.t. 1'w = 1, w >= 0,
 
 and the KKT residual of its nonnegative reformulation with theta = (w, sigma,
-rho), gamma = sigma - rho.  Both QP solvers return the step
-d = -W (G w + gamma) with their solution; the residual and the search
-direction read it instead of applying W again.
+rho), gamma = sigma - rho.  Every solve's result is a ``QpSolution`` built
+by ``SubproblemData.solution``: the step d = -W (G w + gamma), the G w it
+was formed from, and the KKT residual read off d.  The residual and the
+search direction read d instead of applying W again.
 
 For the metric W = c I + B M B' (``QuasiNewtonState``) both products are
 formed from G'G and P = B'G, which the bundle carries across metric updates:
 G'WG = c G'G + P'MP and W G = c G + B M P.  Under full storage, W = J J', c
 is 0 and G'WG = P'P is a Gram matrix, which cannot be indefinite beyond its
 rounding.  A step is W m for m = G omega + gamma, from B'm = P omega + B'gamma
-(``model_step``).  W G itself is formed only on request: by a gamma entering
-the active set, the interior-point full path, or a test.
+(``model_step``).  W G and a dense W are formed only on request, once
+each: by a gamma entering the active set, the interior-point full path, or
+a test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .quasi_newton import QuasiNewtonState
+
+
+@dataclass(kw_only=True)
+class QpSolution:
+    """A solve's iterate (omega, gamma = sigma - rho), multiplier u, step d
+    and KKT residual.  ``g_omega`` is the G omega that d was formed from,
+    so the search direction forms no further n x m product, and ``hint``
+    what the metric returned with d, for its update after a step along d
+    (``QuasiNewtonState.model``)."""
+    omega: np.ndarray
+    gamma: np.ndarray
+    sigma: np.ndarray
+    rho: np.ndarray
+    u: float
+    d: np.ndarray  # -W (G omega + gamma)
+    g_omega: np.ndarray  # G omega
+    kkt_residual: float
+    iterations: int
+    hint: np.ndarray | None
+    solver: str  # "gradient", "das" or "ipm"
+    fallback: bool = False  # the active-set solver failed and the IPM solved
+
+    @cached_property
+    def model_norm_sq(self) -> float:
+        """d'Hd = (G omega + gamma)' W (G omega + gamma)."""
+        return float(-(self.d @ (self.g_omega + self.gamma)))
+
+    @cached_property
+    def inf_norms(self) -> tuple[float, float, float]:
+        """||d||, ||G omega|| and ||G omega + gamma||, in the max-norm."""
+        return (float(np.max(np.abs(self.d), initial=0.0)),
+                float(np.max(np.abs(self.g_omega), initial=0.0)),
+                float(np.max(np.abs(self.g_omega + self.gamma), initial=0.0)))
 
 
 @dataclass
@@ -39,6 +75,7 @@ class SubproblemData:
     bt_g: np.ndarray | None = field(default=None, repr=False)
     _wg: np.ndarray | None = field(default=None, repr=False)
     _gtwg: np.ndarray | None = field(default=None, repr=False)
+    _w: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
@@ -73,6 +110,13 @@ class SubproblemData:
         return self._wg
 
     @property
+    def dense_w(self) -> np.ndarray:
+        """W as a dense, exactly symmetric array (``QuasiNewtonState.dense_W``)."""
+        if self._w is None:
+            self._w = self.qn.dense_W()
+        return self._w
+
+    @property
     def gtwg(self) -> np.ndarray:
         """G'WG = c G'G + P'MP, G'G formed on first use when c is not 0.
 
@@ -103,6 +147,22 @@ class SubproblemData:
                 bt_m += self.qn.apply_Bt(gamma)
         wm, hint = self.qn.model(model, bt_m)
         return wm, g_omega, hint
+
+    def solution(self, solver: str, omega: np.ndarray, gamma: np.ndarray,
+                 sigma: np.ndarray, rho: np.ndarray, u: float,
+                 iterations: int, step=None, cls=QpSolution,
+                 **extra) -> QpSolution:
+        """The result of a solve that ended at (omega, gamma = sigma - rho)
+        with multiplier u, as ``cls`` with the fields ``extra``.  ``step``
+        is what ``model_step`` returned for this iterate when the caller
+        already has it; otherwise it is formed here, with one W-vector
+        product.  The KKT residual then reads its d."""
+        wm, g_omega, hint = self.model_step(omega, gamma) if step is None else step
+        d = -wm
+        return cls(omega=omega, gamma=gamma, sigma=sigma, rho=rho, u=u, d=d,
+                   g_omega=g_omega,
+                   kkt_residual=compute_kkt_residual(self, omega, sigma, rho, u, d),
+                   iterations=iterations, hint=hint, solver=solver, **extra)
 
 
 def dual_objective(data: SubproblemData, omega: np.ndarray, gamma: np.ndarray) -> float:

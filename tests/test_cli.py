@@ -98,6 +98,29 @@ def test_solve_options_file_and_env(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("NONOPT_OPTIONS")
 
 
+@pytest.mark.parametrize("mode, n_f", [("speed", 10), ("accuracy", 20)])
+def test_solve_options_files_override_the_mode_preset(capsys, tmp_path,
+                                                      monkeypatch, mode, n_f):
+    # the preset comes first, then NONOPT_OPTIONS, then --options
+    env = tmp_path / "env.txt"
+    env.write_text("TB_objective_similarity_tolerance = 0.25\nSMLM_history = 5\n")
+    path = tmp_path / "opts.txt"
+    path.write_text("TB_objective_similarity_tolerance = 0.5\n")
+    monkeypatch.setenv("NONOPT_OPTIONS", str(env))
+    real_run_solver = cli.run_solver
+    seen = []
+
+    def spy(oracle, x0, opts):
+        seen.append(opts)
+        return real_run_solver(oracle, x0, opts)
+
+    monkeypatch.setattr(cli, "run_solver", spy)
+    code, _ = _run(["solve", "--names", "MaxQ", "--n", "10", "--strategy", "G",
+                    "--mode", mode, "--options", str(path)], capsys)
+    assert code == 0
+    assert [(o.delta_f, o.history_limit, o.n_f) for o in seen] == [(0.5, 5, n_f)]
+
+
 def test_solve_table_output(capsys):
     code, out = _run(["solve", "--names", "MaxQ", "--n", "20",
                       "--strategy", "G", "--table"], capsys)

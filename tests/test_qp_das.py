@@ -131,10 +131,9 @@ def test_no_pivot_factors_more_than_its_trailing_block(monkeypatch):
 def _gathered_block(st):
     """The Hessian block over the working set, in entry order, gathered
     from G'WG, W G and W."""
-    m, order = st.data.m, st.order[:st.k]
-    W = st.dense_W()
-    top = np.concatenate([st.K, st.WG.T], axis=1)
-    bottom = np.concatenate([st.WG, W], axis=1)
+    data, order = st.data, st.order[:st.k]
+    top = np.concatenate([data.gtwg, data.wg.T], axis=1)
+    bottom = np.concatenate([data.wg, data.dense_w], axis=1)
     return np.concatenate([top, bottom])[np.ix_(order, order)]
 
 
@@ -148,8 +147,8 @@ def _reference_eqp(st):
     M[:k, :k] = _gathered_block(st)
     M[:k, -1] = M[-1, :k] = omega
     x0 = np.concatenate([st.z[order], [0.0]])
-    rhs = np.concatenate([np.where(omega, st.b[np.minimum(order, m - 1)],
-                                   -st.delta * st.sign[order]), [1.0]])
+    rhs = np.concatenate([np.where(omega, st.data.b[np.minimum(order, m - 1)],
+                                   -st.data.delta * st.sign[order]), [1.0]])
     rhs = rhs - M @ x0
     M_reg = M + st.reg * np.diag(np.r_[np.ones(k), 0.0])
     step = np.linalg.solve(M_reg, rhs)

@@ -196,6 +196,25 @@ def test_dense_w_consistent():
     assert np.allclose(D @ r, qn.apply_W(r), rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["BFGS", "DFP"])
+@pytest.mark.parametrize("updates", [0, 3, 11], ids=["empty", "growing", "full"])
+def test_limited_row_norm_bound_covers_the_diagonal(mode, updates):
+    # sqrt(trace W) bounds sqrt(max_i W_ii), which ``exact`` forms from Psi
+    # and M; a window of 6 pairs is growing after 3 updates, full after 11
+    rng = np.random.default_rng(17)
+    qn = QuasiNewtonState(9, mode=mode, storage="limited", history_limit=6)
+    for _ in range(updates):
+        s = rng.standard_normal(9)
+        qn.update(s, damp(s, rng.standard_normal(9), 0.1, 10.0)[1])
+    exact = qn.row_norm_bound(exact=True)
+    ref = np.sqrt(np.max(np.diag(qn.dense_W())))
+    assert exact == pytest.approx(ref, rel=1e-12)
+    assert qn.row_norm_bound() >= exact
+    if updates:
+        assert qn.row_norm_bound() == pytest.approx(
+            np.sqrt(np.trace(qn.dense_W())), rel=1e-12)
+
+
 def test_full_storage_positive_definite_after_damped_updates():
     rng = np.random.default_rng(9)
     for mode in ("BFGS", "DFP"):

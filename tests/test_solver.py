@@ -8,7 +8,8 @@ import pytest
 import nsopt
 from nsopt import direction
 from nsopt.denoise import add_salt_pepper, make_denoising, synthetic_image
-from nsopt.options import STRATEGIES, SolverOptions, load_options_file
+from nsopt.options import (_OPTION_KEYS, STRATEGIES, SolverOptions,
+                           load_options_file)
 from nsopt.oracle import ObjectiveOracle
 from nsopt.problems import make_problem
 from nsopt.qp_das import DasError
@@ -154,18 +155,19 @@ def test_options_file_roundtrip(tmp_path):
         "BFGS_correction_threshold_1 = 1e-6\n"
         "PSP_size_factor = 0.1\n"
         "SMLM_history = 7\n"
-        "DCCP_try_gradient_step = false\n"
+        "TS_objective_similarity_tolerance = 0.5\n"
     )
     opts = load_options_file(str(path))
     assert opts.eta == pytest.approx(1e-6)
     assert opts.size_factor == pytest.approx(0.1)
     assert opts.history_limit == 7
-    assert opts.try_gradient_step is False
+    assert opts.delta_f == 0.5
 
 
 def test_options_file_unknown_key_rejected(tmp_path):
     path = tmp_path / "opts.txt"
-    for key in ("no_such_option", "DEFD_increment"):
+    for key in ("no_such_option", "DEFD_increment", "DCCP_try_gradient_step",
+                "DCGC_try_gradient_step"):
         path.write_text(f"{key} = 1\n")
         with pytest.raises(ValueError, match="unknown option"):
             load_options_file(str(path))
@@ -202,13 +204,25 @@ def test_options_validation(tmp_path):
     ("iteration_limit", 0, 1),
     ("ls_initial", 0.0, 1e-12),
     ("n_f", 0, 1),
+    ("qp_tolerance", np.nan, 1e-12),
+    ("eps_min", np.nan, 1e-12),
+    ("delta_f", np.nan, 0.0),
+    ("delta_f", -1.0, 0.0),
+    ("size_factor", np.nan, 1e-12),
 ])
-def test_options_bounds(field, bad, good):
+def test_options_bounds(tmp_path, field, bad, good):
+    # NaN fails every bound, directly and from an options file
     with pytest.raises(ValueError, match=field):
         SolverOptions(**{field: bad})
     with pytest.raises(ValueError, match=field):
         SolverOptions(**{field: -abs(bad) - 1})
     assert getattr(SolverOptions(**{field: good}), field) == good
+    keys = [key for key, (name, _) in _OPTION_KEYS.items() if name == field]
+    if keys:
+        path = tmp_path / "opts.txt"
+        path.write_text(f"{keys[0]} = {bad}\n")
+        with pytest.raises(ValueError, match=field):
+            load_options_file(str(path))
 
 
 def test_samples_per_iteration_defaults():
@@ -324,17 +338,22 @@ def test_held_offsets_and_solver_g_omega_keep_the_path(monkeypatch, case):
     fast = run_solver(prob.oracle, prob.x0, opts)
 
     built = []
-    finalize = direction._finalize
 
     def build(*args):
         built.append(_per_column_build(*args))
         return built[-1]
 
-    def formed_g_omega(omega, gamma, u, d, g_omega, *rest):
-        return finalize(omega, gamma, u, d, built[-1].G @ omega, *rest)
+    def formed_g_omega(solve):
+        def solve_and_form(data, tol):
+            sol = solve(data, tol=tol)
+            sol.g_omega = built[-1].G @ sol.omega
+            return sol
+        return solve_and_form
 
     monkeypatch.setattr(direction, "build_subproblem", build)
-    monkeypatch.setattr(direction, "_finalize", formed_g_omega)
+    for name in ("solve_das", "solve_ipm"):
+        monkeypatch.setattr(direction, name,
+                            formed_g_omega(getattr(direction, name)))
     monkeypatch.setattr(nsopt.solver, "prune_by_distance", _per_column_prune)
     slow = run_solver(prob.oracle, prob.x0, opts)
     assert built  # the written-out forms ran
