@@ -1,14 +1,20 @@
 """Bundle maintenance: ball sampling, the choice of samples worth evaluating,
 distance pruning, and age pruning.
 
+A gradient-sampling iteration handles its samples as one block.  The
+sampler draws every direction and radius in the per-point order of the
+random stream but forms no point (``BallSample``); ``newest_finite`` forms
+only the points that may stay, evaluates f and then g on them as blocks,
+and the bundle appends them as one block after one age prune.
+
 The bundle is columns 0..m-1 of Fortran-ordered point and gradient blocks,
-with value and birth vectors.  Columns are appended and pruning keeps their
-order, so the products that the subproblem's G'WG is formed from follow
-positions: new columns are a suffix, pruning slices the held products.  For
-the metric W = c I + B M B' these are G'G and P = B'G, carried by one rule:
-the metric brings P up to date after its updates (``follow``), a new column
-costs one B'g, and G'G, formed only when c is not 0, never changes for a
-column once formed.
+with value and birth vectors.  Columns are appended, one or a block at a
+time, and pruning keeps their order, so the products that the subproblem's
+G'WG is formed from follow positions: new columns are a suffix, pruning
+slices the held products.  For the metric W = c I + B M B' these are G'G
+and P = B'G, carried by one rule: the metric brings P up to date after its
+updates (``follow``), a new column costs one B'g, and G'G, formed only when
+c is not 0, never changes for a column once formed.
 
 The offsets of the columns from the current iterate x, q_j = |x - x_j|^2 and
 r_j = g_j'(x - x_j), are held the same way.  Distance pruning reads q and the
@@ -20,6 +26,7 @@ read, and pruning slices them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +38,37 @@ _BLOCK_BYTES = 256 * 1024
 
 @dataclass(eq=False)
 class BundleElement:
-    """An (x, f, g) triple handed to ``PointSet.add``, which copies it."""
+    """An (x, f, g) triple handed to ``PointSet.add``, which copies it; or k
+    of them with one birth: x and g n x k blocks, f k values."""
     x: np.ndarray
-    f: float
+    f: float | np.ndarray
     g: np.ndarray
     birth: int
+
+
+@dataclass(eq=False)
+class BallSample:
+    """p points drawn around ``center``: point i is center + t_i d_i, with
+    d_i row i of ``directions`` and t_i = ``factors[i]``, and is the center
+    itself when t_i is 0.  ``points`` forms them."""
+    center: np.ndarray
+    directions: np.ndarray  # p x n
+    factors: np.ndarray
+
+    def __len__(self) -> int:
+        return self.factors.size
+
+    def points(self, lo: int, hi: int) -> np.ndarray:
+        """Points lo..hi-1 as the columns of a Fortran-ordered block.  Each
+        entry is rounded twice, t_i d_ij and then x_j + t_i d_ij, as the
+        point is formed on its own."""
+        t = self.factors[lo:hi]
+        X = np.multiply(self.directions[lo:hi].T, t)
+        X += self.center[:, None]
+        at_center = t == 0.0
+        if at_center.any():
+            X[:, at_center] = self.center[:, None]
+        return X
 
 
 class PointSet:
@@ -63,17 +96,24 @@ class PointSet:
         return self._m
 
     def add(self, element: BundleElement) -> None:
-        """Append ``element`` as the last column; full blocks double."""
-        m = self._m
-        if m == self._f.size:
+        """Append ``element`` as the last column, or as the last k columns
+        when it holds k triples; full blocks double."""
+        x, g = element.x, element.g
+        if np.ndim(x) == 1:
+            x, g = x[:, None], g[:, None]
+        m, k = self._m, x.shape[1]
+        size = self._f.size
+        while m + k > size:
+            size *= 2
+        if size > self._f.size:
             for name in self._BLOCKS:
                 block = getattr(self, name)
-                wider = np.empty(block.shape[:-1] + (2 * m,), block.dtype, order="F")
-                wider[..., :m] = block
+                wider = np.empty(block.shape[:-1] + (size,), block.dtype, order="F")
+                wider[..., :m] = block[..., :m]
                 setattr(self, name, wider)
-        self._X[:, m], self._G[:, m] = element.x, element.g
-        self._f[m], self._birth[m] = element.f, element.birth
-        self._m = m + 1
+        self._X[:, m:m + k], self._G[:, m:m + k] = x, g
+        self._f[m:m + k], self._birth[m:m + k] = element.f, element.birth
+        self._m = m + k
 
     def set_current(self, element: BundleElement) -> None:
         """Append ``element`` and make it the current iterate."""
@@ -174,24 +214,24 @@ class PointSet:
         self._q, self._r = self._q[held], self._r[held]
 
 
-def sample_ball(x_k: np.ndarray, eps: float, p: int, rng: np.random.Generator) -> list[np.ndarray]:
+def sample_ball(x_k: np.ndarray, eps: float, p: int, rng: np.random.Generator) -> BallSample:
     """p points uniform over the closed Euclidean ball of radius eps around x_k.
 
     Directions come from normalized Gaussians and radii from eps * U^(1/n),
-    which is exactly uniform over the ball.
+    which is exactly uniform over the ball.  Each point draws its n normals,
+    then its uniform; with eps = 0 or a zero direction it is x_k itself and
+    draws no uniform.  No point is formed here (``BallSample.points``).
     """
     x_k = np.asarray(x_k, dtype=float)
     n = x_k.size
-    points = []
-    for _ in range(p):
-        direction = rng.standard_normal(n)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0 or eps == 0.0:
-            points.append(x_k.copy())
-            continue
-        radius = eps * rng.uniform() ** (1.0 / n)
-        points.append(x_k + (radius / norm) * direction)
-    return points
+    directions, factors = np.empty((p, n)), np.zeros(p)
+    normal, uniform, root = rng.standard_normal, rng.random, 1.0 / n
+    for i, d in enumerate(directions):
+        normal(out=d)
+        norm = math.sqrt(d @ d)  # np.linalg.norm's formula
+        if norm != 0.0 and eps != 0.0:
+            factors[i] = eps * uniform() ** root / norm
+    return BallSample(x_k, directions, factors)
 
 
 def prune_by_distance(point_set: PointSet, eps_next: float,
@@ -207,22 +247,32 @@ def prune_by_distance(point_set: PointSet, eps_next: float,
     return point_set
 
 
-def newest_finite(points: list[np.ndarray], f, limit: int) -> list[tuple[np.ndarray, float]]:
-    """The last ``limit`` points with finite f(x), as (x, f(x)) in draw order.
+def newest_finite(sample: BallSample, f, g, limit: int):
+    """The last ``limit`` points of ``sample`` with finite f(x), in draw
+    order, as the columns of a block X with their values f(X) and their
+    gradients g(X).
 
-    f is evaluated from the newest point backwards and no further than the
-    ``limit``-th finite value.  For points that join a bundle with a birth
-    newer than every element's, ``limit = cap - 1`` gives exactly those that
-    ``prune_by_age(point_set, cap)`` would keep after adding all of them.
+    f takes a block and gives its values.  It is evaluated on the newest
+    ``limit`` points, then on as many older ones as non-finite values left
+    places open, and so on: no further back than the ``limit``-th finite
+    value.  g is evaluated once, on the points kept.  For points that join a
+    bundle with a birth newer than every element's, ``limit = cap - 1``
+    gives exactly those that ``prune_by_age(point_set, cap)`` would keep
+    after adding all of them.
     """
-    kept = []
-    for x in reversed(points):
-        if len(kept) == limit:
-            break
-        f_x = f(x)
-        if np.isfinite(f_x):
-            kept.append((x, f_x))
-    return kept[::-1]
+    X, f_X, hi = np.empty((sample.center.size, 0)), np.empty(0), len(sample)
+    while limit > 0 and hi > 0:
+        lo = max(0, hi - limit)
+        block = sample.points(lo, hi)
+        f_block = f(block)
+        finite = np.isfinite(f_block)
+        if not finite.all():
+            block, f_block = block[:, finite], f_block[finite]
+        limit, hi = limit - f_block.size, lo
+        if f_X.size:
+            block, f_block = np.hstack([block, X]), np.concatenate([f_block, f_X])
+        X, f_X = block, f_block
+    return X, f_X, g(X) if f_X.size else X
 
 
 def prune_by_age(point_set: PointSet, limit: int) -> PointSet:

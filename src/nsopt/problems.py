@@ -4,6 +4,13 @@ Each problem supplies f, one generalized gradient, the standard starting
 point, and the known minimal value where available.  Ties in max-type terms
 are broken toward the lowest index and sign(0) = 0, so the returned vector is
 always a valid generalized gradient element.
+
+Every f and g is written once over axis 0, so that it takes a point or an
+(n, k) Fortran-ordered block of points as columns (``blocks``), giving k
+values or an n x k gradient block.  Each column comes out bitwise as the
+point alone would: elementwise operations round alike, and a sum over axis
+0 of a Fortran-ordered block sums each column as ``np.sum`` sums a vector.
+MxHilb forms ``H @ x`` per column, because ``H @ X`` sums differently.
 """
 
 from __future__ import annotations
@@ -38,17 +45,32 @@ class ProblemInstance:
     f_star: float | None
 
 
+def _chained(x, gi, gj):
+    """A chained sum's gradient: gi on coordinates 0..n-2, then gj added on
+    1..n-1."""
+    out = np.zeros(np.shape(x), order="F")
+    out[:-1] += gi
+    out[1:] += gj
+    return out
+
+
+def _top(a, j):
+    """The index of entry j of a point, or of entry j[c] of each column c of
+    a block."""
+    return j if np.ndim(a) == 1 else (j, np.arange(np.shape(a)[1]))
+
+
 # -- MaxQ ---------------------------------------------------------------
 
 
 def _maxq(n):
     def f(x):
-        return float(np.max(x * x))
+        return np.max(x * x, axis=0)
 
     def g(x):
-        j = int(np.argmax(x * x))
-        out = np.zeros(n)
-        out[j] = 2.0 * x[j]
+        top = _top(x, np.argmax(x * x, axis=0))
+        out = np.zeros(np.shape(x), order="F")
+        out[top] = 2.0 * x[top]
         return out
 
     x0 = np.arange(1.0, n + 1)
@@ -62,13 +84,17 @@ def _maxq(n):
 def _mxhilb(n):
     H = scipy.linalg.hilbert(n)
 
+    def products(x):
+        # H @ X sums differently from H @ x for each of its columns
+        return H @ x if np.ndim(x) == 1 else np.stack([H @ c for c in x.T], axis=1)
+
     def f(x):
-        return float(np.max(np.abs(H @ x)))
+        return np.max(np.abs(products(x)), axis=0)
 
     def g(x):
-        r = H @ x
-        i = int(np.argmax(np.abs(r)))
-        return np.sign(r[i]) * H[i]
+        r = products(x)
+        i = np.argmax(np.abs(r), axis=0)
+        return np.sign(r[_top(r, i)]) * H[i].T  # H[i] is row i, or rows i[c]
 
     return f, g, np.ones(n), 0.0
 
@@ -83,17 +109,13 @@ def _chained_lq(n):
 
     def f(x):
         a, b = terms(x)
-        return float(np.sum(np.maximum(a, b)))
+        return np.sum(np.maximum(a, b), axis=0)
 
     def g(x):
         a, b = terms(x)
         sel = b > a  # tie keeps the first (linear) term
-        gi = np.where(sel, -1.0 + 2.0 * x[:-1], -1.0)
-        gj = np.where(sel, -1.0 + 2.0 * x[1:], -1.0)
-        out = np.zeros(n)
-        out[:-1] += gi
-        out[1:] += gj
-        return out
+        return _chained(x, np.where(sel, -1.0 + 2.0 * x[:-1], -1.0),
+                        np.where(sel, -1.0 + 2.0 * x[1:], -1.0))
 
     return f, g, np.full(n, -0.5), -np.sqrt(2.0) * (n - 1)
 
@@ -121,40 +143,36 @@ def _cb3_grads(x):
             (-e, e))
 
 
+def _cb3_gradient(x, sel):
+    """The chained gradient of term sel: 0, 1 or 2, for a point or per
+    column, or per pair."""
+    grads = _cb3_grads(x)
+    if np.ndim(sel) == 0:
+        return _chained(x, *grads[sel])
+    return _chained(x, np.choose(sel, [grads[k][0] for k in range(3)]),
+                    np.choose(sel, [grads[k][1] for k in range(3)]))
+
+
 def _chained_cb3_1(n):
     def f(x):
         t1, t2, t3 = _cb3_terms(x)
-        return float(np.sum(np.maximum(t1, np.maximum(t2, t3))))
+        return np.sum(np.maximum(t1, np.maximum(t2, t3)), axis=0)
 
     def g(x):
-        t1, t2, t3 = _cb3_terms(x)
-        sel = np.argmax(np.vstack([t1, t2, t3]), axis=0)
-        grads = _cb3_grads(x)
-        gi = np.choose(sel, [grads[k][0] for k in range(3)])
-        gj = np.choose(sel, [grads[k][1] for k in range(3)])
-        out = np.zeros(n)
-        out[:-1] += gi
-        out[1:] += gj
-        return out
+        return _cb3_gradient(x, np.argmax(np.array(_cb3_terms(x)), axis=0))
 
     return f, g, np.full(n, 2.0), 2.0 * (n - 1)
 
 
 def _chained_cb3_2(n):
     def sums(x):
-        t1, t2, t3 = _cb3_terms(x)
-        return np.array([np.sum(t1), np.sum(t2), np.sum(t3)])
+        return np.array([np.sum(t, axis=0) for t in _cb3_terms(x)])
 
     def f(x):
-        return float(np.max(sums(x)))
+        return np.max(sums(x), axis=0)
 
     def g(x):
-        k = int(np.argmax(sums(x)))
-        gi, gj = _cb3_grads(x)[k]
-        out = np.zeros(n)
-        out[:-1] += gi
-        out[1:] += gj
-        return out
+        return _cb3_gradient(x, np.argmax(sums(x), axis=0))
 
     return f, g, np.full(n, 2.0), 2.0 * (n - 1)
 
@@ -163,21 +181,25 @@ def _chained_cb3_2(n):
 
 
 def _active_faces(n):
+    def pieces(x):
+        s = -np.sum(x, axis=0)
+        return s, np.log(np.abs(x) + 1.0), np.log(np.abs(s) + 1.0)
+
     def f(x):
-        s = -float(np.sum(x))
-        vals = np.log(np.abs(x) + 1.0)
-        return float(max(np.max(vals), np.log(abs(s) + 1.0)))
+        _, vals, last = pieces(x)
+        return np.maximum(np.max(vals, axis=0), last)
 
     def g(x):
-        s = -float(np.sum(x))
-        vals = np.log(np.abs(x) + 1.0)
-        last = np.log(abs(s) + 1.0)
-        j = int(np.argmax(np.append(vals, last + 0.0)))
-        if j < n and vals[j] >= last:
-            out = np.zeros(n)
-            out[j] = np.sign(x[j]) / (abs(x[j]) + 1.0)
-            return out
-        return np.full(n, -np.sign(s) / (abs(s) + 1.0))
+        # the face of the largest log(|x_j| + 1), the lowest j on a tie,
+        # unless log(|s| + 1) exceeds it
+        s, vals, last = pieces(x)
+        top = _top(x, np.argmax(vals, axis=0))
+        face = vals[top] >= last
+        out = np.zeros(np.shape(x), order="F")
+        # off a face s != 0, so adding to 0 keeps every bit
+        out += np.where(face, 0.0, -np.sign(s) / (np.abs(s) + 1.0))
+        out[top] = np.where(face, np.sign(x[top]) / (np.abs(x[top]) + 1.0), out[top])
+        return out
 
     return f, g, np.ones(n), 0.0
 
@@ -194,7 +216,7 @@ def _brown_2(n):
 
     def f(x):
         a, b, p, q = pieces(x)
-        return float(np.sum(np.abs(a) ** p + np.abs(b) ** q))
+        return np.sum(np.abs(a) ** p + np.abs(b) ** q, axis=0)
 
     def g(x):
         a, b, p, q = pieces(x)
@@ -204,10 +226,7 @@ def _brown_2(n):
         # d/da |a|^p + d/da |b|^q  (x^x-style terms vanish at 0 by continuity)
         da = p * absa ** (p - 1.0) * np.sign(a) + absb ** q * lb * 2.0 * a
         db = absa ** p * la * 2.0 * b + q * absb ** (q - 1.0) * np.sign(b)
-        out = np.zeros(n)
-        out[:-1] += da
-        out[1:] += db
-        return out
+        return _chained(x, da, db)
 
     x0 = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
     return f, g, x0, 0.0
@@ -219,15 +238,12 @@ def _brown_2(n):
 def _mifflin_2(n):
     def f(x):
         y = x[:-1] ** 2 + x[1:] ** 2 - 1.0
-        return float(np.sum(-x[:-1] + 2.0 * y + 1.75 * np.abs(y)))
+        return np.sum(-x[:-1] + 2.0 * y + 1.75 * np.abs(y), axis=0)
 
     def g(x):
         y = x[:-1] ** 2 + x[1:] ** 2 - 1.0
         w = 4.0 + 3.5 * np.sign(y)
-        out = np.zeros(n)
-        out[:-1] += -1.0 + w * x[:-1]
-        out[1:] += w * x[1:]
-        return out
+        return _chained(x, -1.0 + w * x[:-1], w * x[1:])
 
     f_star = -706.55 if n == 1000 else None
     return f, g, np.full(n, -1.0), f_star
@@ -250,18 +266,13 @@ def _crescent_x0(n):
 def _chained_crescent_1(n):
     def f(x):
         _, _, t1, t2 = _crescent_pieces(x)
-        return float(max(np.sum(t1), np.sum(t2)))
+        return np.maximum(np.sum(t1, axis=0), np.sum(t2, axis=0))
 
     def g(x):
         a, b, t1, t2 = _crescent_pieces(x)
-        out = np.zeros(n)
-        if np.sum(t1) >= np.sum(t2):
-            out[:-1] += 2.0 * a
-            out[1:] += 2.0 * (b - 1.0) + 1.0
-        else:
-            out[:-1] += -2.0 * a
-            out[1:] += -2.0 * (b - 1.0) + 1.0
-        return out
+        # +-2, chosen by the larger sum, the first on a tie
+        c = np.where(np.sum(t1, axis=0) >= np.sum(t2, axis=0), 2.0, -2.0)
+        return _chained(x, c * a, c * (b - 1.0) + 1.0)
 
     return f, g, _crescent_x0(n), 0.0
 
@@ -269,15 +280,13 @@ def _chained_crescent_1(n):
 def _chained_crescent_2(n):
     def f(x):
         _, _, t1, t2 = _crescent_pieces(x)
-        return float(np.sum(np.maximum(t1, t2)))
+        return np.sum(np.maximum(t1, t2), axis=0)
 
     def g(x):
         a, b, t1, t2 = _crescent_pieces(x)
         sel = t2 > t1  # tie keeps the first term
-        out = np.zeros(n)
-        out[:-1] += np.where(sel, -2.0 * a, 2.0 * a)
-        out[1:] += np.where(sel, -2.0 * (b - 1.0) + 1.0, 2.0 * (b - 1.0) + 1.0)
-        return out
+        return _chained(x, np.where(sel, -2.0 * a, 2.0 * a),
+                        np.where(sel, -2.0 * (b - 1.0) + 1.0, 2.0 * (b - 1.0) + 1.0))
 
     return f, g, _crescent_x0(n), 0.0
 
@@ -302,5 +311,5 @@ def make_problem(name: str, n: int) -> ProblemInstance:
     if n < 2:
         raise ValueError("problems require n >= 2")
     f, g, x0, f_star = _FACTORIES[name](n)
-    oracle = ObjectiveOracle(dimension=n, evaluate_f=f, evaluate_g=g)
+    oracle = ObjectiveOracle(dimension=n, evaluate_f=f, evaluate_g=g, blocks=True)
     return ProblemInstance(name=name, n=n, x0=x0, oracle=oracle, f_star=f_star)

@@ -64,11 +64,13 @@ The simplex row is taken by its 1 x 1 Schur complement e'(H + reg I)^-1 e,
 where e marks the omega indices: appended to L as the row (L^-1 e)', it
 makes an LDL' factor of the regularized bordered matrix, so each solve is
 two triangular solves (LAPACK ``dtrtrs`` from scipy, on the factor's buffer
-without a copy).  Five solves per pivot use that factor: the first, one refinement against the regularized matrix and
-three against the unregularized one.  A Cholesky factor of H + reg I
-rounds by about eps / reg along H's null space, which the refinements
-against the singular unregularized matrix cannot see; the one against the
-regularized matrix removes it.
+without a copy).  Up to five solves per pivot use that factor: the first,
+one refinement against the regularized matrix and up to three against the
+unregularized one, which stop once a refinement leaves every bit of the
+step unchanged, since every later one would then leave it unchanged too.
+A Cholesky factor of H + reg I rounds by about eps / reg along H's null
+space, which the refinements against the singular unregularized matrix
+cannot see; the one against the regularized matrix removes it.
 
 reg is 1e-11 max(1, trace(H) / k) for a working set of k indices, evaluated
 at the last full factorization: 1e-11 max(1, (G'WG)_jj) for the starting
@@ -276,7 +278,7 @@ def _solve_eqp(st: DasState):
     # minimizer nearest the iterate, which keeps a just-added variable's
     # target on its feasible side (anti-cycling).  One refinement against
     # the regularized system removes the factor's rounding along H's null
-    # space; three against the unregularized system then remove the
+    # space; up to three against the unregularized system then remove the
     # proximal bias from the returned solution.  Row k of L and of H is the
     # simplex border: L_b = [L 0; c' 1] with c = L^-1 e gives the
     # regularized bordered matrix as L_b diag(I, -c'c) L_b'.
@@ -304,7 +306,12 @@ def _solve_eqp(st: DasState):
     residual[:k] -= st.reg * step[:k]
     step += solve(residual)
     for _ in range(3):
-        step += solve(rhs - M @ step)
+        # a step whose bits are unchanged gets the same correction again
+        refined = step + solve(rhs - M @ step)
+        unchanged = refined.tobytes() == step.tobytes()
+        step = refined
+        if unchanged:
+            break
     sol = x0 + step
     if not np.isfinite(sol).all():
         raise np.linalg.LinAlgError(

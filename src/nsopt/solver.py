@@ -82,11 +82,13 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
         iterations = k
         if p > 0:
             # every point is drawn, so the stream stays the same, but only
-            # the samples that age pruning would keep are evaluated
+            # the samples that age pruning would keep are formed and
+            # evaluated.  They are newer than every element, so pruning to
+            # make room for them first keeps what pruning after would.
             samples = sample_ball(current.x, radii.eps, p, rng)
-            for x_s, f_s in newest_finite(samples, ev.f, bundle_cap - 1):
-                bundle.add(BundleElement(x=x_s, f=f_s, g=ev.g(x_s), birth=k))
-            prune_by_age(bundle, bundle_cap)
+            X_s, f_s, G_s = newest_finite(samples, ev.f, ev.g, bundle_cap - 1)
+            prune_by_age(bundle, bundle_cap - f_s.size)
+            bundle.add(BundleElement(x=X_s, f=f_s, g=G_s, birth=k))
 
         try:
             result = compute_direction(bundle, qn, radii.delta, opts)
@@ -148,7 +150,10 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
         nxt = BundleElement(x=ls.x_next, f=ls.f_next, g=ls.g_next, birth=k)
         bundle.set_current(nxt)
         prune_by_distance(bundle, radii.eps, opts.envelope_factor)
-        prune_by_age(bundle, bundle_cap)
+        if p == 0:
+            # with samples, the next iteration's age prune evicts these too,
+            # before anything reads the bundle
+            prune_by_age(bundle, bundle_cap)
 
         s = ls.x_next - current.x
         if float(s @ s) > 0.0:

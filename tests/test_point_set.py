@@ -15,33 +15,73 @@ def _elem(x, birth=0):
     return BundleElement(x=x, f=0.0, g=np.zeros_like(x), birth=birth)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
 def test_sample_ball_zero_radius():
     rng = np.random.default_rng(0)
     x = np.array([1.0, 2.0])
-    for pt in sample_ball(x, 0.0, 5, rng):
-        assert np.allclose(pt, x)
+    sample = sample_ball(x, 0.0, 5, rng)
+    assert len(sample) == 5
+    for pt in sample.points(0, 5).T:
+        assert np.array_equal(pt, x)
 
 
 def test_sample_ball_zero_count():
     rng = np.random.default_rng(0)
-    assert sample_ball(np.zeros(2), 1.0, 0, rng) == []
+    sample = sample_ball(np.zeros(2), 1.0, 0, rng)
+    assert len(sample) == 0 and sample.points(0, 0).shape == (2, 0)
 
 
 def test_sample_ball_within_radius():
     rng = np.random.default_rng(1)
     x = np.array([3.0, -1.0, 0.0])
-    for pt in sample_ball(x, 0.25, 50, rng):
+    for pt in sample_ball(x, 0.25, 50, rng).points(0, 50).T:
         assert np.linalg.norm(pt - x) <= 0.25 + 1e-12
 
 
 def test_sample_ball_radius_distribution():
     # uniform over the disc: P(r <= t) = t^2; Kolmogorov distance below 0.05
     rng = np.random.default_rng(2)
-    pts = sample_ball(np.zeros(2), 1.0, 10_000, rng)
-    radii = np.sort([np.linalg.norm(p) for p in pts])
+    pts = sample_ball(np.zeros(2), 1.0, 10_000, rng).points(0, 10_000)
+    radii = np.sort(np.linalg.norm(pts, axis=0))
     empirical = np.arange(1, radii.size + 1) / radii.size
     assert np.max(np.abs(empirical - radii ** 2)) < 0.05
 
+
+def _reference_ball(x, eps, p, rng):
+    """The sampler point by point: n normals, their norm, one uniform."""
+    points = []
+    for _ in range(p):
+        direction = rng.standard_normal(x.size)
+        norm = np.linalg.norm(direction)
+        if norm == 0.0 or eps == 0.0:
+            points.append(x.copy())
+            continue
+        radius = eps * rng.uniform() ** (1.0 / x.size)
+        points.append(x + (radius / norm) * direction)
+    return np.column_stack(points) if points else np.empty((x.size, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 200])
+@pytest.mark.parametrize("eps", [0.0, 1e-7, 0.3, 5.0])
+@pytest.mark.parametrize("p", [0, 1, 9, 20, 25])
+def test_sample_ball_is_the_point_by_point_stream(n, eps, p):
+    # Every point, and every range of them, is bitwise the reference's, and
+    # the generator ends in the reference's state.
+    seed = [n, p, int(eps * 1e7)]
+    x = np.random.default_rng(seed).uniform(-3.0, 3.0, n)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    sample = sample_ball(x, eps, p, rng)
+    want = _reference_ball(x, eps, p, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    got = sample.points(0, p)
+    assert got.shape == (n, p) and got.flags.f_contiguous
+    assert np.array_equal(_bits(got), _bits(want))
+    for lo, hi in [(0, p // 2), (p // 3, p), (p - 1, p)]:
+        if 0 <= lo <= hi:
+            assert np.array_equal(_bits(sample.points(lo, hi)), _bits(want[:, lo:hi]))
 
 def test_prune_by_distance_removes_far_points():
     cur = _elem([0.0, 0.0])
@@ -119,71 +159,106 @@ def _bundle_state(ps):
             ps._cur, ps.current)
 
 
+def _indexed_sample(p, n, rng):
+    """p points whose first coordinate is their index: factors of 1 on a
+    zero center give the directions themselves."""
+    directions = rng.standard_normal((p, n))
+    directions[:, 0] = np.arange(p)
+    return point_set.BallSample(np.zeros(n), directions, np.ones(p))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_newest_finite_keeps_what_age_pruning_keeps(seed):
-    # Reference: evaluate every sample, add the finite ones, prune by age.
-    # The survivor rule evaluates f only back to the (cap - 1)-th finite
-    # sample, and g only at those it returns; the bundle must come out
-    # identical, columns, values, births and current position alike.
+    # Reference: evaluate every sample, add the finite ones one by one, prune
+    # by age.  The survivor rule evaluates f only back to the (cap - 1)-th
+    # finite sample, and g only at those it returns, and the solver prunes
+    # to cap less their number before it adds them as one block; the bundle
+    # must come out identical, columns, values, births and current position
+    # alike.
     rng = np.random.default_rng(seed)
     n, k, cap = 3, 7, int(rng.integers(2, 7))
     p = int(rng.integers(0, 2 * cap + 2))
     if seed % 4 == 0:
         p = int(rng.integers(0, cap))  # p <= cap - 1: every sample is kept
     sizes = (int(rng.integers(0, cap)), int(rng.integers(0, cap)))
-    samples = [rng.standard_normal(n) for _ in range(p)]
+    sample = _indexed_sample(p, n, rng)
+    samples = list(sample.points(0, p).T)
     finite = rng.uniform(size=p) < rng.choice([0.3, 0.7, 1.0])
     if seed % 3 == 0 and p:
         finite[-min(p, 2):] = False  # the newest draws are out of the domain
-    values = {id(x): (float(x @ x) if ok else np.inf) for x, ok in zip(samples, finite)}
-    gradient = {id(x): 2.0 * x for x in samples}
-    evaluated = []
+    values = np.where(finite, [float(x @ x) for x in samples], np.inf)
+    f_blocks, g_blocks = [], []
 
-    def f(x):
-        evaluated.append(id(x))
-        return values[id(x)]
+    def f(X):
+        f_blocks.append(X[0].astype(int).tolist())
+        return values[X[0].astype(int)]
+
+    def g(X):
+        g_blocks.append(X[0].astype(int).tolist())
+        return 2.0 * X
 
     reference = _sampled_bundle(np.random.default_rng([seed, 1]), n, k, sizes)
-    for x in samples:
-        if np.isfinite(values[id(x)]):
-            reference.add(BundleElement(x=x, f=values[id(x)], g=gradient[id(x)], birth=k))
+    for i, x in enumerate(samples):
+        if finite[i]:
+            reference.add(BundleElement(x=x, f=values[i], g=2.0 * x, birth=k))
     prune_by_age(reference, cap)
 
     ps = _sampled_bundle(np.random.default_rng([seed, 1]), n, k, sizes)
-    kept = newest_finite(samples, f, cap - 1)
-    for x, f_x in kept:
-        ps.add(BundleElement(x=x, f=f_x, g=gradient[id(x)], birth=k))
-    prune_by_age(ps, cap)
+    X, f_X, G = newest_finite(sample, f, g, cap - 1)
+    prune_by_age(ps, cap - f_X.size)
+    ps.add(BundleElement(x=X, f=f_X, g=G, birth=k))
 
     got, want = _bundle_state(ps), _bundle_state(reference)
     for a, b in zip(got[:4], want[:4]):
         assert np.array_equal(a, b)
     assert got[4] == want[4]
     assert got[5].birth == want[5].birth and np.array_equal(got[5].x, want[5].x)
-    # f is evaluated newest first over a suffix of the draws: all of them,
-    # or just enough to end on the (cap - 1)-th finite value
-    assert [id(x) for x, _ in kept] == [id(x) for x in samples
-                                        if np.isfinite(values[id(x)])][-(cap - 1):]
-    suffix = samples[p - len(evaluated):]
-    assert evaluated == [id(x) for x in reversed(suffix)]
-    finite_seen = sum(np.isfinite(values[i]) for i in evaluated)
+    kept = np.flatnonzero(finite)[::-1][:cap - 1][::-1].tolist()
+    assert X[0].tolist() == kept and np.array_equal(f_X, values[kept])
+    assert g_blocks == ([kept] if kept else [])
+    # f is evaluated over a suffix of the draws, newest block first: all of
+    # them, or just enough to end on the (cap - 1)-th finite value
+    evaluated = [i for block in f_blocks for i in block]
+    assert sorted(evaluated) == list(range(p - len(evaluated), p))
+    assert all(block and min(block) > max(older, default=-1)
+               for block, older in zip(f_blocks, f_blocks[1:]))
+    finite_seen = int(finite[evaluated].sum()) if evaluated else 0
     assert len(evaluated) == p or (finite_seen == cap - 1
-                                   and np.isfinite(values[evaluated[-1]]))
+                                   and finite[min(evaluated)])
 
 
 def test_newest_finite_stops_at_the_limit():
-    points = [np.array([float(i)]) for i in range(20)]
+    sample = point_set.BallSample(np.zeros(1), np.ones((20, 1)), np.arange(20.0))
     calls = []
 
-    def f(x):
-        calls.append(float(x[0]))
-        return 0.0 if x[0] != 18 else np.inf
+    def f(X):
+        calls.append(X[0].tolist())
+        return np.where(X[0] != 18, 0.0, np.inf)
 
-    kept = newest_finite(points, f, 9)
-    assert [float(x[0]) for x, _ in kept] == [10.0, 11.0, 12.0, 13.0, 14.0,
-                                               15.0, 16.0, 17.0, 19.0]
-    assert calls == [19.0, 18.0, 17.0, 16.0, 15.0, 14.0, 13.0, 12.0, 11.0, 10.0]
-    assert newest_finite(points, f, 0) == [] and len(calls) == 10
+    X, f_X, G = newest_finite(sample, f, lambda X: 2.0 * X, 9)
+    assert X[0].tolist() == [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 19.0]
+    assert f_X.tolist() == [0.0] * 9 and np.array_equal(G, 2.0 * X)
+    assert calls == [[11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0], [10.0]]
+    X, f_X, G = newest_finite(sample, f, None, 0)
+    assert X.shape == G.shape == (1, 0) and f_X.size == 0 and len(calls) == 2
+
+
+def test_block_add_is_k_single_adds():
+    # One block append writes what k appends of its columns write, across
+    # the doublings of the held blocks.
+    rng = np.random.default_rng(5)
+    n = 4
+    first = _elem(rng.standard_normal(n))
+    one, block = PointSet(first), PointSet(first)
+    for birth, k in enumerate([3, 0, 1, 6], start=1):
+        X, G = np.asfortranarray(rng.standard_normal((n, k))), rng.standard_normal((n, k))
+        f = rng.standard_normal(k)
+        for j in range(k):
+            one.add(BundleElement(x=X[:, j], f=f[j], g=G[:, j], birth=birth))
+        block.add(BundleElement(x=X, f=f, g=G, birth=birth))
+        for a, b in zip(_bundle_state(one)[:5], _bundle_state(block)[:5]):
+            assert np.array_equal(a, b)
+        assert one._f.size == block._f.size
 
 
 def test_bundle_limit_formula():

@@ -136,3 +136,39 @@ def test_cb3_overflow_gives_inf_without_a_warning(name):
             g[:-1] += gi
             g[1:] += gj
             assert np.array_equal(prob.oracle.evaluate_g(x), g)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _block(name, n, k, rng):
+    """k F-ordered columns: random points, then ties and kinks (zeros, equal
+    entries, integers), and for ChainedCB3 a point at which exp overflows."""
+    X = np.asfortranarray(rng.uniform(-3.0, 3.0, (n, k)))
+    special = [np.zeros(n), np.where(np.arange(n) % 2 == 0, 2.0, -2.0),
+               np.round(X[:, 0]), np.full(n, 1.0)]
+    if name.startswith("ChainedCB3"):
+        special.insert(0, np.concatenate([[-400.0, 400.0], X[2:, 0]]))
+    for j, column in zip(range(1, k), special):
+        X[:, j] = column
+    return X
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+@pytest.mark.parametrize("n", [2, 3, 10, 200])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_block_evaluation_is_bitwise_per_column(name, n, k):
+    # One call on a block gives, column for column, the bits of one call per
+    # point, inf values and non-finite gradients included.
+    prob = make_problem(name, n)
+    assert prob.oracle.blocks
+    X = _block(name, n, k, np.random.default_rng([n, k, PROBLEM_NAMES.index(name)]))
+    F, G = prob.oracle.evaluate_f(X), prob.oracle.evaluate_g(X)
+    assert F.shape == (k,) and G.shape == (n, k)
+    for j in range(k):
+        x = X[:, j].copy()
+        assert _bits(prob.oracle.evaluate_f(x)) == _bits(F[j])
+        assert np.array_equal(_bits(prob.oracle.evaluate_g(x)), _bits(G[:, j]))
+    if name.startswith("ChainedCB3") and k > 1:
+        assert F[1] == np.inf and np.isfinite(F[0])

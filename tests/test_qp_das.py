@@ -205,6 +205,61 @@ def test_solve_eqp_matches_reference_on_random_working_sets():
     assert sizes.count(11) >= 3 and sum(t > 11 for t in sizes) >= 10
 
 
+def _eqp_with_every_refinement(st):
+    """``_solve_eqp``'s arithmetic on the factor it left in ``st``, with all
+    three unregularized refinements, and whether one left every bit of the
+    step unchanged."""
+    k, data = st.k, st.data
+    order = st.order[:k]
+    is_omega = order < data.m
+    rhs = np.empty(k + 1)
+    rhs[:k] = np.where(is_omega, data.b[np.minimum(order, data.m - 1)],
+                       -data.delta * st.sign[order])
+    rhs[k] = 1.0
+    L, M = st.L[:, :k + 1], st.H[:k + 1, :k + 1]
+    c = np.ascontiguousarray(L[k, :k])
+    schur = float(c @ c)
+    x0 = np.zeros(k + 1)
+    x0[:k] = st.z[order]
+    rhs -= M @ x0
+
+    def solve(r):
+        y = qp_das._trtrs(L, r, lower=1)[0]
+        y[k] /= -schur
+        return qp_das._trtrs(L, y, lower=1, trans=1)[0]
+
+    step = solve(rhs)
+    residual = rhs - M @ step
+    residual[:k] -= st.reg * step[:k]
+    step += solve(residual)
+    fixed = False
+    for _ in range(3):
+        refined = step + solve(rhs - M @ step)
+        fixed |= refined.tobytes() == step.tobytes()
+        step = refined
+    sol = x0 + step
+    return sol[:k], float(sol[k]), fixed
+
+
+def test_refinement_stops_only_at_a_fixed_point(monkeypatch):
+    # Every pivot's solve is bitwise the one with all three refinements, and
+    # on these instances some pivots reach a fixed point before the third.
+    solve_eqp, fixed = qp_das._solve_eqp, []
+
+    def checked(st):
+        target, u = solve_eqp(st)
+        want, want_u, at_fixed_point = _eqp_with_every_refinement(st)
+        assert target.tobytes() == want.tobytes() and u == want_u
+        fixed.append(at_fixed_point)
+        return target, u
+
+    monkeypatch.setattr(qp_das, "_solve_eqp", checked)
+    for seed, dcase in [(0, "zero"), (0, "half"), (0, "full"), (2, "full")]:
+        qp = generate_qp(10, 30, dcase, seed)
+        assert solve_das(qp.subproblem(), tol=1e-8).kkt_residual <= 1e-8
+    assert len(fixed) > 20 and 0 < sum(fixed) < len(fixed)
+
+
 def test_singular_working_set_targets_the_minimizer_nearest_the_iterate():
     # Columns 0 and 1 are equal with equal b, so every split of the simplex
     # weight between them minimizes on S = {0, 1}.  The proximal term is
