@@ -9,6 +9,9 @@ active-set solver fails, with its primal direction d = -W (G omega + gamma):
 - "gradient_combination": all bundle gradients with a common intercept f_k;
 - "cutting_plane": linearization values b_j = f_j + g_j'(x_k - x_j),
   downshifted to stay below f_k, from the offsets the bundle holds for x_k.
+
+A solver fails when it raises or when its solution's KKT residual is not
+within ``qp_tolerance``; when both fail, ``SubproblemFailure`` is raised.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ def compute_direction(point_set: PointSet, qn: QuasiNewtonState, delta: float,
             sol = solve(data, tol=options.qp_tolerance)
         except _QP_FAILURES as exc:
             failures.append(f"{solver}: {type(exc).__name__}: {exc}")
+            continue
+        if not sol.kkt_residual <= options.qp_tolerance:  # NaN included
+            failures.append(f"{solver}: KKT residual {sol.kkt_residual:.3g} "
+                            f"above {options.qp_tolerance:.3g}")
             continue
         sol.fallback = bool(failures)
         return sol

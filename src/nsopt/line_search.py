@@ -46,15 +46,20 @@ def weak_wolfe(ev, x, f, d, model_norm_sq, opts) -> LineSearchResult:
 
     Expands while decrease holds but curvature fails, bisects on a decrease
     failure.  If the cap is hit, the best decrease-satisfying step seen is
-    returned with the curvature condition abandoned.
+    returned with the curvature condition abandoned.  A search that has
+    found no such step ends once x + alpha d rounds to x itself: every later
+    trial is x again, whose f cannot decrease.
     """
     if model_norm_sq <= 0:
         raise ValueError("descent model norm must be positive")
     lo, hi = 0.0, np.inf
     alpha = opts.ls_initial
     best = None  # (alpha, x_t, f_t, g_t or None), Armijo-satisfying
+    x_bytes = np.asarray(x, dtype=float).tobytes()
     for _ in range(_MAX_UPDATES):
         x_t = x + alpha * d
+        if best is None and x_t.tobytes() == x_bytes:
+            break
         f_t = ev.f(x_t)
         armijo = np.isfinite(f_t) and f_t - f <= -0.5 * opts.ls_decrease * alpha * model_norm_sq
         if not armijo:

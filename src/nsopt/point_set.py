@@ -22,6 +22,14 @@ cutting-plane subproblem reads both, so the point and gradient blocks are
 streamed once per iterate.  Making another element current clears them; an
 added column (a sample or a null-step trial point) is computed on the next
 read, and pruning slices them.
+
+That pass over G also forms every other product with G that the new iterate
+needs, while each block of G is in cache: those of the rows that the
+metric's update brought into B' (``QuasiNewtonState.entering``, handed to
+``set_current``), and, when G'G is held, the new current's row of G'G.
+They are held and sliced like the offsets, and the next
+``gradient_products`` reads them in place of its own passes over G.  A
+column added after the pass gets its products as before.
 """
 
 from __future__ import annotations
@@ -90,6 +98,11 @@ class PointSet:
         self._p_of = (None, None)
         # q and r of the leading columns for the current iterate
         self._q = self._r = np.zeros(0)
+        # the rows that the next offsets pass forms products with, set by
+        # ``set_current``, and those products over the leading columns, each
+        # as (the metric's tag, whether the last row is the current's
+        # gradient, the rows or their products)
+        self._pass_rows = self._pass_products = None
         self.set_current(current)
 
     def __len__(self) -> int:
@@ -115,11 +128,25 @@ class PointSet:
         self._f[m:m + k], self._birth[m:m + k] = element.f, element.birth
         self._m = m + k
 
-    def set_current(self, element: BundleElement) -> None:
-        """Append ``element`` and make it the current iterate."""
+    def set_current(self, element: BundleElement,
+                    entering: tuple[int, np.ndarray] | None = None) -> None:
+        """Append ``element`` and make it the current iterate.
+
+        ``entering`` is what the metric's ``entering`` returned after its
+        update to this iterate: when a P is held, the next offsets pass
+        forms the products of its rows with every column, for
+        ``gradient_products``, as it does the new current's row of G'G when
+        G'G is held.
+        """
         self.add(element)
         self.current, self._cur = element, self._m - 1
         self._q = self._r = np.zeros(0)
+        tag, rows = None, [element.g[None]] if len(self._gtg) else []
+        if entering is not None and self._p_of[0] is not None:
+            tag, rows = entering[0], [entering[1], *rows]
+        self._pass_rows = ((tag, len(self._gtg) > 0, np.vstack(rows))
+                           if rows else None)
+        self._pass_products = None
 
     def _view(self, name: str) -> np.ndarray:
         view = getattr(self, name)[..., :self._m]
@@ -145,20 +172,38 @@ class PointSet:
         with the k columns added since the previous call, O(n m k) instead
         of O(n m^2).  The metric brings the held P up to date after its
         updates and forms its new columns (``QuasiNewtonState.follow``);
-        another state than last time gets all of P formed again.
+        another state than last time gets all of P formed again.  Products
+        that the offsets pass formed since the current iterate was set are
+        read in place of passes over G, and then dropped.
         """
-        G, c = self.gradients(), qn.scale
+        G = self.gradients()
+        owner, since = self._p_of
+        entering = gtg_row = None
+        if self._pass_products is not None:
+            tag, has_gtg_row, products = self._pass_products
+            if has_gtg_row:
+                products, gtg_row = products[:-1], products[-1]
+            if len(products):
+                entering = (tag, products)
+        self._pass_rows = self._pass_products = None
+        P = self._p = qn.follow(self._p if qn is owner else None, since, G,
+                                entering)
+        self._p_of = (qn, qn.version)
+        c = qn.scale
         m, k = G.shape[1], len(self._gtg)
         if c and k < m:  # G'WG reads G'G only when c is not 0
             new = np.arange(k, m)
             gtg = np.empty((m, m))
             gtg[:k, :k] = self._gtg
-            gtg[new] = G[:, new].T @ G
-            gtg[:, new] = gtg[new].T
+            # the current column is new, and the pass formed its row
+            formed = new if gtg_row is None else new[new != self._cur]
+            if formed.size:
+                gtg[formed] = G[:, formed].T @ G
+                gtg[:, formed] = gtg[formed].T
+            if gtg_row is not None:
+                gtg[self._cur, :gtg_row.size] = gtg_row
+                gtg[:gtg_row.size, self._cur] = gtg_row
             self._gtg = gtg
-        owner, since = self._p_of
-        P = self._p = qn.follow(self._p if qn is owner else None, since, G)
-        self._p_of = (qn, qn.version)
         view = P.view()
         view.flags.writeable = False
         return G, self._gtg if c else None, view
@@ -170,13 +215,19 @@ class PointSet:
 
         Only columns added since the previous call are computed, in blocks
         of ``_BLOCK_BYTES``.  Each entry is the dot product of one column
-        pair, which sums as the per-column ``@`` does.
+        pair, which sums as the per-column ``@`` does.  The first call after
+        ``set_current`` also forms the products of the rows it was handed
+        with each block of G (see the module docstring).
         """
         m, k = self._m, self._q.size
         if k < m:
             x = self.current.x
             q, r = np.empty(m), np.empty(m)
             q[:k], r[:k] = self._q, self._r
+            due, self._pass_rows = self._pass_rows, None
+            if due is not None:
+                rows = due[2]
+                products = np.empty((len(rows), m))
             width = max(1, _BLOCK_BYTES // (8 * x.size))
             dx = np.empty((x.size, min(width, m - k)), order="F")
             for lo in range(k, m, width):
@@ -185,7 +236,11 @@ class PointSet:
                 np.subtract(x[:, None], self._X[:, lo:hi], out=part)
                 np.vecdot(part, part, axis=0, out=q[lo:hi])
                 np.vecdot(self._G[:, lo:hi], part, axis=0, out=r[lo:hi])
+                if due is not None:
+                    products[:, lo:hi] = rows @ self._G[:, lo:hi]
             self._q, self._r = q, r
+            if due is not None:
+                self._pass_products = (*due[:2], products)
         return self._q, self._r
 
     def _keep(self, keep: np.ndarray) -> None:
@@ -212,6 +267,9 @@ class PointSet:
         self._p = self._p[:, keep[keep < self._p.shape[1]]]
         held = keep[keep < self._q.size]
         self._q, self._r = self._q[held], self._r[held]
+        if self._pass_products is not None:
+            *meta, products = self._pass_products
+            self._pass_products = (*meta, products[:, keep[keep < products.shape[1]]])
 
 
 def sample_ball(x_k: np.ndarray, eps: float, p: int, rng: np.random.Generator) -> BallSample:

@@ -17,8 +17,15 @@ Both storages hold W as c I + B M B', and this module alone knows which:
 
 A holder of P = B'G keeps it up to date with ``follow``: a full-storage
 update adds b (a'G) to it, O(n m), and its limited-storage rows follow the
-pair window by position (``window_shift``).  A dense W, exactly symmetric,
-and H are formed on request.
+pair window by position (``window_shift``).  The rows of a pair that enters
+the window are the only ones that need a pass over G: ``entering`` names
+them, so that a holder which streams G anyway (the bundle's offsets pass)
+can form their products on the way and hand them to ``follow``.  Psi'g for
+the holder's new columns and the Psi'psi that the Gram matrix Psi'Psi
+lacks for entering pairs come from one product with Psi.  A step W r for
+r = G omega takes M B'r = (M P) omega from the M P of the subproblem's
+G'WG (``model``), so it makes no product with B' and no solve with M.  A
+dense W, exactly symmetric, and H are formed on request.
 """
 
 from __future__ import annotations
@@ -294,8 +301,19 @@ class QuasiNewtonState:
             self._row_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", J, J))))
         return self._row_bound
 
-    def follow(self, P: np.ndarray | None, since: int,
-               G: np.ndarray) -> np.ndarray:
+    def entering(self) -> tuple[int, np.ndarray] | None:
+        """The rows of B' that the newest update brought in, as the version
+        they belong to and a new C-ordered block of them, for ``follow``'s
+        ``entering``: under limited storage the rows a' and b' of the
+        entering pair.  None under full storage, whose update ``follow``
+        carries with a product of its own, and for an empty history."""
+        if self.storage == "full" or not self._h:
+            return None
+        start, h = self._psi_start, self._h
+        return self.version, self._psi_rows[[start + h - 1, start + 2 * h - 1]]
+
+    def follow(self, P: np.ndarray | None, since: int, G: np.ndarray,
+               entering: tuple[int, np.ndarray] | None = None) -> np.ndarray:
         """B'G for every column of G, given the P = B'G of its first k
         columns that was formed at version ``since`` (None: none held).
 
@@ -304,25 +322,31 @@ class QuasiNewtonState:
         assignment to W, every column is formed again.  Limited storage
         keeps the rows of the pairs that stayed in the window
         (``window_shift``) and forms those of entering pairs; a P of an
-        empty history is formed again.  Each later column costs one B'g.
+        empty history is formed again.  ``entering`` is (version, E), E the
+        products with G's first k or more columns of the rows that
+        ``entering()`` named at that version; when that is the one update
+        since P was formed, E gives the entering rows and G is not read for
+        them.  Each later column costs one B'g.
         """
         m, k = G.shape[1], 0 if P is None else P.shape[1]
         if k and since != self.version:
-            P = self._carry(P, since, G)
+            P = self._carry(P, since, G, entering)
             k = 0 if P is None else k
         if k == m:
             return P
         if not k:
-            return self.apply_Bt(G)
+            return self._bt_new(G)
         # the layout of apply_Bt's result, so that products with P sum in
         # one order however P was formed
         order = "F" if self.storage == "full" else "C"
         out = np.empty((P.shape[0], m), order=order)
         out[:, :k] = P
-        out[:, k:] = self.apply_Bt(G[:, k:])
+        out[:, k:] = self._bt_new(G[:, k:])
         return out
 
-    def _carry(self, P: np.ndarray, since: int, G: np.ndarray) -> np.ndarray | None:
+    def _carry(self, P: np.ndarray, since: int, G: np.ndarray,
+               entering: tuple[int, np.ndarray] | None = None
+               ) -> np.ndarray | None:
         """``follow``'s P brought from version ``since`` to the current one,
         or None when it cannot be."""
         k = P.shape[1]
@@ -337,11 +361,22 @@ class QuasiNewtonState:
                                        self._window(self.version))
         out = np.empty((2 * self._h, k))
         out[dst] = P[src]
-        # over every column of G in one product, not over the k held ones:
-        # a product with one column is a matrix-vector product, which sums
-        # in another order than a matrix product
-        out[fresh] = (self._basis()[:, fresh].T @ G)[:, :k]
+        if (entering is not None and entering[0] == self.version
+                and since == self.version - 1):
+            out[fresh] = entering[1][:, :k]
+        else:
+            # over every column of G in one product, not over the k held
+            # ones: a product with one column is a matrix-vector product,
+            # which sums in another order than a matrix product
+            out[fresh] = (self._basis()[:, fresh].T @ G)[:, :k]
         return out
+
+    def _bt_new(self, A: np.ndarray) -> np.ndarray:
+        """B'A for a holder's new columns A; under limited storage formed
+        with the Gram matrix's entering rows (``_sync_gram``)."""
+        if self.storage == "full" or not self._h:
+            return self.apply_Bt(A)
+        return np.ascontiguousarray(self._sync_gram(A))
 
     # -- limited storage: compact representation ---------------------------
 
@@ -373,6 +408,27 @@ class QuasiNewtonState:
         rows[start + h], rows[start + 2 * h] = a, b
         self._psi_start = start + 1
 
+    def _sync_gram(self, A: np.ndarray | None = None) -> np.ndarray | None:
+        """Bring the Gram matrix Psi'Psi to the current window, and return
+        Psi'A when A is given.  The rows of pairs that stayed are kept; the
+        Psi'psi of entering pairs and Psi'A are one product with Psi."""
+        psi, window = self._basis(), self._window(self.version)
+        if window == self._gram_window:
+            return None if A is None else psi.T @ A
+        src, dst, fresh = window_shift(self._gram_window, window)
+        f = fresh.size
+        X = np.empty((self.n, f + (0 if A is None else A.shape[1])), order="F")
+        X[:, :f] = psi[:, fresh]
+        if A is not None:
+            X[:, f:] = A
+        product = psi.T @ X
+        gram = np.empty((psi.shape[1], psi.shape[1]))
+        gram[np.ix_(dst, dst)] = self._gram[np.ix_(src, src)]
+        gram[fresh] = product[:, :f].T
+        gram[:, fresh] = gram[fresh].T
+        self._gram, self._gram_window = gram, window
+        return None if A is None else product[:, f:]
+
     def _form(self, which: str) -> _CompactForm | None:
         """Compact W or H of the stored pairs; None while the history is empty.
 
@@ -382,16 +438,9 @@ class QuasiNewtonState:
         if not self._h:
             return None
         if which not in self._forms:
-            window, psi = self._window(self.version), self._basis()
-            if window != self._gram_window:
-                src, dst, fresh = window_shift(self._gram_window, window)
-                gram = np.empty((psi.shape[1], psi.shape[1]))
-                gram[np.ix_(dst, dst)] = self._gram[np.ix_(src, src)]
-                gram[fresh] = psi[:, fresh].T @ psi
-                gram[:, fresh] = gram[fresh].T
-                self._gram, self._gram_window = gram, window
+            self._sync_gram()
             inverse = (which == "W") == (self.mode == "BFGS")
-            self._forms[which] = _CompactForm(psi, self._gram, inverse)
+            self._forms[which] = _CompactForm(self._basis(), self._gram, inverse)
         return self._forms[which]
 
     def _basis(self) -> np.ndarray:
@@ -448,21 +497,26 @@ class QuasiNewtonState:
         form = self._form("W") if self.storage == "limited" else None
         return P if form is None else form.middle(P)
 
-    def model(self, r: np.ndarray, bt_r: np.ndarray | None = None):
+    def model(self, r: np.ndarray, mbt_r: np.ndarray | None = None):
         """W r for a model vector r, and the hint that ``update`` takes for
         a step along -W r.
 
-        Full storage forms W r as J (J'r), one product with J when the
-        caller gives J'r as ``bt_r``, and the hint is J'r.  Limited storage
-        applies its compact form to r, through Psi'r, and gives no hint.
+        W r = c r + B (M B'r), with one product with B when the caller
+        gives M B'r as ``mbt_r``.  Under full storage M = I, so that is J'r,
+        and the hint is J'r.  Limited storage gives no hint, and without
+        ``mbt_r`` applies its compact form to r, through Psi'r.
         """
         r = np.asarray(r, dtype=float)
         if self.storage == "limited":
             form = self._form("W")
-            return (r.copy() if form is None else form.apply(r)), None
-        if bt_r is None:
-            bt_r = self.apply_Bt(r)
-        return self.apply_B(bt_r), bt_r
+            if form is None:
+                return r.copy(), None
+            if mbt_r is None:
+                return form.apply(r), None
+            return form.scale * r + form.psi @ mbt_r, None
+        if mbt_r is None:
+            mbt_r = self.apply_Bt(r)
+        return self.apply_B(mbt_r), mbt_r
 
     def apply_W(self, r: np.ndarray) -> np.ndarray:
         return self.model(r)[0]

@@ -137,6 +137,16 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
             if not added:
                 termination = "line_search_failure"
                 break
+            # a null step leaves f as it is, which the stall counter counts
+            stall.observe(current.f, current.f)
+            if stall.count >= opts.n_f:
+                radii, stationary = update_radii(radii, result.inf_norms, True,
+                                                 opts.eps_min)
+                if stationary:
+                    termination = "stationary"
+                    break
+                stall.count = 0
+                prune_by_distance(bundle, radii.eps, opts.envelope_factor)
             continue
         null_steps = 0
 
@@ -147,15 +157,8 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
             stall.count = 0
         radii = new_radii
 
-        nxt = BundleElement(x=ls.x_next, f=ls.f_next, g=ls.g_next, birth=k)
-        bundle.set_current(nxt)
-        prune_by_distance(bundle, radii.eps, opts.envelope_factor)
-        if p == 0:
-            # with samples, the next iteration's age prune evicts these too,
-            # before anything reads the bundle
-            prune_by_age(bundle, bundle_cap)
-
         s = ls.x_next - current.x
+        entering = None
         if float(s @ s) > 0.0:
             if result.hint is not None:
                 # An update given a hint reads the step's direction off it,
@@ -165,6 +168,18 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
                 s = ls.alpha * result.d
             _, v = damp(s, ls.g_next - current.g, opts.eta, opts.psi)
             qn.update(s, v, result.hint)
+            entering = qn.entering()
+
+        # the update reads nothing of the bundle, so it comes first: the
+        # offsets pass of distance pruning then forms the products with G of
+        # the rows that it brought into the metric
+        nxt = BundleElement(x=ls.x_next, f=ls.f_next, g=ls.g_next, birth=k)
+        bundle.set_current(nxt, entering)
+        prune_by_distance(bundle, radii.eps, opts.envelope_factor)
+        if p == 0:
+            # with samples, the next iteration's age prune evicts these too,
+            # before anything reads the bundle
+            prune_by_age(bundle, bundle_cap)
         current = nxt
         f_history.append(current.f / scale)
 

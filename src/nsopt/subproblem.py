@@ -11,13 +11,15 @@ was formed from, and the KKT residual read off d.  The residual and the
 search direction read d instead of applying W again.
 
 For the metric W = c I + B M B' (``QuasiNewtonState``) both products are
-formed from G'G and P = B'G, which the bundle carries across metric updates:
-G'WG = c G'G + P'MP and W G = c G + B M P.  Under full storage, W = J J', c
-is 0 and G'WG = P'P is a Gram matrix, which cannot be indefinite beyond its
-rounding.  A step is W m for m = G omega + gamma, from B'm = P omega + B'gamma
-(``model_step``).  W G and a dense W are formed only on request, once
-each: by a gamma entering the active set, the interior-point full path, or
-a test.
+formed from G'G and P = B'G, which the bundle carries across metric updates,
+and M P, formed once per subproblem: G'WG = c G'G + P'(M P) and W G =
+c G + B (M P).  Under full storage, W = J J', c is 0, M P is P itself and
+G'WG = P'P is a Gram matrix, which cannot be indefinite beyond its rounding.
+A step is W m = c m + B (M B'm) for m = G omega + gamma, from the same M P:
+M B'm = (M P) omega + M B'gamma (``model_step``), so a step with gamma = 0
+makes no product with B' and, under limited storage, no solve with M.  W G
+and a dense W are formed only on request, once each: by a gamma entering
+the active set, the interior-point full path, or a test.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ class SubproblemData:
     # match the metric at construction and is formed when not given
     gtg: np.ndarray | None = field(default=None, repr=False)
     bt_g: np.ndarray | None = field(default=None, repr=False)
+    _mp: np.ndarray | None = field(default=None, repr=False)
     _wg: np.ndarray | None = field(default=None, repr=False)
     _gtwg: np.ndarray | None = field(default=None, repr=False)
     _w: np.ndarray | None = field(default=None, repr=False)
@@ -100,11 +103,19 @@ class SubproblemData:
         return self._wg is not None
 
     @property
+    def mp(self) -> np.ndarray:
+        """M P, which G'WG, W G and every step read; P itself under full
+        storage."""
+        if self._mp is None:
+            self._mp = self.qn.apply_M(self.bt_g)
+        return self._mp
+
+    @property
     def wg(self) -> np.ndarray:
         """W G = c G + B M P."""
         if self._wg is None:
             qn, c = self.qn, self.qn.scale
-            self._wg = qn.apply_B(qn.apply_M(self.bt_g))
+            self._wg = qn.apply_B(self.mp)
             if c:
                 self._wg += c * self.G
         return self._wg
@@ -126,8 +137,8 @@ class SubproblemData:
         matrix, so the product is symmetrized to keep the two consistent.
         """
         if self._gtwg is None:
-            qn, c, P = self.qn, self.qn.scale, self.bt_g
-            K = P.T @ qn.apply_M(P)
+            c = self.qn.scale
+            K = self.bt_g.T @ self.mp
             if c:
                 if self.gtg is None:
                     self.gtg = self.G.T @ self.G
@@ -138,14 +149,16 @@ class SubproblemData:
     def model_step(self, omega: np.ndarray, gamma: np.ndarray | None = None):
         """W m for the model vector m = G omega + gamma, with G omega and the
         hint that the metric update takes (see ``QuasiNewtonState.model``).
-        B'm is formed as P omega + B'gamma, with no product with W G."""
+        M B'm is formed as (M P) omega + M B'gamma, with no product with W
+        G."""
+        qn = self.qn
         g_omega = self.G @ omega
-        model, bt_m = g_omega, self.bt_g @ omega
+        model, mbt_m = g_omega, self.mp @ omega
         if gamma is not None:
             model = g_omega + gamma
             if gamma.any():
-                bt_m += self.qn.apply_Bt(gamma)
-        wm, hint = self.qn.model(model, bt_m)
+                mbt_m += qn.apply_M(qn.apply_Bt(gamma))
+        wm, hint = qn.model(model, mbt_m)
         return wm, g_omega, hint
 
     def solution(self, solver: str, omega: np.ndarray, gamma: np.ndarray,

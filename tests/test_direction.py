@@ -109,6 +109,51 @@ def test_failed_solver_hands_the_subproblem_to_the_other(monkeypatch, m):
         compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
 
 
+def _inaccurate(solve, residual):
+    """``solve`` whose solutions report the KKT residual ``residual``."""
+    def inaccurate(data, tol):
+        sol = solve(data, tol=tol)
+        sol.kkt_residual = residual
+        return sol
+    return inaccurate
+
+
+@pytest.mark.parametrize("residual", [2e-8, 1.0, np.inf, np.nan])
+def test_solution_above_the_qp_tolerance_is_a_failure(monkeypatch, residual):
+    # A solver whose solution's KKT residual is not within qp_tolerance
+    # (1e-8) has failed the subproblem, as one that raises has: the DAS's
+    # goes to the IPM, and when both are out, SubproblemFailure names both.
+    rng = np.random.default_rng(3)
+    n = 5
+    ps = _bundle([(rng.standard_normal(n), 1.0, 2.0 + rng.standard_normal(n))
+                  for _ in range(10)])
+    opts = SolverOptions(strategy="cutting_plane")
+    clean = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
+    assert clean.solver == "das" and clean.kkt_residual <= opts.qp_tolerance
+    monkeypatch.setattr(direction, "solve_das", _inaccurate(solve_das, residual))
+    res = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
+    assert res.solver == "ipm" and res.fallback
+    assert res.kkt_residual <= opts.qp_tolerance
+    assert np.allclose(res.d, clean.d, atol=1e-6)
+    monkeypatch.setattr(direction, "solve_ipm", _inaccurate(solve_ipm, residual))
+    with pytest.raises(SubproblemFailure,
+                       match="das: KKT residual .* above 1e-08; "
+                             "ipm: KKT residual .* above 1e-08"):
+        compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
+
+
+def test_solution_at_the_qp_tolerance_is_kept(monkeypatch):
+    rng = np.random.default_rng(3)
+    n = 5
+    ps = _bundle([(rng.standard_normal(n), 1.0, 2.0 + rng.standard_normal(n))
+                  for _ in range(10)])
+    opts = SolverOptions(strategy="cutting_plane")
+    monkeypatch.setattr(direction, "solve_das",
+                        _inaccurate(solve_das, opts.qp_tolerance))
+    res = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
+    assert res.solver == "das" and not res.fallback
+
+
 def test_finalize_metric_application():
     # d = -W(G omega + gamma) through a non-identity metric, from the
     # gradient shortcut and from a DAS solve of the same subproblem
@@ -234,9 +279,9 @@ def _count_w_products(monkeypatch):
     calls = []
     model = QuasiNewtonState.model
 
-    def counted(self, r, bt_r=None):
+    def counted(self, r, mbt_r=None):
         calls.append(1)
-        return model(self, r, bt_r)
+        return model(self, r, mbt_r)
 
     monkeypatch.setattr(QuasiNewtonState, "model", counted)
     return calls

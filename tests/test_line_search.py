@@ -85,3 +85,34 @@ def test_evaluation_counters_reported():
     backtracking_armijo(ev, np.array([1.0]), 1.0, np.array([-3.0]), 1.0, opts)
     assert ev.function_evaluations == 2
     assert ev.gradient_evaluations == 1
+
+
+def test_weak_wolfe_failure_ends_where_the_trial_rounds_to_x():
+    # An ascent direction, so every trial fails sufficient decrease and
+    # alpha halves: trial j is x + 2^-j d, which rounds to x itself from
+    # j = 44 on (|d| = 1e-3 at x = 1).  The search evaluates f at the trials
+    # before that, none of them x, and raises as the search over all 60
+    # trials did.
+    seen = []
+    ev = _ev(lambda x: seen.append(x.copy()) or float(x[0]),
+             lambda x: np.ones(1))
+    x, d = np.array([1.0]), np.array([1e-3])
+    with pytest.raises(LineSearchError):
+        weak_wolfe(ev, x, 1.0, d, 1.0, SolverOptions())
+    trials = [x + 0.5 ** j * d for j in range(60)]
+    moved = [t for t in trials if t[0] != x[0]]
+    assert len(moved) == 44 and all(t[0] == x[0] for t in trials[44:])
+    assert ev.function_evaluations == len(seen) == 44
+    assert np.array_equal(np.concatenate(seen), np.concatenate(moved))
+
+
+def test_weak_wolfe_keeps_bisecting_once_a_step_decreases():
+    # Only a search that has found no decrease ends at x: with a decreasing
+    # step at hand (here the first, whose curvature fails), the search goes
+    # on to its cap and returns that step.
+    ev = _ev(lambda x: -float(x[0]) if x[0] <= 1.0 else 5.0,
+             lambda x: -np.ones(1))
+    res = weak_wolfe(ev, np.array([0.0]), 0.0, np.array([1.0]), 1.0,
+                     SolverOptions())
+    assert res.alpha == 1.0 and res.f_next == -1.0
+    assert ev.function_evaluations == 60

@@ -8,6 +8,7 @@ from nsopt.options import SolverOptions
 from nsopt.point_set import (BundleElement, PointSet, newest_finite,
                              prune_by_age, prune_by_distance, sample_ball)
 from nsopt.quasi_newton import QuasiNewtonState, damp
+from nsopt.subproblem import SubproblemData
 
 
 def _elem(x, birth=0):
@@ -476,8 +477,8 @@ def test_carried_factor_products_follow_a_cutting_plane_run(monkeypatch):
         assert np.max(np.abs(jtg - fresh)) <= 1e-12 * np.max(np.abs(fresh))
         return G, gtg, jtg
 
-    def counted(self, P, since, G):
-        out = carry(self, P, since, G)
+    def counted(self, P, since, G, *entering):
+        out = carry(self, P, since, G, *entering)
         carried.append(out is not None)
         return out
 
@@ -527,3 +528,122 @@ def test_factor_products_follow_columns_updates_and_states():
         assert not jtg.flags.writeable
         widest = max(widest, len(ps))
     assert widest > 8 and all(state.version > 3 for state in states)
+
+
+@pytest.mark.parametrize("mode", ["BFGS", "DFP"])
+def test_limited_products_ride_the_offsets_pass(monkeypatch, mode):
+    # A seeded walk in the solver's order under limited storage: a metric
+    # update (none, one or two), a new current handed the rows the update
+    # brought in, the offsets pass (mostly), prunes, columns added after the
+    # pass (samples, null-step trials), then the subproblem.  Over more
+    # than 120 updates with a window of 3, which wrap the row buffer of
+    # Psi' many times, the held P = Psi'G, G'G, the Gram matrix Psi'Psi,
+    # G'WG and the step W (G omega + gamma) from the held M P match forms
+    # from scratch, and the entering rows' products came from the pass
+    # whenever it ran after the one update since the last subproblem.
+    rng = np.random.default_rng(21)
+    n = 9
+    qn = QuasiNewtonState(n, mode=mode, storage="limited", history_limit=3)
+    carry, rode = QuasiNewtonState._carry, []
+
+    def watched(self, P, since, G, entering=None):
+        rode.append(entering is not None and entering[0] == self.version
+                    and since == self.version - 1)
+        return carry(self, P, since, G, entering)
+
+    monkeypatch.setattr(QuasiNewtonState, "_carry", watched)
+
+    def elem(birth):
+        return BundleElement(x=rng.standard_normal(n), f=0.0,
+                             g=rng.standard_normal(n), birth=birth)
+
+    ps = PointSet(elem(0))
+    ps.gradient_products(qn)
+    expected_rides = 0
+    for k in range(1, 150):
+        entering = None
+        updates = rng.choice([0, 1, 1, 1, 1, 2])
+        for _ in range(updates):
+            s = rng.standard_normal(n)
+            qn.update(s, damp(s, rng.standard_normal(n), 0.5, 2.0)[1])
+            entering = qn.entering()
+        ps.set_current(elem(k), entering)
+        passed = rng.integers(4) > 0
+        if passed:
+            q = ps.offsets()[0]
+            prune_by_distance(ps, float(np.quantile(np.sqrt(q), 0.9)), 1.0)
+        if rng.integers(3) == 0:
+            prune_by_age(ps, int(rng.integers(2, 12)))
+        if rng.integers(3) == 0:
+            for _ in range(rng.integers(1, 4)):
+                ps.add(elem(k))
+        expected_rides += bool(passed and updates == 1 and qn.version > 1)
+        G, gtg, P = ps.gradient_products(qn)
+        G = np.array(G)
+        psi = _reference_basis(qn)
+        assert np.allclose(P, psi.T @ G, rtol=0.0,
+                           atol=1e-13 * np.max(np.abs(psi.T @ G)))
+        assert np.allclose(gtg, G.T @ G, rtol=0.0,
+                           atol=1e-13 * np.max(np.abs(G.T @ G)))
+        assert np.allclose(qn._gram, psi.T @ psi, rtol=0.0,
+                           atol=1e-13 * np.max(np.abs(psi.T @ psi)))
+        # the step from the held M P against a state formed afresh
+        fresh = QuasiNewtonState(n, mode=mode, storage="limited",
+                                 history_limit=qn.history_limit)
+        for s, v in qn.pairs:
+            fresh.update(s, v)
+        data = SubproblemData(G=G, b=np.zeros(G.shape[1]), delta=1.0, qn=qn,
+                              gtg=gtg, bt_g=P)
+        omega = rng.dirichlet(np.ones(G.shape[1]))
+        for gamma in (np.zeros(n), rng.standard_normal(n)):
+            want = fresh.apply_W(G @ omega + gamma)
+            got = data.model_step(omega, gamma)[0]
+            assert np.allclose(got, want, rtol=0.0,
+                               atol=1e-11 * np.max(np.abs(want)))
+        want = G.T @ fresh.apply_W_matrix(G)
+        assert np.allclose(data.gtwg, want, rtol=0.0,
+                           atol=1e-11 * np.max(np.abs(want)))
+    assert qn.version > 40 * qn.history_limit
+    assert sum(rode) == expected_rides > 60
+
+
+def test_rows_ride_only_the_first_pass_after_set_current():
+    # The rows handed to set_current are formed with G by the offsets pass
+    # that follows, over every column then in the bundle; the pass is the
+    # one that recomputes the offsets, and a subproblem read drops its
+    # products.  Under full storage nothing rides.
+    rng = np.random.default_rng(22)
+    n = 6
+    full, limited = (QuasiNewtonState(n, storage=s) for s in ("full", "limited"))
+    for qn in (full, limited):
+        s = rng.standard_normal(n)
+        qn.update(s, damp(s, rng.standard_normal(n), 0.5, 2.0)[1])
+    assert full.entering() is None
+    version, rows = limited.entering()
+    assert version == limited.version and rows.flags.c_contiguous
+    assert np.array_equal(rows, _reference_basis(limited).T)
+    ps = PointSet(_elem(rng.standard_normal(n)))
+    ps.set_current(_elem(rng.standard_normal(n)), limited.entering())
+    assert ps._pass_rows is None  # no P held: nothing to carry
+    for j in range(4):
+        ps.add(BundleElement(x=rng.standard_normal(n), f=0.0,
+                             g=rng.standard_normal(n), birth=j + 1))
+    ps.gradient_products(limited)  # holds G'G: the current's row rides too
+    cur = BundleElement(x=rng.standard_normal(n), f=0.0,
+                        g=rng.standard_normal(n), birth=5)
+    ps.set_current(cur, limited.entering())
+    ps.offsets()
+    tag, has_gtg_row, products = ps._pass_products
+    G = np.array(ps.gradients())
+    assert tag == limited.version and has_gtg_row
+    assert np.allclose(products, np.vstack([rows, cur.g]) @ G, rtol=1e-14)
+    m = len(ps)
+    ps.add(BundleElement(x=rng.standard_normal(n), f=0.0,
+                         g=rng.standard_normal(n), birth=6))
+    ps.offsets()  # the new column's offsets only: nothing rides again
+    assert ps._pass_products[2].shape == (3, m)
+    ps.gradient_products(limited)
+    assert ps._pass_products is None and ps._pass_rows is None
+    ps.set_current(cur)  # no update: only the current's row of G'G rides
+    assert ps._pass_rows[:2] == (None, True) and ps._pass_rows[2].shape == (1, n)
+    assert PointSet(cur)._pass_rows is None  # no G'G held: nothing rides

@@ -303,7 +303,10 @@ def _per_column_build(point_set, qn, delta, strategy):
 
 
 def _per_column_prune(point_set, eps_next, envelope_factor):
-    """``prune_by_distance`` with one norm per column."""
+    """``prune_by_distance`` with one norm per column.  The bundle's offsets
+    pass also forms the products that the metric's entering rows and G'G
+    read, so it runs as it would, and its q is not read."""
+    point_set.offsets()
     limit = envelope_factor * eps_next
     X, cur, x = point_set.X, point_set._cur, point_set.current.x
     point_set._keep(np.array([j for j in range(X.shape[1]) if j == cur
