@@ -11,8 +11,11 @@ set: 1 on the support S of omega, -1 or +1 on a free gamma, 0 at a bound.
 Each pivot solves the bordered equality-constrained KKT system on the
 working set and steps toward its solution.  The first index to block the
 step (S in entry order, then the free gammas ascending) is dropped.  An
-unblocked step prices every other index in one violation vector and adds
-the most violated, omega first on a tie.  Every solve starts cold from the
+unblocked step prices in two stages: the omega indices outside the working
+set, adding the most violated, and only when none of them violates, the
+gammas outside it, adding the most violated of those.  A dual active-set
+method needs some violated index at each pivot, not the most violated over
+every index (Goldfarb & Idnani 1983).  Every solve starts cold from the
 column with the smallest diagonal of G'WG.
 
 Pricing takes omega_j's condition, (G'WG omega + G'W gamma)_j - b_j - u,
@@ -23,16 +26,9 @@ eps |G|'|W G| omega: 2e-8 on a bundle under a metric with eigenvalues from
 working-set target was negative, dropped it at once and cycled to its pivot
 cap.  The gammas' condition delta - |W (G omega + gamma)| reads the
 subproblem's W G once it holds one, which it does once a gamma enters the
-working set, whose bordered solve needs its rows.  Until then the omega
-indices are priced first when no gamma can violate: |(W m)_i| <=
-|F_i| sqrt(m'Wm) for the rows F_i of a factor W = F F' (Cauchy-Schwarz),
-m'Wm = omega'G'WG omega, so a bound on the row norms (the metric's
-``row_norm_bound``, under either storage) under which this is at most delta
-shows that pricing everything would add the same omega index.  A pivot at
-which an omega index violates then makes no W-vector product, and one at
-which none does makes one, W (G omega).  When the bound does not hold, W G
-is formed and priced from, as when a gamma is free.  Inside the outer
-solver delta is at least 1e10 |g|, so the bound holds there.  The step
+working set, whose bordered solve needs its rows.  Until then it reads one
+W-vector product, W (G omega), so a pivot at which an omega index violates
+makes no W-vector product and one at which none does makes one.  The step
 d = -W (G omega + gamma) is the last of these products, not another product
 with W, and the solution (``SubproblemData.solution``) keeps the G omega
 that product was made from and the hint that the metric update takes; a
@@ -42,9 +38,9 @@ the end.
 Anti-cycling: each working-set solve carries a tiny proximal term centred on
 the current iterate, so when the working-set minimizer is not unique the
 target is the one nearest the iterate, and a newly added index does not get
-a target on the wrong side of its bound.  Every index outside the working
-set is priced at every unblocked pivot, and the solver stops only when none
-of them violates its optimality condition by more than ``_PRICING * tol``.
+a target on the wrong side of its bound.  The solver stops only at an
+unblocked pivot at which no index outside the working set violates its
+optimality condition by more than ``_PRICING * tol``.
 Near a stationary point |d| is about 1e-6, and an index left violating its
 condition by a few 1e-9 can move d by its own length; pricing is therefore
 finer than the tenth of ``tol`` to which the interior-point core runs.
@@ -247,15 +243,6 @@ def _init_state(data: SubproblemData) -> DasState:
     return DasState(data, int(np.argmin(np.diag(data.gtwg))))
 
 
-def _no_gamma_violates(data: SubproblemData, mwm: float) -> bool:
-    """Whether |W m| <= delta is certain for the model m = G omega with
-    m'Wm = ``mwm``: first from the metric's held bound on its row norms,
-    then from their exact values."""
-    qn, limit, mwm = data.qn, data.delta ** 2, max(mwm, 0.0)
-    return (qn.row_norm_bound() ** 2 * mwm <= limit
-            or qn.row_norm_bound(exact=True) ** 2 * mwm <= limit)
-
-
 def _solve_eqp(st: DasState):
     """Bordered KKT solve on the working set for the step from the iterate:
     the target of each working-set index, in entry order, and the
@@ -354,33 +341,29 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> QpSolution:
             st.z[work] = target
 
             # optimality test at the working-set solution over every index
-            # outside the working set, the omega indices first while W G is
-            # not formed
+            # outside the working set: the omega indices first, and the
+            # gammas only when no omega index violates
             u = -u_eqp
-            k_omega = data.gtwg @ st.omega
-            v_omega = k_omega - data.b - u
+            v_omega = data.gtwg @ st.omega - data.b - u
             if F.size:
                 v_omega += data.wg[F].T @ st.gamma[F]
             v_omega[st.sign[:m] != 0] = np.inf
-            via_wg = data.has_wg or not _no_gamma_violates(
-                data, float(st.omega @ k_omega))
-            if not via_wg:
-                k = int(v_omega.argmin())
-                if v_omega[k] < -_PRICING * tol:
-                    st.sign[k] = 1
-                    st.add(k)
-                    continue
+            k = int(v_omega.argmin())
+            if v_omega[k] < -_PRICING * tol:
+                st.sign[k] = 1
+                st.add(k)
+                continue
             # W (G omega + gamma), with what ``model_step`` returns with it
             # when a W-vector product formed it
-            if via_wg:
+            if data.has_wg:
                 wm, step = data.wg @ st.omega, None
                 if F.size:
                     wm += data.dense_w[:, F] @ st.gamma[F]
             else:  # gamma = 0: the bordered solve reads W G once one is free
                 step = data.model_step(st.omega)
                 wm = step[0]
-            violation = np.concatenate((v_omega, data.delta - np.abs(wm)))
-            violation[m:][st.gamma_sign != 0] = np.inf
+            violation = data.delta - np.abs(wm)
+            violation[st.gamma_sign != 0] = np.inf
             k = int(violation.argmin())
             if violation[k] >= -_PRICING * tol:
                 gamma = st.gamma.copy()
@@ -388,8 +371,8 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> QpSolution:
                                      np.maximum(gamma, 0.0),
                                      np.maximum(-gamma, 0.0), u, iterations,
                                      step)
-            st.sign[k] = 1 if k < m else -int(np.sign(wm[k - m]))
-            st.add(k)
+            st.sign[m + k] = -int(np.sign(wm[k]))
+            st.add(m + k)
     except np.linalg.LinAlgError as exc:
         raise DasError(f"pivot {iterations}: {exc}") from None
     raise DasError(f"active-set pivot cap {cap} exceeded")

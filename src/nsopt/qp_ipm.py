@@ -74,6 +74,9 @@ from .subproblem import QpSolution, SubproblemData
 
 _BETA_FTB = 0.995
 _MU0 = 0.5
+# The corrector aims the complementarity products at zeta mu, zeta at least
+# _ZETA_MU_FLOOR / mu and yet at most 1: a target above mu once mu is below
+# the floor raised theta'v at every corrector and stalled the core.
 _ZETA_MU_FLOOR = 1e-12
 # Core iterations before the soft tolerance is tried and IpmError raised.
 _MAX_ITERATIONS = 200
@@ -403,7 +406,7 @@ def solve_ipm_core(qp: QpData, theta: np.ndarray, u: float, v: np.ndarray,
         mu = float(theta @ v) / ell
         zeta = (float((theta + at_p * dtheta_p) @ (v + av_p * dv_p))
                 / (ell * mu)) ** 3
-        zeta = max(zeta, _ZETA_MU_FLOOR / mu)
+        zeta = max(zeta, min(1.0, _ZETA_MU_FLOOR / mu))
         r_c_corr = r_c + zeta * mu
         dtheta, du, dv = _newton_step(factor, theta, v, r_d, r_p, r_c_corr)
         at, au, av = step_sizes(qp, theta, u, v, r_p, r_d, dtheta, du, dv)

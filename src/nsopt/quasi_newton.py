@@ -30,8 +30,6 @@ dense W, exactly symmetric, and H are formed on request.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 from scipy.linalg import solve
 from scipy.linalg.blas import dgemm, dgemv, dger, dsyrk
@@ -163,7 +161,7 @@ class _CompactForm:
     def __init__(self, psi: np.ndarray, gram: np.ndarray, inverse: bool):
         """``psi`` is [A B] and ``gram`` its Gram matrix Psi'Psi."""
         h = self.h = psi.shape[1] // 2
-        self.psi, self.gram = psi, gram
+        self.psi = psi
         self.inverse = inverse
         tau = gram[h - 1, 2 * h - 1] / gram[2 * h - 1, 2 * h - 1]
         self.scale = tau if inverse else 1.0 / tau
@@ -195,17 +193,6 @@ class _CompactForm:
         """(c I + Psi M Psi') X."""
         return self.scale * X + self.psi @ self.middle(self.psi.T @ X)
 
-    @cached_property
-    def trace(self) -> float:
-        """trace(c I + Psi M Psi') = n c + trace(M Psi'Psi), O(h^3)."""
-        return (self.psi.shape[0] * self.scale
-                + float(np.trace(self.middle(self.gram))))
-
-    def diagonal(self) -> np.ndarray:
-        """The diagonal of c I + Psi M Psi', O(n h^2)."""
-        psi = self.psi
-        return self.scale + np.einsum("ij,ji->i", psi, self.middle(psi.T))
-
 
 class QuasiNewtonState:
     """Metric state with BFGS or DFP updates in full or limited storage,
@@ -224,12 +211,10 @@ class QuasiNewtonState:
         self.storage = storage
         self.history_limit = history_limit
         self.version = 0  # changes of W: pairs taken and assignments to W
-        # full storage: the factor J of W = J J', its newest change as (a, b)
-        # for J += a b' (None after an assignment to W), and a bound on its
-        # row norms
+        # full storage: the factor J of W = J J' and its newest change as
+        # (a, b) for J += a b' (None after an assignment to W)
         self._j = np.eye(n, order="F") if storage == "full" else None
         self._newest_change: tuple[np.ndarray, np.ndarray] | None = None
-        self._row_bound = 1.0
         # limited storage: compact W/H, rebuilt after each update; h held
         # pairs in Psi' = [A B]', rows _psi_start to _psi_start + 2h of a
         # buffer with room for the window to slide (see ``_push_basis``)
@@ -280,26 +265,6 @@ class QuasiNewtonState:
             a, b = s / np.sqrt(sv) - dgemv(1.0, J, q), q
         self._j = dger(1.0, a, b, a=J, overwrite_a=1)
         self._newest_change = (a, b)
-        self._row_bound += float(np.max(np.abs(a))) * float(np.linalg.norm(b))
-
-    def row_norm_bound(self, exact: bool = False) -> float:
-        """An upper bound on the largest row norm of a factor F of
-        W = F F', sqrt(max_i W_ii), or with ``exact`` that value itself.
-        Under full storage F = J: each update raises the held bound by
-        max|a| |b|, O(n), and ``exact`` replaces it by the value, one pass
-        over J.  Under limited storage the bound is sqrt(trace W), formed
-        once per version from Psi'Psi, O(h^3), and ``exact`` reads W's
-        diagonal from Psi and M, O(n h^2); an empty history is W = I."""
-        if self.storage == "limited":
-            form = self._form("W")
-            if form is None:
-                return 1.0
-            square = form.diagonal().max() if exact else form.trace
-            return float(np.sqrt(max(square, 0.0)))
-        if exact:
-            J = self._j
-            self._row_bound = float(np.sqrt(np.max(np.einsum("ij,ij->i", J, J))))
-        return self._row_bound
 
     def entering(self) -> tuple[int, np.ndarray] | None:
         """The rows of B' that the newest update brought in, as the version
@@ -569,7 +534,6 @@ class QuasiNewtonState:
         self._j = np.asfortranarray(J)
         self.version += 1
         self._newest_change = None
-        self.row_norm_bound(exact=True)
 
     @property
     def H(self) -> np.ndarray:

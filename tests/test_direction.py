@@ -292,8 +292,8 @@ def _count_w_products(monkeypatch):
     ("gradient", 1, 1e6, "gradient", 1, "limited"),
     ("das", 10, 1e6, "das", 1, "full"),
     ("das", 10, 1e6, "das", 1, "limited"),
-    ("das, trust region binding", 10, 0.05, "das", 1, "full"),
-    ("das, trust region binding", 10, 0.05, "das", 1, "limited"),
+    ("das, trust region binding", 10, 0.05, "das", 2, "full"),
+    ("das, trust region binding", 10, 0.05, "das", 2, "limited"),
     ("ipm omega-only", 30, 1e6, "ipm", 2, "full"),
     ("ipm omega-only", 30, 1e6, "ipm", 2, "limited"),
     ("ipm full", 30, 0.05, "ipm", 2, "full"),
@@ -304,13 +304,14 @@ def test_one_w_product_per_direction(monkeypatch, case, m, delta, solver,
     # W-vector products per direction, the same under either storage.  The
     # IPM makes one for its look at the box, where it abandons the
     # omega-only attempt when the trust region binds, and one for its
-    # solution's step.  The DAS prices the omega indices from G'WG alone
-    # while the metric's row-norm bound shows that no gamma can violate,
-    # and makes one product, W (G omega), at the pivot where none of them
-    # violates.  Once a gamma may violate it prices from W G, making none,
-    # and forms d with one product at its exit.  Either solver's d is its
-    # last W (G omega + gamma), only read after that.  The IPM cases reach
-    # the IPM through a DAS that fails at once, making no product.
+    # solution's step.  The DAS prices the omega indices from G'WG alone,
+    # and the gammas only at a pivot where no omega index violates, from
+    # one product W (G omega) until a gamma enters and W G is formed.  Off
+    # the trust region that product is d.  When it binds, the first gamma
+    # pricing makes it, later ones read W G, and d is one more product at
+    # the exit.  Either solver's d is its last W (G omega + gamma), only
+    # read after that.  The IPM cases reach the IPM through a DAS that
+    # fails at once, making no product.
     rng = np.random.default_rng(7)
     n = 6
     qn = QuasiNewtonState(n, storage=storage, history_limit=4)

@@ -7,7 +7,8 @@ import pytest
 from nsopt import qp_das
 from nsopt.qp_das import solve_das
 from nsopt.qp_generator import generate_qp
-from nsopt.quasi_newton import QuasiNewtonState
+from nsopt.qp_ipm import solve_ipm
+from nsopt.quasi_newton import QuasiNewtonState, damp
 from nsopt.subproblem import SubproblemData, dual_objective
 
 
@@ -423,19 +424,43 @@ def _count_zero_length_steps(monkeypatch) -> list[int]:
     return count
 
 
-@pytest.mark.parametrize("dcase, pivots", [("half", 457), ("full", None)])
+@pytest.mark.parametrize("dcase, pivots", [("half", 461), ("full", None)])
 def test_path_through_degenerate_steps(monkeypatch, dcase, pivots):
     # Seed 0 at n = 200, m = 400 meets working sets whose minimizer is not
     # unique.  The proximal term centred on the iterate keeps the path free
-    # of zero-length blocking steps.  The full case's pivot count depends on
-    # the BLAS thread count (637 at one thread, 638 at two): its drops
-    # refactor trailing blocks large enough for OpenBLAS to thread.
+    # of zero-length blocking steps.  The full case's pivot count can depend
+    # on the BLAS thread count: its drops refactor trailing blocks large
+    # enough for OpenBLAS to thread.
     zero_steps = _count_zero_length_steps(monkeypatch)
     sol = solve_das(generate_qp(200, 400, dcase, 0).subproblem())
     if pivots is not None:
         assert sol.iterations == pivots
     assert zero_steps[0] == 0
     assert sol.kkt_residual <= 1e-8
+
+
+@pytest.mark.parametrize("storage", ["full", "limited"])
+@pytest.mark.parametrize("mode", ["BFGS", "DFP"])
+@pytest.mark.parametrize("seed", range(10))
+def test_agrees_with_the_ipm_under_a_metric(storage, mode, seed):
+    # W != I after 8 damped updates, with the box binding at the two small
+    # deltas and not at the large one.  The two solvers reach the minimizer
+    # by different paths, so their d agreeing checks each one's gamma path.
+    rng = np.random.default_rng(seed)
+    n, m = 30, 45
+    qn = QuasiNewtonState(n, mode=mode, storage=storage, history_limit=5)
+    for _ in range(8):
+        s = rng.standard_normal(n)
+        qn.update(s, damp(s, rng.standard_normal(n), 0.5, 2.0)[1])
+    G = 2.0 + rng.standard_normal((n, m))
+    b = rng.standard_normal(m)
+    for delta in (1e6, 0.5, 0.05):
+        das = solve_das(SubproblemData(G=G, b=b, delta=delta, qn=qn))
+        ipm = solve_ipm(SubproblemData(G=G, b=b, delta=delta, qn=qn))
+        assert np.any(das.gamma != 0.0) == (delta < 1.0)
+        assert das.kkt_residual <= 1e-8 and ipm.kkt_residual <= 1e-8
+        assert (np.max(np.abs(das.d - ipm.d))
+                <= 1e-5 * np.max(np.abs(ipm.d)))
 
 
 @pytest.mark.parametrize("seed, dcase", [

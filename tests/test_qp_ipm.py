@@ -265,7 +265,8 @@ def test_zeta_cubing_rule():
     zeta = (post / mu) ** 3
     assert zeta == pytest.approx(1e-3)
     assert zeta * mu == pytest.approx(5e-4)  # safeguard floor 1e-12 inactive
-    assert max(0.0, 1e-12 / mu) == pytest.approx(2e-12)  # exact-complementarity floor
+    assert max(0.0, min(1.0, 1e-12 / mu)) == pytest.approx(2e-12)  # floor
+    assert max(0.0, min(1.0, 1e-12 / 1e-14)) == 1.0  # capped at mu
 
 
 def test_fraction_to_boundary_blocking():
@@ -330,6 +331,21 @@ def test_core_rejects_non_interior_start():
     qp = _toy()
     with pytest.raises(ValueError):
         solve_ipm_core(qp, np.zeros(1), 0.0, np.ones(1))
+
+
+@pytest.mark.parametrize("dcase", ["zero", "half", "full"])
+@pytest.mark.parametrize("seed", range(4))
+def test_core_converges_below_the_centring_floor(dcase, seed):
+    # At qp_tolerance=1e-11 the core runs to 1e-12, the centring floor.  A
+    # target held at the floor once mu fell below it raised theta'v at each
+    # corrector, and the core raised IpmError at its cap on all 12 of these
+    # instances; capped at mu it converges on each.
+    data = generate_qp(40, 80, dcase, seed).subproblem()
+    m = data.m
+    qp = QpData(Q=data.gtwg, c=-data.b, A=np.ones(m))
+    core = solve_ipm_core(qp, np.full(m, 1.0 / m), 0.0, np.full(m, 0.5 * m),
+                          tol=1e-12)
+    assert core.residual <= 1e-12
 
 
 def test_driver_shortcut_on_symmetric_instance():
