@@ -34,6 +34,7 @@ column added after the pass gets its products as before.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -245,32 +246,45 @@ class PointSet:
 
     def _keep(self, keep: np.ndarray) -> None:
         """Compact the bundle to the columns ``keep`` (increasing)."""
-        if keep.size == self._m:
+        m = keep.size
+        if m == self._m:
             return
-        self._f[:keep.size], self._birth[:keep.size] = self._f[keep], self._birth[keep]
+        self._f[:m], self._birth[:m] = self._f[keep], self._birth[keep]
         # Each run of consecutive kept columns of X and G moves left as one
         # range of the Fortran-ordered block.  numpy copies an overlapping
         # 1-D range in place, so no n x m temporary is made, and a run reads
-        # no column that an earlier run wrote.
+        # no column that an earlier run wrote.  A prune keeps one run more
+        # often than not, and then needs no search for the others.
+        kept = keep.tolist()
+        if kept[-1] - kept[0] == m - 1:
+            starts = []
+        else:
+            starts = (np.flatnonzero(keep[1:] - keep[:-1] != 1) + 1).tolist()
         n = self._X.shape[0]
-        flats = [block.reshape(-1, order="F") for block in (self._X, self._G)]
-        starts = (np.flatnonzero(np.diff(keep) != 1) + 1).tolist()
-        for lo, hi in zip([0, *starts], [*starts, keep.size]):
-            src = int(keep[lo])
+        flats = None
+        for lo, hi in zip([0, *starts], [*starts, m]):
+            src = kept[lo]
             if src != lo:
+                if flats is None:
+                    flats = [block.reshape(-1, order="F")
+                             for block in (self._X, self._G)]
                 for flat in flats:
                     flat[lo * n:hi * n] = flat[src * n:(src + hi - lo) * n]
-        self._m, self._cur = keep.size, int(np.searchsorted(keep, self._cur))
+        self._m, self._cur = m, bisect.bisect_left(kept, self._cur)
+
+        def held(size):
+            """The kept columns of the first ``size``, a prefix of keep."""
+            return keep[:bisect.bisect_left(kept, size)]
+
         if self._gtg.size:
-            held = keep[keep < len(self._gtg)]
-            self._gtg = self._gtg[np.ix_(held, held)]
-        self._p = self._p[:, keep[keep < self._p.shape[1]]]
-        held = keep[keep < self._q.size]
-        self._q, self._r = self._q[held], self._r[held]
+            rows = held(len(self._gtg))
+            self._gtg = self._gtg[np.ix_(rows, rows)]
+        self._p = self._p[:, held(self._p.shape[1])]
+        rows = held(self._q.size)
+        self._q, self._r = self._q[rows], self._r[rows]
         if self._pass_products is not None:
             *meta, products = self._pass_products
-            self._pass_products = (*meta, products[:, keep[keep < products.shape[1]]])
-
+            self._pass_products = (*meta, products[:, held(products.shape[1])])
 
 def sample_ball(x_k: np.ndarray, eps: float, p: int, rng: np.random.Generator) -> BallSample:
     """p points uniform over the closed Euclidean ball of radius eps around x_k.

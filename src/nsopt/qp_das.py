@@ -136,6 +136,9 @@ class DasState:
         self.k = 1
         self.free = 0  # gamma indices in the working set
         self.full_factorizations = 0
+        # held for every bordered solve: the simplex row's ones, and the
+        # iterate over the working set with its multiplier's 0
+        self.ones, self.x0 = np.ones(m + n + 1), np.zeros(m + n + 1)
 
     @property
     def omega(self) -> np.ndarray:
@@ -256,7 +259,7 @@ def _solve_eqp(st: DasState):
         rhs[:k] = -data.delta * st.sign[order]
         rhs[:k][is_omega] = data.b[order[is_omega]]
     else:
-        e = np.ones(k)
+        e = st.ones[:k]
         data.b.take(order, out=rhs[:k])
     rhs[k] = 1.0
     # The Hessian block is a Gram matrix and can be singular when k > n.
@@ -279,26 +282,28 @@ def _solve_eqp(st: DasState):
             + (": it holds no omega index" if k == st.free else ""))
     L[k, :k], L[k, k] = c, 1.0
     M[k, :k], M[:k, k], M[k, k] = e, e, 0.0
-    x0 = np.zeros(k + 1)
+    x0 = st.x0[:k + 1]
     st.z.take(order, out=x0[:k])
+    x0[k] = 0.0
     rhs -= M @ x0
 
     def solve(r):
         y = _trtrs(L, r, lower=1)[0]
         y[k] /= -schur
-        return _trtrs(L, y, lower=1, trans=1)[0]
+        return _trtrs(L, y, lower=1, trans=1, overwrite_b=1)[0]
 
     step = solve(rhs)
     residual = rhs - M @ step
     residual[:k] -= st.reg * step[:k]
     step += solve(residual)
+    # a step whose bits are unchanged gets the same correction again
+    held = step.tobytes()
     for _ in range(3):
-        # a step whose bits are unchanged gets the same correction again
-        refined = step + solve(rhs - M @ step)
-        unchanged = refined.tobytes() == step.tobytes()
-        step = refined
-        if unchanged:
+        step = step + solve(rhs - M @ step)
+        bits = step.tobytes()
+        if bits == held:
             break
+        held = bits
     sol = x0 + step
     if not np.isfinite(sol).all():
         raise np.linalg.LinAlgError(
@@ -312,6 +317,8 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> QpSolution:
     st = _init_state(data)
     m, n = data.m, data.n
     cap = _PIVOTS_PER_INDEX * (m + 2 * n)
+    gtwg, b, omega = data.gtwg, data.b, st.omega
+    v_omega = np.empty(m)
     no_gamma = np.zeros(0, dtype=np.intp)
 
     try:
@@ -320,34 +327,38 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> QpSolution:
 
             # blocking ratio toward the target along the segment: the first
             # minimum below 1, over S in entry order and then F ascending
-            work = st.order[:st.k]
+            work = S = st.order[:st.k]
             F = no_gamma
             if st.free:
                 F = st.gamma_sign.nonzero()[0]
-                work = np.concatenate((work[work < m], m + F))
+                S = work[work < m]
+                work = np.concatenate((S, m + F))
                 target = target[st.pos[work]]
-            cur = st.z[work]
-            ratio = np.full(work.size, np.inf)
-            np.divide(cur, cur - target, out=ratio,
-                      where=target * st.sign[work] < -1e-14)
-            k = int(ratio.argmin())
-            alpha = float(ratio[k])
-            if alpha < 1.0:
-                st.z[work] = cur + alpha * (target - cur)
-                drop = int(work[k])
-                st.z[drop], st.sign[drop] = 0.0, 0
-                st.drop(drop)
-                continue
+            toward = target * st.sign[work] < -1e-14
+            if toward.any():
+                cur = st.z[work]
+                ratio = np.full(work.size, np.inf)
+                np.divide(cur, cur - target, out=ratio, where=toward)
+                k = int(ratio.argmin())
+                alpha = float(ratio[k])
+                if alpha < 1.0:
+                    st.z[work] = cur + alpha * (target - cur)
+                    drop = int(work[k])
+                    st.z[drop], st.sign[drop] = 0.0, 0
+                    st.drop(drop)
+                    continue
             st.z[work] = target
 
             # optimality test at the working-set solution over every index
             # outside the working set: the omega indices first, and the
             # gammas only when no omega index violates
             u = -u_eqp
-            v_omega = data.gtwg @ st.omega - data.b - u
+            np.matmul(gtwg, omega, out=v_omega)
+            v_omega -= b
+            v_omega -= u
             if F.size:
                 v_omega += data.wg[F].T @ st.gamma[F]
-            v_omega[st.sign[:m] != 0] = np.inf
+            v_omega[S] = np.inf
             k = int(v_omega.argmin())
             if v_omega[k] < -_PRICING * tol:
                 st.sign[k] = 1
@@ -356,18 +367,18 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> QpSolution:
             # W (G omega + gamma), with what ``model_step`` returns with it
             # when a W-vector product formed it
             if data.has_wg:
-                wm, step = data.wg @ st.omega, None
+                wm, step = data.wg @ omega, None
                 if F.size:
                     wm += data.dense_w[:, F] @ st.gamma[F]
             else:  # gamma = 0: the bordered solve reads W G once one is free
-                step = data.model_step(st.omega)
+                step = data.model_step(omega)
                 wm = step[0]
             violation = data.delta - np.abs(wm)
             violation[st.gamma_sign != 0] = np.inf
             k = int(violation.argmin())
             if violation[k] >= -_PRICING * tol:
                 gamma = st.gamma.copy()
-                return data.solution("das", st.omega.copy(), gamma,
+                return data.solution("das", omega.copy(), gamma,
                                      np.maximum(gamma, 0.0),
                                      np.maximum(-gamma, 0.0), u, iterations,
                                      step)
@@ -376,4 +387,3 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> QpSolution:
     except np.linalg.LinAlgError as exc:
         raise DasError(f"pivot {iterations}: {exc}") from None
     raise DasError(f"active-set pivot cap {cap} exceeded")
-

@@ -208,23 +208,30 @@ def compute_kkt_residual(data: SubproblemData, omega: np.ndarray, sigma: np.ndar
         d = -data.qn.apply_W(data.G @ omega + gamma)
     wm = -d
     v_omega = data.gtwg @ omega - data.b - u
-    if gamma.any():
-        v_omega += data.wg.T @ gamma
-    v_sigma = wm + data.delta
-    v_rho = -wm + data.delta
     # the extremes over theta = (omega, sigma, rho) and v taken piece by
-    # piece, which for finite values are those over their concatenations
+    # piece, which for finite values are those over their concatenations;
+    # a NaN in any piece, as from a non-finite d, makes the residual NaN
     low, high = np.minimum.reduce, np.maximum.reduce
-    theta_min = min(low(omega, initial=0.0), low(sigma, initial=0.0),
-                    low(rho, initial=0.0))
-    v_min = min(low(v_omega, initial=0.0), low(v_sigma, initial=0.0),
-                low(v_rho, initial=0.0))
-    complementarity = max(high(np.abs(omega * v_omega), initial=0.0),
-                          high(np.abs(sigma * v_sigma), initial=0.0),
-                          high(np.abs(rho * v_rho), initial=0.0))
-    return max(
-        abs(float(np.sum(omega)) - 1.0),
-        float(max(0.0, -theta_min)),
-        float(max(0.0, -v_min)),
-        float(complementarity),
-    )
+    if sigma.any() or rho.any():
+        if gamma.any():
+            v_omega += data.wg.T @ gamma
+        v_sigma = wm + data.delta
+        v_rho = -wm + data.delta
+        theta_min = low([low(omega, initial=0.0), low(sigma, initial=0.0),
+                         low(rho, initial=0.0)])
+        v_min = low([low(v_omega, initial=0.0), low(v_sigma, initial=0.0),
+                     low(v_rho, initial=0.0)])
+        complementarity = high([high(np.abs(omega * v_omega), initial=0.0),
+                                high(np.abs(sigma * v_sigma), initial=0.0),
+                                high(np.abs(rho * v_rho), initial=0.0)])
+    else:
+        # sigma = rho = 0 add nothing to theta's minimum or to the
+        # complementarity, and their v = delta +- W m is least at
+        # delta - max |W m|, to the bit, since subtraction rounds
+        # monotonically
+        theta_min = low(omega, initial=0.0)
+        v_min = np.minimum(low(v_omega, initial=0.0),
+                           data.delta - high(np.abs(wm), initial=0.0))
+        complementarity = high(np.abs(omega * v_omega), initial=0.0)
+    return float(high([abs(float(np.sum(omega)) - 1.0), -theta_min, -v_min,
+                       complementarity], initial=0.0))

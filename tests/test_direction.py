@@ -418,6 +418,63 @@ def test_kkt_residual_matches_the_concatenated_form(seed):
 
 
 @pytest.mark.parametrize("storage", ["full", "limited"])
+@pytest.mark.parametrize("seed", range(4))
+def test_kkt_residual_without_gamma_is_the_full_formula(storage, seed):
+    # With sigma = rho = 0 the residual skips their blocks and reads their
+    # least v as delta - max |W m|.  Over trials in which omega's
+    # conditions, omega's sign, the simplex row or the box decides it, it
+    # equals the concatenated form to the bit.
+    rng = np.random.default_rng([seed, 5])
+    n, m = 9, 6
+    zeros = np.zeros(n)
+    decided_by_box = 0
+    for _ in range(4):
+        data = _random_subproblem(rng, n, m, storage, 10.0 ** rng.uniform(-2, 2))
+        for trial in range(40):
+            omega = rng.dirichlet(np.ones(m))
+            if trial % 3 == 0:
+                omega *= 1.0 + 10.0 ** rng.uniform(-12, -2)
+            if trial % 5 == 0:
+                omega[rng.integers(m)] *= -1e-3
+            u = float(rng.standard_normal())
+            d = -data.qn.apply_W(data.G @ omega)
+            d *= 10.0 ** rng.uniform(-3, 3) / np.max(np.abs(d))
+            got = compute_kkt_residual(data, omega, zeros, zeros, u, d)
+            want = _concatenated_kkt_residual(data, omega, zeros, zeros, u, d)
+            assert got == want
+            box = data.delta - np.max(np.abs(d))
+            decided_by_box += want == -box
+    assert decided_by_box > 10
+
+
+def _with_d_entry(solve, value):
+    """``solve`` with entry 1 of its d replaced by ``value`` and the KKT
+    residual read off that d."""
+    def broken(data, tol):
+        sol = solve(data, tol=tol)
+        d = sol.d.copy()
+        d[1] = value
+        return data.solution("das", sol.omega, sol.gamma, sol.sigma, sol.rho,
+                             sol.u, sol.iterations, (-d, sol.g_omega, sol.hint))
+    return broken
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_d_gets_a_residual_that_is_rejected(monkeypatch, value):
+    # A DAS solution with gamma = 0 whose d is not finite fails its
+    # subproblem, and the IPM's solution is taken.
+    rng = np.random.default_rng(3)
+    n = 5
+    ps = _bundle([(rng.standard_normal(n), 1.0, 2.0 + rng.standard_normal(n))
+                  for _ in range(10)])
+    opts = SolverOptions(strategy="cutting_plane")
+    monkeypatch.setattr(direction, "solve_das", _with_d_entry(solve_das, value))
+    res = compute_direction(ps, QuasiNewtonState(n), 1e6, opts)
+    assert res.solver == "ipm" and res.fallback
+    assert res.kkt_residual <= opts.qp_tolerance
+
+
+@pytest.mark.parametrize("storage", ["full", "limited"])
 @pytest.mark.parametrize("delta", [1e6, 0.05])
 def test_solutions_carry_g_omega_and_their_kkt_residual(storage, delta):
     # Both solvers, on the omega-only path and with the trust region
