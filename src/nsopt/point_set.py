@@ -1,11 +1,13 @@
 """Bundle maintenance: ball sampling, the choice of samples worth evaluating,
 distance pruning, and age pruning.
 
-A gradient-sampling iteration handles its samples as one block.  The
-sampler draws every direction and radius in the per-point order of the
-random stream but forms no point (``BallSample``); ``newest_finite`` forms
-only the points that may stay, evaluates f and then g on them as blocks,
-and the bundle appends them as one block after one age prune.
+A gradient-sampling iteration handles its samples as one block.
+``sample_ball`` draws k points as one block, a k x n block of normals and
+then k uniforms, and forms them.  The solver draws only as many as can
+stay in the bundle, and more only to replace points at which f is not
+finite, up to the iteration's sample count in all; it keeps the first
+finite ones, evaluates g once on them, and the bundle appends them as one
+block after one age prune.
 
 The bundle is columns 0..m-1 of Fortran-ordered point and gradient blocks,
 with value and birth vectors.  Columns are appended, one or a block at a
@@ -35,7 +37,6 @@ column added after the pass gets its products as before.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,31 +54,6 @@ class BundleElement:
     f: float | np.ndarray
     g: np.ndarray
     birth: int
-
-
-@dataclass(eq=False)
-class BallSample:
-    """p points drawn around ``center``: point i is center + t_i d_i, with
-    d_i row i of ``directions`` and t_i = ``factors[i]``, and is the center
-    itself when t_i is 0.  ``points`` forms them."""
-    center: np.ndarray
-    directions: np.ndarray  # p x n
-    factors: np.ndarray
-
-    def __len__(self) -> int:
-        return self.factors.size
-
-    def points(self, lo: int, hi: int) -> np.ndarray:
-        """Points lo..hi-1 as the columns of a Fortran-ordered block.  Each
-        entry is rounded twice, t_i d_ij and then x_j + t_i d_ij, as the
-        point is formed on its own."""
-        t = self.factors[lo:hi]
-        X = np.multiply(self.directions[lo:hi].T, t)
-        X += self.center[:, None]
-        at_center = t == 0.0
-        if at_center.any():
-            X[:, at_center] = self.center[:, None]
-        return X
 
 
 class PointSet:
@@ -286,24 +262,34 @@ class PointSet:
             *meta, products = self._pass_products
             self._pass_products = (*meta, products[:, held(products.shape[1])])
 
-def sample_ball(x_k: np.ndarray, eps: float, p: int, rng: np.random.Generator) -> BallSample:
-    """p points uniform over the closed Euclidean ball of radius eps around x_k.
+def sample_ball(x_k: np.ndarray, eps: float, k: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """k points uniform over the closed Euclidean ball of radius eps around
+    x_k, as the columns of a Fortran-ordered n x k block.
 
-    Directions come from normalized Gaussians and radii from eps * U^(1/n),
-    which is exactly uniform over the ball.  Each point draws its n normals,
-    then its uniform; with eps = 0 or a zero direction it is x_k itself and
-    draws no uniform.  No point is formed here (``BallSample.points``).
+    The k x n normals are drawn as one block, then the k uniforms.  Point i
+    is x_k + t_i d_i, with d_i row i of the normals and t_i = eps U_i^(1/n)
+    / |d_i|, which is exactly uniform over the ball; each entry is rounded
+    twice, t_i d_ij and then x_j + t_i d_ij.  With t_i = 0, as when eps is 0
+    or d_i is zero, the point is x_k itself.  U^(1/n) is taken by the C
+    library's ``pow`` (Python's float power), as numpy's may vectorize it
+    with the CPU, and the norms sum without BLAS, so the points depend on
+    neither the CPU's vector extensions nor the BLAS thread count.
     """
     x_k = np.asarray(x_k, dtype=float)
     n = x_k.size
-    directions, factors = np.empty((p, n)), np.zeros(p)
-    normal, uniform, root = rng.standard_normal, rng.random, 1.0 / n
-    for i, d in enumerate(directions):
-        normal(out=d)
-        norm = math.sqrt(d @ d)  # np.linalg.norm's formula
-        if norm != 0.0 and eps != 0.0:
-            factors[i] = eps * uniform() ** root / norm
-    return BallSample(x_k, directions, factors)
+    points = rng.standard_normal((k, n))
+    root = 1.0 / n
+    radii = np.array([eps * u ** root for u in rng.random(k).tolist()])
+    norms = np.sqrt(np.square(points).sum(axis=1))
+    t = np.zeros(k)
+    np.divide(radii, norms, out=t, where=norms != 0.0)
+    points *= t[:, None]
+    points += x_k
+    at_center = t == 0.0
+    if at_center.any():
+        points[at_center] = x_k
+    return points.T
 
 
 def prune_by_distance(point_set: PointSet, eps_next: float,
@@ -317,34 +303,6 @@ def prune_by_distance(point_set: PointSet, eps_next: float,
     keep[point_set._cur] = True
     point_set._keep(np.flatnonzero(keep))
     return point_set
-
-
-def newest_finite(sample: BallSample, f, g, limit: int):
-    """The last ``limit`` points of ``sample`` with finite f(x), in draw
-    order, as the columns of a block X with their values f(X) and their
-    gradients g(X).
-
-    f takes a block and gives its values.  It is evaluated on the newest
-    ``limit`` points, then on as many older ones as non-finite values left
-    places open, and so on: no further back than the ``limit``-th finite
-    value.  g is evaluated once, on the points kept.  For points that join a
-    bundle with a birth newer than every element's, ``limit = cap - 1``
-    gives exactly those that ``prune_by_age(point_set, cap)`` would keep
-    after adding all of them.
-    """
-    X, f_X, hi = np.empty((sample.center.size, 0)), np.empty(0), len(sample)
-    while limit > 0 and hi > 0:
-        lo = max(0, hi - limit)
-        block = sample.points(lo, hi)
-        f_block = f(block)
-        finite = np.isfinite(f_block)
-        if not finite.all():
-            block, f_block = block[:, finite], f_block[finite]
-        limit, hi = limit - f_block.size, lo
-        if f_X.size:
-            block, f_block = np.hstack([block, X]), np.concatenate([f_block, f_X])
-        X, f_X = block, f_block
-    return X, f_X, g(X) if f_X.size else X
 
 
 def prune_by_age(point_set: PointSet, limit: int) -> PointSet:

@@ -64,6 +64,8 @@ without a copy).  Up to five solves per pivot use that factor: the first,
 one refinement against the regularized matrix and up to three against the
 unregularized one, which stop once a refinement leaves every bit of the
 step unchanged, since every later one would then leave it unchanged too.
+The previous step's bytes are held, so each refinement takes the bytes of
+one step to compare.
 A Cholesky factor of H + reg I rounds by about eps / reg along H's null
 space, which the refinements against the singular unregularized matrix
 cannot see; the one against the regularized matrix removes it.

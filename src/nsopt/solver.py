@@ -18,8 +18,8 @@ from .direction import SubproblemFailure, compute_direction
 from .line_search import LineSearchError, backtracking_armijo, weak_wolfe
 from .oracle import CountingOracle, ObjectiveOracle, scale_objective
 from .options import SolverOptions
-from .point_set import (BundleElement, PointSet, newest_finite, prune_by_age,
-                        prune_by_distance, sample_ball)
+from .point_set import (BundleElement, PointSet, prune_by_age, prune_by_distance,
+                        sample_ball)
 from .quasi_newton import QuasiNewtonState, damp
 
 _UNBOUNDED_BELOW = -1e18
@@ -42,6 +42,32 @@ class SolverReport:
     delta_final: float
     f_history: list[float] = field(default_factory=list)  # unscaled, accepted iterates
     qp_fallbacks: int = 0  # QPs handed to the IPM after the active-set solver failed
+
+
+def _finite_samples(x: np.ndarray, eps: float, p: int, limit: int, f,
+                    rng: np.random.Generator):
+    """The first ``limit`` points with finite f of at most p drawn uniformly
+    from the ball of radius eps around x (``sample_ball``), as the columns
+    of a block, with their values.
+
+    ``limit`` points are drawn and f, which takes a block, is evaluated on
+    them; more are drawn only as non-finite values leave places open, up to
+    p draws in all.  The points kept are iid uniform over the ball.
+    """
+    X, f_X, drawn = np.empty((x.size, 0)), np.empty(0), 0
+    while limit > 0 and drawn < p:
+        k = min(limit, p - drawn)
+        block = sample_ball(x, eps, k, rng)
+        f_block = f(block)
+        drawn += k
+        finite = np.isfinite(f_block)
+        if not finite.all():
+            block, f_block = block[:, finite], f_block[finite]
+        limit -= f_block.size
+        if f_X.size:
+            block, f_block = np.hstack([X, block]), np.concatenate([f_X, f_block])
+        X, f_X = block, f_block
+    return X, f_X
 
 
 def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
@@ -81,12 +107,12 @@ def run_solver(oracle: ObjectiveOracle, x1: np.ndarray,
     for k in range(1, opts.iteration_limit + 1):
         iterations = k
         if p > 0:
-            # every point is drawn, so the stream stays the same, but only
-            # the samples that age pruning would keep are formed and
-            # evaluated.  They are newer than every element, so pruning to
-            # make room for them first keeps what pruning after would.
-            samples = sample_ball(current.x, radii.eps, p, rng)
-            X_s, f_s, G_s = newest_finite(samples, ev.f, ev.g, bundle_cap - 1)
+            # at most cap - 1 samples can stay, so only those are drawn.
+            # They are newer than every element, so pruning to make room
+            # for them first keeps what pruning after would.
+            X_s, f_s = _finite_samples(current.x, radii.eps, p, bundle_cap - 1,
+                                       ev.f, rng)
+            G_s = ev.g(X_s) if f_s.size else X_s
             prune_by_age(bundle, bundle_cap - f_s.size)
             bundle.add(BundleElement(x=X_s, f=f_s, g=G_s, birth=k))
 

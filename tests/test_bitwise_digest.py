@@ -58,7 +58,8 @@ import numpy as np
 
 def _op(name, d):
     out = SimpleNamespace(omega=np.ones(2), gamma=np.zeros(2),
-                          d=np.array([d, 0.0]), u=0.0, iterations=3)
+                          d=np.array([d, 0.0]), u=0.0, iterations=3,
+                          kkt_residual=d / 8)
     return SimpleNamespace(name=name, run=lambda: out)
 
 
@@ -99,3 +100,33 @@ def test_differing_names_operations_one_side_lacks():
     theirs = {"w: b": "2", "w: c": "3"}
     assert bitwise_digest.differing(ours, theirs) == ["w: a  1  -", "w: c  -  3"]
     assert bitwise_digest.differing(ours, dict(ours)) == []
+
+
+def test_counts_give_what_each_digest_was_taken_of():
+    report = _report()
+    assert bitwise_digest.counts(report) == (
+        f"termination={report.termination_reason} "
+        f"iterations={report.iterations} "
+        f"f_evals={report.function_evaluations} "
+        f"g_evals={report.gradient_evaluations} "
+        f"final_f={report.final_f_unscaled!r}")
+    sol = _solution()
+    assert bitwise_digest.counts(sol) == (
+        f"iterations={sol.iterations} kkt_residual={sol.kkt_residual!r}")
+
+
+def test_counts_follow_each_digest(tmp_path, capsys):
+    one = _fake_tree(tmp_path / "one")
+    moved = _fake_tree(tmp_path / "moved", b=2.0)
+    plain = bitwise_digest.run_tree(one, None, ["cp-full-n1000"])
+    counted = bitwise_digest.run_tree(one, None, ["cp-full-n1000"],
+                                      with_counts=True)
+    assert counted == {name: f"{digest}  iterations=3 kkt_residual=0.125"
+                       for name, digest in plain.items()}
+    assert bitwise_digest.main(["--src", one, "--against", moved,
+                                "--counts"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    name, ours, our_counts, theirs, their_counts = line.split("  ")
+    assert name == "cp-full-n1000: b" and ours != theirs
+    assert (our_counts, their_counts) == ("iterations=3 kkt_residual=0.125",
+                                          "iterations=3 kkt_residual=0.25")

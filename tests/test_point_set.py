@@ -1,12 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from nsopt import point_set
+from nsopt import point_set, solver
 from nsopt.options import SolverOptions
-from nsopt.point_set import (BundleElement, PointSet, newest_finite,
-                             prune_by_age, prune_by_distance, sample_ball)
+from nsopt.point_set import (BundleElement, PointSet, prune_by_age,
+                             prune_by_distance, sample_ball)
 from nsopt.quasi_newton import QuasiNewtonState, damp
 from nsopt.subproblem import SubproblemData
 
@@ -23,66 +24,60 @@ def _bits(a):
 def test_sample_ball_zero_radius():
     rng = np.random.default_rng(0)
     x = np.array([1.0, 2.0])
-    sample = sample_ball(x, 0.0, 5, rng)
-    assert len(sample) == 5
-    for pt in sample.points(0, 5).T:
+    points = sample_ball(x, 0.0, 5, rng)
+    assert points.shape == (2, 5)
+    for pt in points.T:
         assert np.array_equal(pt, x)
 
 
 def test_sample_ball_zero_count():
     rng = np.random.default_rng(0)
-    sample = sample_ball(np.zeros(2), 1.0, 0, rng)
-    assert len(sample) == 0 and sample.points(0, 0).shape == (2, 0)
+    assert sample_ball(np.zeros(2), 1.0, 0, rng).shape == (2, 0)
 
 
 def test_sample_ball_within_radius():
     rng = np.random.default_rng(1)
     x = np.array([3.0, -1.0, 0.0])
-    for pt in sample_ball(x, 0.25, 50, rng).points(0, 50).T:
+    for pt in sample_ball(x, 0.25, 50, rng).T:
         assert np.linalg.norm(pt - x) <= 0.25 + 1e-12
 
 
 def test_sample_ball_radius_distribution():
     # uniform over the disc: P(r <= t) = t^2; Kolmogorov distance below 0.05
     rng = np.random.default_rng(2)
-    pts = sample_ball(np.zeros(2), 1.0, 10_000, rng).points(0, 10_000)
+    pts = sample_ball(np.zeros(2), 1.0, 10_000, rng)
     radii = np.sort(np.linalg.norm(pts, axis=0))
     empirical = np.arange(1, radii.size + 1) / radii.size
     assert np.max(np.abs(empirical - radii ** 2)) < 0.05
 
 
 def _reference_ball(x, eps, p, rng):
-    """The sampler point by point: n normals, their norm, one uniform."""
+    """The block stream point by point: p x n normals, then p uniforms;
+    point i is x + t_i d_i with t_i = eps u_i^(1/n) / |d_i|, or x itself
+    when t_i is 0."""
+    normals, uniforms = rng.standard_normal((p, x.size)), rng.random(p)
     points = []
-    for _ in range(p):
-        direction = rng.standard_normal(x.size)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0 or eps == 0.0:
-            points.append(x.copy())
-            continue
-        radius = eps * rng.uniform() ** (1.0 / x.size)
-        points.append(x + (radius / norm) * direction)
+    for d, u in zip(normals, uniforms.tolist()):
+        norm = math.sqrt(float(np.sum(d * d)))
+        t = eps * u ** (1.0 / x.size) / norm if norm else 0.0
+        points.append(x + t * d if t else x.copy())
     return np.column_stack(points) if points else np.empty((x.size, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 200])
 @pytest.mark.parametrize("eps", [0.0, 1e-7, 0.3, 5.0])
 @pytest.mark.parametrize("p", [0, 1, 9, 20, 25])
-def test_sample_ball_is_the_point_by_point_stream(n, eps, p):
-    # Every point, and every range of them, is bitwise the reference's, and
-    # the generator ends in the reference's state.
+def test_sample_ball_is_the_block_stream(n, eps, p):
+    # Every point is bitwise the reference's, and the generator ends in the
+    # reference's state.
     seed = [n, p, int(eps * 1e7)]
     x = np.random.default_rng(seed).uniform(-3.0, 3.0, n)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    sample = sample_ball(x, eps, p, rng)
+    got = sample_ball(x, eps, p, rng)
     want = _reference_ball(x, eps, p, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    got = sample.points(0, p)
     assert got.shape == (n, p) and got.flags.f_contiguous
     assert np.array_equal(_bits(got), _bits(want))
-    for lo, hi in [(0, p // 2), (p // 3, p), (p - 1, p)]:
-        if 0 <= lo <= hi:
-            assert np.array_equal(_bits(sample.points(lo, hi)), _bits(want[:, lo:hi]))
 
 def test_prune_by_distance_removes_far_points():
     cur = _elem([0.0, 0.0])
@@ -160,88 +155,89 @@ def _bundle_state(ps):
             ps._cur, ps.current)
 
 
-def _indexed_sample(p, n, rng):
-    """p points whose first coordinate is their index: factors of 1 on a
-    zero center give the directions themselves."""
-    directions = rng.standard_normal((p, n))
-    directions[:, 0] = np.arange(p)
-    return point_set.BallSample(np.zeros(n), directions, np.ones(p))
+def _draw_spy(finite):
+    """f over blocks of draws: the i-th point drawn gets |x|^2 where
+    ``finite[i]`` and inf elsewhere.  Records each point and block size."""
+    drawn, blocks = [], []
+
+    def f(X):
+        lo = len(drawn)
+        drawn.extend(X.T.copy())
+        blocks.append(X.shape[1])
+        values = np.array([pt @ pt for pt in X.T])
+        return np.where(finite[lo:len(drawn)], values, np.inf)
+
+    return f, drawn, blocks
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_newest_finite_keeps_what_age_pruning_keeps(seed):
-    # Reference: evaluate every sample, add the finite ones one by one, prune
-    # by age.  The survivor rule evaluates f only back to the (cap - 1)-th
-    # finite sample, and g only at those it returns, and the solver prunes
-    # to cap less their number before it adds them as one block; the bundle
-    # must come out identical, columns, values, births and current position
-    # alike.
+def test_finite_samples_keep_what_age_pruning_keeps(seed):
+    # The sampler draws cap - 1 points and refills only the places that
+    # non-finite values left open, up to p draws in all, and keeps the
+    # first cap - 1 finite points in draw order.  The solver prunes to cap
+    # less their number before it adds them as one block; the bundle must
+    # come out as when each is added on its own and age pruning follows,
+    # columns, values, births and current position alike.
     rng = np.random.default_rng(seed)
     n, k, cap = 3, 7, int(rng.integers(2, 7))
     p = int(rng.integers(0, 2 * cap + 2))
     if seed % 4 == 0:
-        p = int(rng.integers(0, cap))  # p <= cap - 1: every sample is kept
+        p = int(rng.integers(0, cap))  # p <= cap - 1: nothing to refill
     sizes = (int(rng.integers(0, cap)), int(rng.integers(0, cap)))
-    sample = _indexed_sample(p, n, rng)
-    samples = list(sample.points(0, p).T)
     finite = rng.uniform(size=p) < rng.choice([0.3, 0.7, 1.0])
-    if seed % 3 == 0 and p:
-        finite[-min(p, 2):] = False  # the newest draws are out of the domain
-    values = np.where(finite, [float(x @ x) for x in samples], np.inf)
-    f_blocks, g_blocks = [], []
+    x = rng.standard_normal(n)
+    f, drawn, blocks = _draw_spy(finite)
+    X, f_X = solver._finite_samples(x, 0.5, p, cap - 1, f,
+                                    np.random.default_rng([seed, 2]))
 
-    def f(X):
-        f_blocks.append(X[0].astype(int).tolist())
-        return values[X[0].astype(int)]
-
-    def g(X):
-        g_blocks.append(X[0].astype(int).tolist())
-        return 2.0 * X
+    # the draws are the block stream, in blocks of the places left open
+    replay = np.random.default_rng([seed, 2])
+    want = [sample_ball(x, 0.5, size, replay) for size in blocks]
+    assert np.array_equal(np.column_stack(drawn) if drawn else np.empty((n, 0)),
+                          np.hstack([np.empty((n, 0)), *want]))
+    open_places, lo = cap - 1, 0
+    for size in blocks:
+        assert size == min(open_places, p - lo) > 0
+        open_places -= int(finite[lo:lo + size].sum())
+        lo += size
+    assert lo == p or open_places == 0
+    kept = np.flatnonzero(finite[:lo])[:cap - 1]
+    assert kept.size == min(cap - 1, int(finite[:lo].sum()))
+    assert np.array_equal(X, np.reshape([drawn[i] for i in kept], (-1, n)).T)
+    assert np.array_equal(f_X, [drawn[i] @ drawn[i] for i in kept])
 
     reference = _sampled_bundle(np.random.default_rng([seed, 1]), n, k, sizes)
-    for i, x in enumerate(samples):
-        if finite[i]:
-            reference.add(BundleElement(x=x, f=values[i], g=2.0 * x, birth=k))
+    for x_i, f_i in zip(X.T, f_X):
+        reference.add(BundleElement(x=x_i, f=f_i, g=2.0 * x_i, birth=k))
     prune_by_age(reference, cap)
-
     ps = _sampled_bundle(np.random.default_rng([seed, 1]), n, k, sizes)
-    X, f_X, G = newest_finite(sample, f, g, cap - 1)
     prune_by_age(ps, cap - f_X.size)
-    ps.add(BundleElement(x=X, f=f_X, g=G, birth=k))
-
+    ps.add(BundleElement(x=X, f=f_X, g=2.0 * X, birth=k))
     got, want = _bundle_state(ps), _bundle_state(reference)
     for a, b in zip(got[:4], want[:4]):
         assert np.array_equal(a, b)
     assert got[4] == want[4]
     assert got[5].birth == want[5].birth and np.array_equal(got[5].x, want[5].x)
-    kept = np.flatnonzero(finite)[::-1][:cap - 1][::-1].tolist()
-    assert X[0].tolist() == kept and np.array_equal(f_X, values[kept])
-    assert g_blocks == ([kept] if kept else [])
-    # f is evaluated over a suffix of the draws, newest block first: all of
-    # them, or just enough to end on the (cap - 1)-th finite value
-    evaluated = [i for block in f_blocks for i in block]
-    assert sorted(evaluated) == list(range(p - len(evaluated), p))
-    assert all(block and min(block) > max(older, default=-1)
-               for block, older in zip(f_blocks, f_blocks[1:]))
-    finite_seen = int(finite[evaluated].sum()) if evaluated else 0
-    assert len(evaluated) == p or (finite_seen == cap - 1
-                                   and finite[min(evaluated)])
 
 
-def test_newest_finite_stops_at_the_limit():
-    sample = point_set.BallSample(np.zeros(1), np.ones((20, 1)), np.arange(20.0))
-    calls = []
-
-    def f(X):
-        calls.append(X[0].tolist())
-        return np.where(X[0] != 18, 0.0, np.inf)
-
-    X, f_X, G = newest_finite(sample, f, lambda X: 2.0 * X, 9)
-    assert X[0].tolist() == [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 19.0]
-    assert f_X.tolist() == [0.0] * 9 and np.array_equal(G, 2.0 * X)
-    assert calls == [[11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0], [10.0]]
-    X, f_X, G = newest_finite(sample, f, None, 0)
-    assert X.shape == G.shape == (1, 0) and f_X.size == 0 and len(calls) == 2
+def test_finite_samples_stop_at_p_draws():
+    # 9 places: draws 2 and 5 of the first 9 are out of the domain, and so
+    # is every later draw but 12, so the refills take one place at a time
+    # until the 20th draw.
+    finite = np.ones(20, dtype=bool)
+    finite[[2, 5, 9, 10, 11, *range(13, 20)]] = False
+    f, drawn, blocks = _draw_spy(finite)
+    x, rng = np.zeros(2), np.random.default_rng(4)
+    X, f_X = solver._finite_samples(x, 1.0, 20, 9, f, rng)
+    assert blocks == [9, 2, 2, 1, 1, 1, 1, 1, 1, 1]
+    kept = [0, 1, 3, 4, 6, 7, 8, 12]
+    assert np.array_equal(X, np.column_stack([drawn[i] for i in kept]))
+    assert np.array_equal(f_X, [drawn[i] @ drawn[i] for i in kept])
+    f, drawn, blocks = _draw_spy(np.ones(20, dtype=bool))
+    X, f_X = solver._finite_samples(x, 1.0, 20, 9, f, rng)
+    assert blocks == [9] and X.shape == (2, 9) and np.all(np.isfinite(f_X))
+    X, f_X = solver._finite_samples(x, 1.0, 20, 0, f, rng)
+    assert X.shape == (2, 0) and f_X.size == 0 and blocks == [9]
 
 
 def test_block_add_is_k_single_adds():

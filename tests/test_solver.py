@@ -92,16 +92,64 @@ def test_seeded_runs_are_reproducible():
 
 
 def test_sampling_evaluates_only_the_samples_that_stay():
-    # 20 samples per iteration against a bundle cap of 10: f is evaluated
-    # back to the 9th finite sample and g only at those 9.  The path is the
-    # one of evaluating all 20 (9376 f and 7331 g evaluations).
+    # 20 samples per iteration against a bundle cap of 10: 9 points are
+    # drawn, f and g are evaluated at those 9, and more are drawn only to
+    # replace non-finite values, of which ChainedLQ has none.
     prob = make_problem("ChainedLQ", 200)
     opts = SolverOptions(strategy="gradient_combination", seed=0)
     report = run_solver(prob.oracle, prob.x0, opts)
     assert report.termination_reason == "stationary"
-    assert report.iterations == 349
-    assert report.function_evaluations == 5537
-    assert report.gradient_evaluations == 3492
+    assert report.iterations == 327
+    assert report.function_evaluations == 5304
+    assert report.gradient_evaluations == 3272
+
+
+def test_sampling_refills_non_finite_values():
+    # f is inf at about half of the points, by a digit of their first
+    # coordinate.  Each iteration draws cap - 1 = 9 points, and refills the
+    # places of non-finite values, up to p = 20 draws in all.  It keeps the
+    # first finite draws, as many as min(9, finite values among the draws),
+    # and evaluates g once, on those.
+    base = make_problem("ChainedLQ", 10)
+    calls = []
+
+    def outside(X):
+        return np.modf(np.abs(X[0]) * 1e6)[0] < 0.5
+
+    def f(X):
+        values = np.where(outside(X), np.inf, base.oracle.evaluate_f(X))
+        if np.ndim(X) == 2:
+            calls.append(("f", X.copy(), values))
+        return values
+
+    def g(X):
+        if np.ndim(X) == 2:
+            calls.append(("g", X.copy(), None))
+        return base.oracle.evaluate_g(X)
+
+    x0 = base.x0 + 3e-7
+    assert not outside(x0)
+    opts = SolverOptions(strategy="gradient_combination", p=20, seed=3,
+                         iteration_limit=30)
+    assert opts.bundle_limit(10) == 10
+    run_solver(ObjectiveOracle(10, f, g, blocks=True), x0, opts)
+    refilled = short = 0
+    while calls:
+        drawn = []
+        while calls[0][0] == "f":
+            drawn.append(calls.pop(0)[1:])
+        kind, kept, _ = calls.pop(0)
+        assert kind == "g" and drawn
+        sizes = [X.shape[1] for X, _ in drawn]
+        X = np.hstack([X for X, _ in drawn])
+        finite = np.isfinite(np.concatenate([values for _, values in drawn]))
+        assert sizes[0] == 9 and sum(sizes) <= 20
+        assert kept.shape[1] == min(9, int(finite.sum()))
+        assert np.array_equal(kept, X[:, np.flatnonzero(finite)[:9]])
+        assert kept.shape[1] == 9 or sum(sizes) == 20
+        refilled += len(sizes) > 1
+        short += kept.shape[1] < 9
+    assert refilled >= 10 and short >= 2
 
 
 def _failing(error, calls):

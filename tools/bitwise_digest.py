@@ -2,7 +2,7 @@
 bitwise the same path.
 
     python3 tools/bitwise_digest.py --src DIR [--against OTHER] [--threads N]
-                                    [--workload NAME ...]
+                                    [--counts] [--workload NAME ...]
 
 Runs every operation of the benchmark's workloads once with the ``nsopt``
 package and ``perfbench/workloads.py`` of the source tree DIR, which are
@@ -17,6 +17,13 @@ With ``--against OTHER`` both trees are run, each in a process of its own,
 and only the operations whose digests differ are printed, as
 ``<workload>: <operation>  <digest of DIR>  <digest of OTHER>`` (``-`` for
 an operation that one tree lacks); the exit status is 1 if any differ.
+
+``--counts`` appends what each digest was taken of, in numbers a reader can
+compare: for a ``run_solver`` operation the termination reason, the
+iterations, the f and g evaluations and the final f; for a QP solve the
+iterations and the KKT residual.  With ``--against`` each digest of a
+differing line is followed by its counts, so that a re-baseline can be
+stated operation by operation.
 """
 
 from __future__ import annotations
@@ -48,24 +55,51 @@ def digest(out) -> str:
     return h.hexdigest()
 
 
-def run_tree(src: str, threads: int | None, workloads: list[str] | None) -> dict:
+def counts(out) -> str:
+    """The numbers a digest was taken of, as ``key=value`` fields."""
+    if hasattr(out, "f_history"):
+        fields = {"termination": out.termination_reason,
+                  "iterations": out.iterations,
+                  "f_evals": out.function_evaluations,
+                  "g_evals": out.gradient_evaluations,
+                  "final_f": repr(float(out.final_f_unscaled))}
+    else:
+        fields = {"iterations": out.iterations,
+                  "kkt_residual": repr(float(out.kkt_residual))}
+    return " ".join(f"{key}={value}" for key, value in fields.items())
+
+
+def run_tree(src: str, threads: int | None, workloads: list[str] | None,
+             with_counts: bool = False) -> dict:
     """{"<workload>: <operation>": digest} for the tree ``src``, in the order
-    run, from a process of its own."""
+    run, from a process of its own; with ``with_counts`` each digest is
+    followed by two spaces and its counts."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--src", src]
     if threads is not None:
         cmd += ["--threads", str(threads)]
+    if with_counts:
+        cmd.append("--counts")
     for name in workloads or ():
         cmd += ["--workload", name]
     out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
-    return {name: digest for digest, name in
-            (line.split("  ", 1) for line in out.splitlines())}
+    runs = {}
+    for line in out.splitlines():
+        digest, name, *rest = line.split("  ")
+        runs[name] = "  ".join([digest, *rest])
+    return runs
 
 
 def differing(ours: dict, theirs: dict) -> list[str]:
-    """One line per operation whose digests differ or that one side lacks."""
+    """One line per operation whose digests differ or that one side lacks.
+    Only the digests are compared; a value's counts, if any, follow its
+    digest on the line."""
     names = list(ours) + [name for name in theirs if name not in ours]
-    return [f"{name}  {ours.get(name, '-')}  {theirs.get(name, '-')}"
-            for name in names if ours.get(name) != theirs.get(name)]
+    lines = []
+    for name in names:
+        a, b = ours.get(name, "-"), theirs.get(name, "-")
+        if a.split("  ", 1)[0] != b.split("  ", 1)[0]:
+            lines.append(f"{name}  {a}  {b}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -73,12 +107,15 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="root of a source tree")
     parser.add_argument("--against", help="root of a second source tree")
     parser.add_argument("--threads", type=int)
+    parser.add_argument("--counts", action="store_true",
+                        help="print what each digest was taken of")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="default: all four")
     args = parser.parse_args(argv)
     if args.against is not None:
-        lines = differing(run_tree(args.src, args.threads, args.workload),
-                          run_tree(args.against, args.threads, args.workload))
+        lines = differing(
+            run_tree(args.src, args.threads, args.workload, args.counts),
+            run_tree(args.against, args.threads, args.workload, args.counts))
         for line in lines:
             print(line)
         return 1 if lines else 0
@@ -90,7 +127,9 @@ def main(argv=None) -> int:
 
     for name in args.workload or WORKLOADS:
         for op in workloads.WORKLOADS[name]():
-            print(f"{digest(op.run())}  {name}: {op.name}", flush=True)
+            out = op.run()
+            line = f"{digest(out)}  {name}: {op.name}"
+            print(f"{line}  {counts(out)}" if args.counts else line, flush=True)
     return 0
 
 
