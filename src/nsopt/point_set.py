@@ -1,5 +1,4 @@
-"""Bundle maintenance: ball sampling, the choice of samples worth evaluating,
-distance pruning, and age pruning.
+"""Bundle maintenance: ball sampling, distance pruning, and age pruning.
 
 A gradient-sampling iteration handles its samples as one block.
 ``sample_ball`` draws k points as one block, a k x n block of normals and
@@ -261,6 +260,7 @@ class PointSet:
         if self._pass_products is not None:
             *meta, products = self._pass_products
             self._pass_products = (*meta, products[:, held(products.shape[1])])
+
 
 def sample_ball(x_k: np.ndarray, eps: float, k: int,
                 rng: np.random.Generator) -> np.ndarray:

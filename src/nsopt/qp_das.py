@@ -245,7 +245,7 @@ class DasState:
 
 
 def _init_state(data: SubproblemData) -> DasState:
-    return DasState(data, int(np.argmin(np.diag(data.gtwg))))
+    return DasState(data, int(data.gtwg.diagonal().argmin()))
 
 
 def _solve_eqp(st: DasState):
@@ -336,7 +336,9 @@ def solve_das(data: SubproblemData, tol: float = 1e-8) -> QpSolution:
                 S = work[work < m]
                 work = np.concatenate((S, m + F))
                 target = target[st.pos[work]]
-            toward = target * st.sign[work] < -1e-14
+                toward = target * st.sign[work] < -1e-14
+            else:  # the sign of every omega index in S is 1
+                toward = target < -1e-14
             if toward.any():
                 cur = st.z[work]
                 ratio = np.full(work.size, np.inf)

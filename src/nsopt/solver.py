@@ -50,9 +50,9 @@ def _finite_samples(x: np.ndarray, eps: float, p: int, limit: int, f,
     from the ball of radius eps around x (``sample_ball``), as the columns
     of a block, with their values.
 
-    ``limit`` points are drawn and f, which takes a block, is evaluated on
-    them; more are drawn only as non-finite values leave places open, up to
-    p draws in all.  The points kept are iid uniform over the ball.
+    min(limit, p) points are drawn and f, which takes a block, is evaluated
+    on them; more are drawn only as non-finite values leave places open, up
+    to p draws in all.  The points kept are iid uniform over the ball.
     """
     X, f_X, drawn = np.empty((x.size, 0)), np.empty(0), 0
     while limit > 0 and drawn < p:
