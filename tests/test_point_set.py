@@ -67,9 +67,9 @@ def _reference_ball(x, eps, p, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 200])
 @pytest.mark.parametrize("eps", [0.0, 1e-7, 0.3, 5.0])
 @pytest.mark.parametrize("p", [0, 1, 9, 20, 25])
-def test_sample_ball_is_the_block_stream(n, eps, p):
-    # Every point is bitwise the reference's, and the generator ends in the
-    # reference's state.
+def test_sample_ball_is_the_point_by_point_stream(n, eps, p):
+    # Every point is bitwise the reference's, formed one by one from the
+    # block stream, and the generator ends in the reference's state.
     seed = [n, p, int(eps * 1e7)]
     x = np.random.default_rng(seed).uniform(-3.0, 3.0, n)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -170,14 +170,9 @@ def _draw_spy(finite):
     return f, drawn, blocks
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_finite_samples_keep_what_age_pruning_keeps(seed):
-    # The sampler draws cap - 1 points and refills only the places that
-    # non-finite values left open, up to p draws in all, and keeps the
-    # first cap - 1 finite points in draw order.  The solver prunes to cap
-    # less their number before it adds them as one block; the bundle must
-    # come out as when each is added on its own and age pruning follows,
-    # columns, values, births and current position alike.
+def _sampling_case(seed):
+    """A random sampling step: cap, p, which draws are finite, and what the
+    solver's sampler draws and keeps from them."""
     rng = np.random.default_rng(seed)
     n, k, cap = 3, 7, int(rng.integers(2, 7))
     p = int(rng.integers(0, 2 * cap + 2))
@@ -189,23 +184,45 @@ def test_finite_samples_keep_what_age_pruning_keeps(seed):
     f, drawn, blocks = _draw_spy(finite)
     X, f_X = solver._finite_samples(x, 0.5, p, cap - 1, f,
                                     np.random.default_rng([seed, 2]))
+    return dict(n=n, k=k, cap=cap, p=p, sizes=sizes, finite=finite, x=x,
+                drawn=drawn, blocks=blocks, X=X, f_X=f_X)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_finite_samples_refill_open_places(seed):
+    # The sampler draws cap - 1 points and refills only the places that
+    # non-finite values left open, up to p draws in all, and keeps the
+    # first cap - 1 finite points in draw order.
+    c = _sampling_case(seed)
+    n, cap, p, finite, drawn = c["n"], c["cap"], c["p"], c["finite"], c["drawn"]
 
     # the draws are the block stream, in blocks of the places left open
     replay = np.random.default_rng([seed, 2])
-    want = [sample_ball(x, 0.5, size, replay) for size in blocks]
+    want = [sample_ball(c["x"], 0.5, size, replay) for size in c["blocks"]]
     assert np.array_equal(np.column_stack(drawn) if drawn else np.empty((n, 0)),
                           np.hstack([np.empty((n, 0)), *want]))
     open_places, lo = cap - 1, 0
-    for size in blocks:
+    for size in c["blocks"]:
         assert size == min(open_places, p - lo) > 0
         open_places -= int(finite[lo:lo + size].sum())
         lo += size
     assert lo == p or open_places == 0
     kept = np.flatnonzero(finite[:lo])[:cap - 1]
     assert kept.size == min(cap - 1, int(finite[:lo].sum()))
-    assert np.array_equal(X, np.reshape([drawn[i] for i in kept], (-1, n)).T)
-    assert np.array_equal(f_X, [drawn[i] @ drawn[i] for i in kept])
+    assert np.array_equal(c["X"], np.reshape([drawn[i] for i in kept], (-1, n)).T)
+    assert np.array_equal(c["f_X"], [drawn[i] @ drawn[i] for i in kept])
 
+
+@pytest.mark.parametrize("seed", range(40))
+def test_newest_finite_keeps_what_age_pruning_keeps(seed):
+    # The solver prunes to cap less the number of kept finite samples before
+    # it adds them as one block, so the bundle keeps its newest elements and
+    # the samples; it must come out as when each sample is added on its own
+    # and age pruning follows, columns, values, births and current position
+    # alike.
+    c = _sampling_case(seed)
+    n, k, cap, sizes, X, f_X = (c["n"], c["k"], c["cap"], c["sizes"],
+                                c["X"], c["f_X"])
     reference = _sampled_bundle(np.random.default_rng([seed, 1]), n, k, sizes)
     for x_i, f_i in zip(X.T, f_X):
         reference.add(BundleElement(x=x_i, f=f_i, g=2.0 * x_i, birth=k))
